@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,20 +44,20 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     command: str = ""
     chart: str = "frozen"
-    chart_params: tuple = ()
-    b_coeffs: tuple = (1.0, 0.0, 1.0)
+    chart_params: tuple[float, ...] = ()
+    b_coeffs: tuple[float, ...] = (1.0, 0.0, 1.0)
     elasticity: str = "identity"
-    elasticity_membrane: tuple = ()
-    elasticity_bending: tuple = ()
-    epsilon_list: tuple = (1e-2, 1e-3, 1e-4)
+    elasticity_membrane: tuple[float, ...] = ()
+    elasticity_bending: tuple[float, ...] = ()
+    epsilon_list: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
     n_modes: int = 128
     d: float = 1.0
     theta: float | None = None
     zeta: float | None = None
     output_path: str = "out.csv"
-    xi1_list: tuple = (1.0, 2.0, 4.0, 8.0)
+    xi1_list: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
     k_probe: int = 10
-    kernel_modes: tuple = (3,)
+    kernel_modes: tuple[int, ...] = (3,)
     f_profile: str = "smooth4"
 
     def validate(self):
@@ -101,17 +102,21 @@ class ExperimentConfig:
             mat(self.elasticity_membrane), mat(self.elasticity_bending))
 
 
-_TUPLE_FLOAT = {"chart_params", "b_coeffs", "epsilon_list", "xi1_list",
-                "elasticity_membrane", "elasticity_bending"}
-_TUPLE_INT = {"kernel_modes"}
-_INT = {"n_modes", "k_probe"}
-_FLOAT = {"d"}
-_OPT_FLOAT = {"theta", "zeta"}
+_PARSE_BY_TYPE = {
+    tuple[float, ...]: lambda v: tuple(float(x) for x in v.split(",") if x.strip()),
+    tuple[int, ...]: lambda v: tuple(int(x) for x in v.split(",") if x.strip()),
+    int: int,
+    float: float,
+    float | None: lambda v: None if v.lower() == "none" else float(v),
+    str: str,
+}
+# value parser of each field, chosen by its ExperimentConfig annotation
+_FIELD_PARSERS = {name: _PARSE_BY_TYPE[t]
+                  for name, t in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key-value format; unknown keys are rejected."""
-    known = {f.name for f in fields(ExperimentConfig)}
     cfg = ExperimentConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -123,21 +128,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key == "N":
             key = "n_modes"
-        if key not in known:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _TUPLE_FLOAT:
-                parsed = tuple(float(v) for v in value.split(",") if v.strip())
-            elif key in _TUPLE_INT:
-                parsed = tuple(int(v) for v in value.split(",") if v.strip())
-            elif key in _INT:
-                parsed = int(value)
-            elif key in _FLOAT:
-                parsed = float(value)
-            elif key in _OPT_FLOAT:
-                parsed = None if value.lower() == "none" else float(value)
-            else:
-                parsed = value
+            parsed = _FIELD_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
         setattr(cfg, key, parsed)
@@ -273,9 +267,10 @@ def cmd_solve_reduced(cfg: ExperimentConfig) -> None:
 def cmd_sweep_epsilon(cfg: ExperimentConfig) -> None:
     load = _load(cfg)
     flat = reduced.flat_load(cfg.n_modes)
+    base = _operator(cfg, cfg.epsilon_list[0])
     rows = []
     for eps in cfg.epsilon_list:
-        op = _operator(cfg, eps)
+        op = base.with_eps(eps)
         k_star = reduced.frequency_window(op)
         argmax = reduced.solution_argmax(op, flat)
         vmax = float(np.abs(reduced.solve(op, flat).coeffs).max())
@@ -290,13 +285,11 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig) -> None:
 
 
 def cmd_sensitivity(cfg: ExperimentConfig) -> None:
-    eps = cfg.epsilon_list[0]
-    op0 = _operator(cfg, eps).with_eps(0.0)
-    op = _operator(cfg, eps)
-    rows = []
-    for k in range(0, cfg.n_modes + 1):
-        rows.append(",".join([str(k), fmt(reduced.sensitivity_probe(op0, k)),
-                              fmt(reduced.sensitivity_probe(op, k))]))
+    op = _operator(cfg, cfg.epsilon_list[0])
+    k = np.arange(cfg.n_modes + 1)
+    amp0 = reduced.sensitivity_probe(op.with_eps(0.0), k)
+    amp = reduced.sensitivity_probe(op, k)
+    rows = [",".join([str(i), fmt(a0), fmt(a)]) for i, a0, a in zip(k, amp0, amp)]
     write_csv(cfg.output_path, "k,amplification_eps0,amplification_eps", rows)
 
 

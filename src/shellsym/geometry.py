@@ -252,9 +252,6 @@ class ElasticityTensor:
         """Full four-index membrane tensor A[a, b, c, d]."""
         return _full_tensor(self.membrane)
 
-    def bending_tensor(self) -> np.ndarray:
-        return _full_tensor(self.bending)
-
 
 def _full_tensor(m: np.ndarray) -> np.ndarray:
     out = np.empty((2, 2, 2, 2))

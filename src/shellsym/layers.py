@@ -267,13 +267,6 @@ class MatchingResult:
                         [self.c2 * w_m + self.c4 * v_m, self.c4 * w_m]),
         ]
 
-    def correction_profile(self) -> list:
-        """Modes added to the unmodified profile (pure ``lam_minus`` content)."""
-        w_m, v_m = self.mode_minus.w, self.mode_minus.v
-        return [ExpPolyMode(self.mode_minus.lam,
-                            [(self.c2 + self.c1) * w_m + self.c4 * v_m,
-                             self.c4 * w_m])]
-
 
 def matching_constants(xi1: float, b, a_membrane: np.ndarray,
                        w3_trace_hat: complex = 1.0) -> MatchingResult:

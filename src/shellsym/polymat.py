@@ -4,8 +4,8 @@ Frozen-coefficient principal symbols restricted to a boundary point are
 matrices whose entries are polynomials in the normal frequency.  This module
 provides the small amount of machinery needed to manipulate them numerically:
 exact recovery of the entry polynomials from point samples, differentiation,
-determinants, and the action of the corresponding constant-coefficient ODE
-system on exponential-polynomial profiles ``(c0 + c1*y + ...) * exp(mu*y)``.
+and the action of the corresponding constant-coefficient ODE system on
+exponential-polynomial profiles ``(c0 + c1*y + ...) * exp(mu*y)``.
 
 Polynomial coefficients are stored in ascending order: ``coeffs[j]`` multiplies
 ``z**j``.
@@ -20,7 +20,7 @@ import numpy as np
 
 
 class PolyMatrix:
-    """Matrix of univariate polynomials (square for determinants).
+    """Matrix of univariate polynomials.
 
     Parameters
     ----------
@@ -73,55 +73,6 @@ class PolyMatrix:
             return PolyMatrix(np.zeros_like(self.coeffs[:1]))
         js = np.arange(1, self.degree + 1)
         return PolyMatrix(self.coeffs[1:] * js[:, None, None])
-
-    def det_coeffs(self) -> np.ndarray:
-        """Ascending coefficients of the determinant polynomial.
-
-        Computed by cofactor expansion with coefficient-array convolutions,
-        so it is exact (up to round-off) for any entry degrees.  Sizes 1-3
-        cover every system handled here.
-        """
-        if self.coeffs.shape[1] != self.coeffs.shape[2]:
-            raise ValueError("determinant needs a square matrix")
-        n = self.size
-        entry = lambda k, j: self.coeffs[:, k, j]
-        if n == 1:
-            return entry(0, 0)
-        if n == 2:
-            return _polysub(
-                _polymul(entry(0, 0), entry(1, 1)),
-                _polymul(entry(0, 1), entry(1, 0)),
-            )
-        if n == 3:
-            terms = []
-            for sign, perm in (
-                (1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1)),
-                (-1, (0, 2, 1)), (-1, (2, 1, 0)), (-1, (1, 0, 2)),
-            ):
-                prod = _polymul(_polymul(entry(0, perm[0]), entry(1, perm[1])),
-                                entry(2, perm[2]))
-                terms.append(sign * prod)
-            out = terms[0]
-            for t in terms[1:]:
-                out = _polyadd(out, t)
-            return out
-        raise NotImplementedError("det_coeffs implemented for sizes 1-3")
-
-
-def _polymul(a, b):
-    return np.convolve(a, b)
-
-
-def _polyadd(a, b):
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=complex)
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return out
-
-
-def _polysub(a, b):
-    return _polyadd(a, -np.asarray(b))
 
 
 @dataclass

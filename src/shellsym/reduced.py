@@ -97,9 +97,9 @@ class SpectralField:
         return cls(np.asarray(fn(k), dtype=complex))
 
     @classmethod
-    def delta(cls, n_modes: int, k: int, amplitude: complex = 1.0) -> "SpectralField":
+    def delta(cls, n_modes: int, k: int) -> "SpectralField":
         f = cls.zeros(n_modes)
-        f.coeffs[k + n_modes] = amplitude
+        f.coeffs[k + n_modes] = 1.0
         return f
 
     def h_norm(self, s: float) -> float:
@@ -114,20 +114,6 @@ class SpectralField:
         mirrored = np.conj(self.coeffs[::-1])
         scale = max(float(np.abs(self.coeffs).max()), 1e-300)
         return bool(np.abs(self.coeffs - mirrored).max() <= tol * scale)
-
-    def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        k = self.wavenumbers
-        return np.exp(1j * np.outer(x, k)) @ self.coeffs
-
-    def __add__(self, other):
-        return SpectralField(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return SpectralField(self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar):
-        return SpectralField(scalar * self.coeffs)
 
 
 def smooth_load(n_modes: int, decay: float = 2.0) -> SpectralField:
@@ -260,12 +246,16 @@ def solve(op: ReducedOperator, load: SpectralField) -> SpectralField:
     Exact for the frozen-coefficient model.  At ``eps = 0`` a vanishing
     symbol value raises :class:`KernelModeError` listing the dead modes.
     """
-    k = load.wavenumbers
+    return SpectralField(load.coeffs / _nonzero_symbol(op, load.wavenumbers))
+
+
+def _nonzero_symbol(op: ReducedOperator, k: np.ndarray) -> np.ndarray:
+    """``(s + eps^2 q)(k)``, raising :class:`KernelModeError` where it vanishes."""
     denom = op.total_symbol(k)
     dead = k[denom <= 0.0]
     if dead.size:
         raise KernelModeError(dead.tolist())
-    return SpectralField(load.coeffs / denom)
+    return denom
 
 
 def coercivity_constant(op: ReducedOperator, n_modes: int | None = None) -> float:
@@ -350,17 +340,22 @@ def va_norm_convergence(op: ReducedOperator, eps_list: Sequence[float],
     return rows
 
 
-def sensitivity_probe(op: ReducedOperator, k_probe: int, eta: float = 1.0) -> float:
-    """L2 amplification of a single-mode load perturbation.
+def sensitivity_probe(op: ReducedOperator, k_probe):
+    """Amplification ``1 / (s(k) + eps^2 q(k))`` of a mode-``k`` load perturbation.
 
-    Equals ``1 / (s(k) + eps^2 q(k))`` at the probe mode: exponentially
-    large at ``eps = 0``, capped by ``1 / (eps^2 q(k))`` otherwise.
+    Exponentially large at ``eps = 0``, capped by ``1 / (eps^2 q(k))``
+    otherwise.  ``k_probe`` is one mode (a float is returned) or an array of
+    modes (an array is returned).  The symbol is inverted directly, so the
+    value is finite wherever ``1 / (s + eps^2 q)`` is, including the top
+    modes at ``eps = 0`` where the L2 ratio of a solved delta load squared
+    past the double range.  Raises :class:`KernelModeError` only for probed
+    modes whose symbol vanishes.
     """
-    if abs(k_probe) > op.n_modes:
+    k = np.asarray(k_probe)
+    if np.any(np.abs(k) > op.n_modes):
         raise ValueError("probe mode beyond cutoff")
-    delta = SpectralField.delta(op.n_modes, k_probe, eta)
-    dv = solve(op, delta)
-    return dv.l2_norm() / delta.l2_norm()
+    amp = 1.0 / _nonzero_symbol(op, k)
+    return float(amp) if amp.ndim == 0 else amp
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,26 @@ def read(path):
 
 
 def test_config_round_trip():
-    cfg = parse_config(BASE_CFG)
-    canon = serialize_config(cfg)
-    assert parse_config(canon) == cfg
-    assert serialize_config(parse_config(canon)) == canon
+    every_type = BASE_CFG + """
+chart = sphere-cap
+chart_params = 2.5
+theta = 0.75
+kernel_modes = 3,5
+elasticity = explicit
+elasticity_membrane = 2,0.5,0,2,0,1
+elasticity_bending = 1,0,0.25,1,0,0.5
+f_profile = delta:4
+"""
+    for text in (BASE_CFG, every_type, every_type + "theta = none\nzeta = 1.5\n"):
+        cfg = parse_config(text)
+        canon = serialize_config(cfg)
+        assert parse_config(canon) == cfg
+        assert serialize_config(parse_config(canon)) == canon
+    cfg = parse_config(every_type)
+    assert (cfg.chart_params, cfg.theta, cfg.zeta) == ((2.5,), 0.75, None)
+    assert cfg.elasticity_bending == (1.0, 0.0, 0.25, 1.0, 0.0, 0.5)
+    assert [type(k) for k in cfg.kernel_modes] == [int, int]
+    assert type(cfg.n_modes) is int and type(cfg.d) is float
 
 
 def test_config_rejects_unknown_key():

@@ -240,6 +240,22 @@ def test_sensitivity_formula_and_size():
     amp = sensitivity_probe(op0, 10)
     assert amp == pytest.approx(1.0 / (np.sqrt(101.0) * np.exp(-20.0)), rel=1e-10)
     assert amp > 1e7
+    # kernel modes elsewhere do not block a probe; probing one names only it
+    opk = with_kernel(op0, [3])
+    assert sensitivity_probe(opk, 10) == 1.0 / float(op0.s_symbol(10.0))
+    with pytest.raises(KernelModeError) as err:
+        sensitivity_probe(opk, 3)
+    assert err.value.modes == [3]
+    with pytest.raises(KernelModeError) as err:
+        sensitivity_probe(opk, np.arange(-5, 6))
+    assert err.value.modes == [-3, 3]
+    # exp(2dk) / (theta sqrt(1+k^2)) stays finite up to ~1e178 at N = 4096
+    k = np.arange(4097)
+    wide = build_default_operator(theta=0.7, zeta=1.0, d=0.05, n_modes=4096, eps=0.0)
+    amps = sensitivity_probe(wide, k)
+    assert np.all(np.isfinite(amps))
+    np.testing.assert_allclose(
+        amps, np.exp(2.0 * 0.05 * k) / (0.7 * np.sqrt(1.0 + k ** 2.0)), rtol=1e-12)
 
 
 def test_sensitivity_bounded_by_bending_part():
@@ -255,6 +271,9 @@ def test_sensitivity_peaks_at_window():
     k_star = frequency_window(op)
     amps = np.array([sensitivity_probe(op, k) for k in range(0, 129)])
     assert abs(int(np.argmax(amps)) - k_star) <= 2.0
+    for probed in (op, op.with_eps(0.0)):
+        loop = np.array([sensitivity_probe(probed, k) for k in range(-128, 129)])
+        assert np.array_equal(sensitivity_probe(probed, np.arange(-128, 129)), loop)
 
 
 # ---------------------------------------------------------------------------
