@@ -49,11 +49,13 @@ class PolyMatrix:
 
         Samples ``evaluate`` on ``degree + 1`` scaled roots of unity and
         inverts the discrete Fourier transform, which is exact for entries of
-        degree at most ``degree``.
+        degree at most ``degree``.  ``evaluate`` is called once, with the
+        array of sample points, and must return the stacked matrices
+        ``(degree + 1, n_rows, n_cols)``.
         """
         n_samp = degree + 1
         zs = radius * np.exp(2j * np.pi * np.arange(n_samp) / n_samp)
-        samples = np.stack([np.asarray(evaluate(z), dtype=complex) for z in zs])
+        samples = np.asarray(evaluate(zs), dtype=complex)
         # c_j = (1 / (n R^j)) sum_s f(z_s) w^{-js}
         js = np.arange(n_samp)
         phases = np.exp(-2j * np.pi * np.outer(js, js) / n_samp)

@@ -52,7 +52,10 @@ class DNSystem:
 
     ``symbol_gen(point, xi)`` must return the complex ``n x n`` matrix
     ``L'(x, xi)`` for ``xi`` a complex 2-vector; entries are polynomials of
-    degree ``s_k + t_j`` in ``xi``.
+    degree ``s_k + t_j`` in ``xi``.  The generator broadcasts: when the
+    components of ``xi`` are arrays that broadcast to ``shape``, it returns
+    the stack ``shape + (n, n)``, each matrix bit-equal to the one a scalar
+    call would give.  Scans and interpolations call it once per stack.
     """
 
     name: str
@@ -85,7 +88,11 @@ class DNSystem:
 
 @dataclass(frozen=True)
 class BoundaryConditionSet:
-    """``m`` boundary operators with indices ``r_k``; entry degrees ``r_k + t_j``."""
+    """``m`` boundary operators with indices ``r_k``; entry degrees ``r_k + t_j``.
+
+    ``symbol_gen(point, xi)`` returns the ``m x n`` boundary symbol and
+    broadcasts over stacked ``xi`` components like :class:`DNSystem`'s.
+    """
 
     name: str
     r_indices: tuple
@@ -120,26 +127,46 @@ class SLReport:
 # built-in symbol matrices
 # ---------------------------------------------------------------------------
 
-def strain_symbol(point: MetricData, xi) -> np.ndarray:
-    """Symbol of the strain operator rows ``(g11, g22, 2*g12)``, ``d -> i*xi``."""
+def _symbol_array(xi, rows: int) -> np.ndarray:
+    """Zero complex symbol of shape ``shape + (rows, 3)`` for frequencies ``xi``.
+
+    ``shape`` is the broadcast shape of the two frequency components; with
+    scalar components the symbol is a plain ``rows x 3`` matrix.
+    """
+    shape = np.broadcast_shapes(np.shape(xi[0]), np.shape(xi[1]))
+    return np.zeros(shape + (rows, 3), dtype=complex)
+
+
+def _cmul(a, b):
+    """``a * b`` rounded as the scalar complex product.
+
+    numpy's array loop for complex * complex may fuse a multiply and an add,
+    so a stacked evaluation would differ from a per-point one in the last bit.
+    """
+    return ((a.real * b.real - a.imag * b.imag)
+            + 1j * (a.real * b.imag + a.imag * b.real))
+
+
+def _strain_rows(point: MetricData, xi, s: complex) -> np.ndarray:
     b11, b12, b22 = point.b_triple
     x1, x2 = xi
-    return np.array([
-        [1j * x1, 0.0, -b11],
-        [0.0, 1j * x2, -b22],
-        [1j * x2, 1j * x1, -2.0 * b12],
-    ], dtype=complex)
+    out = _symbol_array(xi, 3)
+    out[..., 0, 0] = s * x1
+    out[..., 1, 1] = s * x2
+    out[..., 2, 0] = s * x2
+    out[..., 2, 1] = s * x1
+    out[..., :, 2] = (-b11, -b22, -2.0 * b12)
+    return out
+
+
+def strain_symbol(point: MetricData, xi) -> np.ndarray:
+    """Symbol of the strain operator rows ``(g11, g22, 2*g12)``, ``d -> i*xi``."""
+    return _strain_rows(point, xi, 1j)
 
 
 def strain_symbol_conj(point: MetricData, xi) -> np.ndarray:
     """Coefficient-conjugated strain symbol (the formal-adjoint factor)."""
-    b11, b12, b22 = point.b_triple
-    x1, x2 = xi
-    return np.array([
-        [-1j * x1, 0.0, -b11],
-        [0.0, -1j * x2, -b22],
-        [-1j * x2, -1j * x1, -2.0 * b12],
-    ], dtype=complex)
+    return _strain_rows(point, xi, -1j)
 
 
 def bending_strain_symbol(point: MetricData, xi, conj: bool = False) -> np.ndarray:
@@ -150,16 +177,16 @@ def bending_strain_symbol(point: MetricData, xi, conj: bool = False) -> np.ndarr
     """
     bm = point.b_mixed
     x1, x2 = xi
+    m = _symbol_array(xi, 3)
     s = -1j if conj else 1j
-    m = np.empty((3, 3), dtype=complex)
     # rho_ab row: u_k coefficient  s*(b^k_b * xi_a + b^k_a * xi_b);
     #             u3  coefficient  -xi_a * xi_b  (doubled on the shear row)
     pairs = [(x1, x1, 0, 0), (x2, x2, 1, 1), (x1, x2, 0, 1)]
     for r, (xa, xb, a, b) in enumerate(pairs):
         scale = 2.0 if r == 2 else 1.0
         for k in range(2):
-            m[r, k] = scale * s * (bm[k, b] * xa + bm[k, a] * xb)
-        m[r, 2] = -scale * xa * xb
+            m[..., r, k] = scale * s * (bm[k, b] * xa + bm[k, a] * xb)
+        m[..., r, 2] = _cmul(-scale * xa, xb)
     return m
 
 
@@ -192,7 +219,7 @@ def builtin_system(name: str, point: MetricData,
 
     if name == "membrane_tension":
         def gen(pt, xi):
-            return strain_symbol_conj(pt, xi).T
+            return strain_symbol_conj(pt, xi).swapaxes(-1, -2)
         return DNSystem("membrane_tension", 3, 3, (0, 0, 0), (1, 1, 0), gen)
 
     ma = elasticity.membrane if elasticity is not None else None
@@ -201,7 +228,7 @@ def builtin_system(name: str, point: MetricData,
         def gen(pt, xi, _ma=ma):
             g = strain_symbol(pt, xi)
             gc = strain_symbol_conj(pt, xi)
-            return gc.T @ _ma @ g
+            return gc.swapaxes(-1, -2) @ _ma @ g
         return DNSystem("membrane", 3, 3, (1, 1, 0), (1, 1, 0), gen)
 
     mb = elasticity.bending
@@ -209,13 +236,13 @@ def builtin_system(name: str, point: MetricData,
     def gen(pt, xi, _ma=ma, _mb=mb, _e2=eps ** 2):
         g = strain_symbol(pt, xi)
         gc = strain_symbol_conj(pt, xi)
-        membrane = gc.T @ _ma @ g
+        membrane = gc.swapaxes(-1, -2) @ _ma @ g
         r = bending_strain_symbol(pt, xi)
         rc = bending_strain_symbol(pt, xi, conj=True)
-        out = _e2 * (rc.T @ _mb @ r)
+        out = _e2 * (rc.swapaxes(-1, -2) @ _mb @ r)
         # membrane terms are principal only in the tangential block; the
         # remaining membrane entries are of lower order for indices (1,1,2)
-        out[:2, :2] += membrane[:2, :2]
+        out[..., :2, :2] += membrane[..., :2, :2]
         return out
 
     return DNSystem("koiter", 3, 3, (1, 1, 2), (1, 1, 2), gen)
@@ -242,15 +269,17 @@ def builtin_boundary_conditions(name: str,
         row = _DIRICHLET_ROWS[name]
 
         def gen(pt, xi, _row=row):
-            out = np.zeros((1, 3), dtype=complex)
-            out[0, _row] = 1.0
+            out = _symbol_array(xi, 1)
+            out[..., 0, _row] = 1.0
             return out
         r = (-1,) if row < 2 else (0,)
         return BoundaryConditionSet(name, r, gen)
 
     if name == "membrane_dirichlet":
         def gen(pt, xi):
-            return np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)
+            out = _symbol_array(xi, 2)
+            out[..., [0, 1], [0, 1]] = 1.0
+            return out
         return BoundaryConditionSet(name, (-1, -1), gen)
 
     if name == "membrane_traction":
@@ -259,18 +288,15 @@ def builtin_boundary_conditions(name: str,
 
         def gen(pt, xi, _ma=elasticity.membrane):
             stress = _ma @ strain_symbol(pt, xi)   # rows (T11, T22, T12)
-            return stress[[2, 1], :]               # (T21, T22) = normal rows
+            return stress[..., [2, 1], :]          # (T21, T22) = normal rows
         return BoundaryConditionSet("membrane_traction", (0, 0), gen)
 
     if name == "koiter_clamped":
         def gen(pt, xi):
-            x1, x2 = xi
-            return np.array([
-                [1, 0, 0],
-                [0, 1, 0],
-                [0, 0, 1],
-                [0, 0, 1j * x2],
-            ], dtype=complex)
+            out = _symbol_array(xi, 4)
+            out[..., [0, 1, 2], [0, 1, 2]] = 1.0
+            out[..., 3, 2] = 1j * xi[1]
+            return out
         return BoundaryConditionSet("koiter_clamped", (-1, -1, -2, -1), gen)
 
     raise ValueError(f"unknown boundary condition set {name!r}")
@@ -305,8 +331,9 @@ def ellipticity_check(system: DNSystem, point: MetricData,
     if n_angles < 8:
         raise ValueError("n_angles must be at least 8")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    vals = np.array([abs(principal_determinant(
-        system, point, (np.cos(t), np.sin(t)))) for t in thetas])
+    dets = np.linalg.det(system.symbol_gen(point, (np.cos(thetas), np.sin(thetas))))
+    # hypot rounds as the scalar abs(complex); numpy's complex abs does not
+    vals = np.hypot(dets.real, dets.imag)
     lo, hi = float(vals.min()), float(vals.max())
     return EllipticityReport(lo > DET_RTOL * hi, lo, hi, n_angles)
 
@@ -317,8 +344,7 @@ def _det_poly_in_xi2(system: DNSystem, point: MetricData, xi1: float) -> np.ndar
     radius = max(1.0, abs(xi1))
     n = deg + 1
     zs = radius * np.exp(2j * np.pi * np.arange(n) / n)
-    dets = np.array([np.linalg.det(system.symbol_gen(point, (xi1, z)))
-                     for z in zs])
+    dets = np.linalg.det(system.symbol_gen(point, (xi1, zs)))
     js = np.arange(n)
     phases = np.exp(-2j * np.pi * np.outer(js, js) / n)
     coeffs = phases @ dets / n
@@ -338,10 +364,12 @@ def characteristic_roots(system: DNSystem, point: MetricData,
     if xi1 == 0:
         raise ValueError("xi1 must be nonzero")
     coeffs = _det_poly_in_xi2(system, point, xi1)
-    scale = np.abs(coeffs).max()
+    # c_j scales as |xi1|^(2m-j), so |c_j| R^j compares terms of one degree
+    sized = np.abs(coeffs) * max(1.0, abs(xi1)) ** np.arange(coeffs.size)
+    scale = sized.max()
     if scale == 0:
         raise EllipticityError("principal determinant vanishes identically")
-    if abs(coeffs[-1]) < 1e-10 * scale:
+    if sized[-1] < 1e-10 * scale:
         raise EllipticityError(
             f"{system.name}: determinant degenerates in the normal frequency "
             f"(leading coefficient ~ {abs(coeffs[-1]):.2e})")
@@ -477,9 +505,7 @@ def sl_check(system: DNSystem, bc: BoundaryConditionSet, point: MetricData,
     basis = decaying_solution_basis(system, point, xi1)
     basis = [mode.scaled(1.0 / mode.norm()) for mode in basis]
     max_bc_degree = max(max(bc.r_indices) + max(system.t_indices), 0)
-    bpoly = _entry_polymatrix(
-        lambda pt, xi: np.asarray(bc.symbol_gen(pt, xi), dtype=complex),
-        point, xi1, max_bc_degree)
+    bpoly = _entry_polymatrix(bc.symbol_gen, point, xi1, max_bc_degree)
 
     cols = []
     for mode in basis:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,29 @@ def test_cli_default_theta_zeta_from_layer(tmp_path):
     row = read(out).decode().strip().splitlines()[-1].split(",")
     assert float(row[-2]) == pytest.approx(1.5)   # theta
     assert float(row[-1]) == pytest.approx(3.0)   # zeta
+
+
+CRITERION_12_CFG = ("b_coeffs = 1,0,1\nelasticity = identity\n"
+                    "epsilon_list = 1e-2,1e-3,1e-4\nN = 64\nxi1_list = 1,3\n")
+SPHERE_CAP_CFG = ("chart = sphere-cap\nchart_params = 1.7\nelasticity = isotropic\n"
+                  "epsilon_list = 1e-2\n")
+
+
+@pytest.mark.parametrize("config,command,digest", [
+    (CRITERION_12_CFG, "check-sl",
+     "676545bc7d1a646b630eb206e0583e60ba5a31320e175c91d2b2dd7b9ca65bf3"),
+    (CRITERION_12_CFG, "layer-modes",
+     "239f3b97e3c57e1354a539088ad409eb21b672c32ef4900d4a9688498232ca86"),
+    (CRITERION_12_CFG, "check-ellipticity",
+     "fe77ea3e223b1d7f203a0669660029b78ac221813f679b09a41cc57c3e98b232"),
+    (SPHERE_CAP_CFG, "check-ellipticity",
+     "f18367990b7a51f62e3c0a65abc2a274f364359faab833b7d6398c4929881a53"),
+])
+def test_cli_golden_bytes(tmp_path, config, command, digest):
+    # sha256 of the CSV bytes as written before the symbol layer was batched;
+    # a refactor of the symbol layer must reproduce them exactly
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "golden.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == digest

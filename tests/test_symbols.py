@@ -3,6 +3,7 @@ import pytest
 
 from shellsym.geometry import ElasticityTensor, SurfaceEllipticityError, frozen_point
 from shellsym.symbols import (
+    DNSystem,
     EllipticityError,
     SLReport,
     builtin_boundary_conditions,
@@ -103,6 +104,73 @@ def test_zero_frequency_rejected():
     system = builtin_system("rigidity", pt)
     with pytest.raises(ValueError):
         principal_determinant(system, pt, (0.0, 0.0))
+
+
+ELASTICITIES = (IDENTITY, ElasticityTensor.frobenius_identity(),
+                ElasticityTensor.isotropic())
+BC_NAMES = ("u1", "u2", "u3", "membrane_dirichlet", "membrane_traction",
+            "koiter_clamped")
+
+
+def stacked_frequencies():
+    """Real unit-circle frequencies and the complex interpolation points."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    yield np.cos(thetas), np.sin(thetas)
+    for xi1 in (1.0, -0.3, 3.0, 20.0, 1e3):
+        for n in (2, 3, 5, 9):
+            radius = max(1.0, abs(xi1))
+            yield xi1, radius * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def assert_stacked_equals_pointwise(gen, pt):
+    for x1, x2 in stacked_frequencies():
+        stacked = gen(pt, (x1, x2))
+        x1s, x2s = np.broadcast_arrays(x1, x2)
+        pointwise = np.stack([gen(pt, (a, z)) for a, z in zip(x1s, x2s)])
+        assert stacked.shape == pointwise.shape
+        assert np.array_equal(stacked, pointwise)
+
+
+def test_generators_broadcast_bitwise(rng):
+    # stacked evaluation must round exactly as the per-point one, so CLI
+    # output does not depend on how the frequencies are batched
+    points = [frozen_point(1.0, 0.0, 1.0)]
+    points += [frozen_point(*b) for b in random_elliptic_b(rng, 2)]
+    for pt in points:
+        for e in ELASTICITIES:
+            for name in ("rigidity", "membrane_tension", "membrane", "koiter"):
+                system = builtin_system(name, pt, e, eps=0.07)
+                assert_stacked_equals_pointwise(system.symbol_gen, pt)
+                assert system.symbol_gen(pt, (0.6, 0.8)).shape == (3, 3)
+            for name in BC_NAMES:
+                bc = builtin_boundary_conditions(name, e)
+                assert_stacked_equals_pointwise(bc.symbol_gen, pt)
+                assert bc.symbol_gen(pt, (0.6, 0.8)).shape == (bc.count, 3)
+
+
+def test_ellipticity_check_matches_pointwise_determinants(rng):
+    # the built-in determinants are real on real frequencies; the scalar
+    # system with complex coefficients also pins the rounding of |det|
+    c0, c1, c2 = rng.normal(size=3) + 1j * rng.normal(size=3)
+
+    def complex_gen(pt, xi):
+        x1, x2 = xi
+        return np.asarray(c0 * x1 ** 2 + c1 * x1 * x2 + c2 * x2 ** 2)[..., None, None]
+
+    pt = frozen_point(*random_elliptic_b(rng))
+    cases = [(DNSystem("complex", 1, 1, (1,), (1,), complex_gen), pt)]
+    for b in random_elliptic_b(rng, 3):
+        pt = frozen_point(*b)
+        for e in ELASTICITIES:
+            for name in ("rigidity", "membrane_tension", "membrane", "koiter"):
+                cases.append((builtin_system(name, pt, e, eps=0.07), pt))
+    thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    for system, pt in cases:
+        rep = ellipticity_check(system, pt, n_angles=64)
+        vals = [abs(principal_determinant(system, pt, (np.cos(t), np.sin(t))))
+                for t in thetas]
+        assert rep.min_abs_det == min(vals)
+        assert rep.max_abs_det == max(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +347,23 @@ def test_sl_verdicts_random_points(rng):
 
 
 def test_sl_verdict_scale_invariant(rng):
+    # large |xi1| must not trip the leading-coefficient test in
+    # characteristic_roots (a false EllipticityError)
     b = random_elliptic_b(rng)
     pt = frozen_point(*b)
-    membrane = builtin_system("membrane", pt, IDENTITY)
-    for bc_name, want in (("membrane_dirichlet", True),
-                          ("membrane_traction", False)):
+    cases = (
+        ("membrane", "membrane_dirichlet", True, (1.0, 2.0, 17.0, 1e3, 1e4)),
+        ("membrane", "membrane_traction", False, (1.0, 2.0, 17.0, 1e3, 1e4)),
+        ("koiter", "koiter_clamped", True, (1.0, 10.0, 19.0, 20.0)),
+        ("rigidity", "u1", True, (1.0, 1e5, 1e6)),
+        ("rigidity", "u2", True, (1.0, 1e5, 1e6)),
+        ("rigidity", "u3", True, (1.0, 1e5, 1e6)),
+    )
+    for sys_name, bc_name, want, xi1s in cases:
+        system = builtin_system(sys_name, pt, IDENTITY, eps=0.1)
         bc = builtin_boundary_conditions(bc_name, IDENTITY)
-        verdicts = {sl_check(membrane, bc, pt, xi1).satisfied
-                    for xi1 in (1.0, 2.0, 17.0)}
-        assert verdicts == {want}
+        verdicts = {sl_check(system, bc, pt, xi1).satisfied for xi1 in xi1s}
+        assert verdicts == {want}, (sys_name, bc_name)
 
 
 def test_sl_koiter_clamped():
