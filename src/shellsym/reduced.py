@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 
 class KernelModeError(ValueError):
@@ -40,8 +39,15 @@ class KernelModeError(ValueError):
 
     def __init__(self, modes):
         self.modes = list(modes)
-        super().__init__(f"smoothing symbol vanishes on modes {self.modes}; "
-                         "use the non-inhibited rescaling")
+        mags = [abs(int(k)) for k in self.modes]
+        shown = self.modes if len(self.modes) <= 8 else \
+            self.modes[:4] + ["..."] + self.modes[-4:]
+        listed = ", ".join(str(k) for k in shown)
+        noun = "mode" if len(self.modes) == 1 else "modes"
+        super().__init__(
+            f"smoothing symbol vanishes on {len(self.modes)} {noun} with "
+            f"|k| in [{min(mags)}, {max(mags)}]: [{listed}]; "
+            "use the non-inhibited rescaling")
 
 
 class WindowResolutionError(ValueError):
@@ -103,9 +109,14 @@ class SpectralField:
         return f
 
     def h_norm(self, s: float) -> float:
-        k = self.wavenumbers
-        return float(np.sqrt(np.sum((1.0 + k.astype(float) ** 2) ** s
-                                    * np.abs(self.coeffs) ** 2)))
+        # scaled by the largest magnitude so that squaring cannot overflow
+        # or underflow where the norm itself is representable
+        mags = np.abs(self.coeffs)
+        m = float(mags.max())
+        if m == 0.0 or not np.isfinite(m):
+            return m
+        k = self.wavenumbers.astype(float)
+        return m * float(np.sqrt(np.sum((1.0 + k ** 2) ** s * (mags / m) ** 2)))
 
     def l2_norm(self) -> float:
         return self.h_norm(0.0)
@@ -393,6 +404,9 @@ def no_distribution_limit_probe(op: ReducedOperator, load: SpectralField,
     with slope ``log |v0_N| / N -> 2d``; a band-limited load gives constant
     norms beyond its support (a genuine solution exists, so there is no
     divergence to probe).
+
+    All truncations are read from one running log-sum over the modes
+    ordered by ``|k|``: one O(N log N) pass, whatever their number.
     """
     k = load.wavenumbers
     s, _ = op.symbol_values(k)
@@ -404,14 +418,13 @@ def no_distribution_limit_probe(op: ReducedOperator, load: SpectralField,
     band_limited = support.size == 0 or support.max() < load.n_modes
     with np.errstate(divide="ignore"):
         log_v = np.log(np.abs(load.coeffs)) - np.log(s)
-    log_weight = -weight_order * np.log1p(k.astype(float) ** 2)
-    rows = []
-    for n in truncations:
-        mask = np.abs(k) <= n
-        terms = 2.0 * log_v[mask] + log_weight[mask]
-        finite = terms[np.isfinite(terms)]
-        log_norm = -np.inf if finite.size == 0 else 0.5 * float(logsumexp(finite))
-        rows.append((int(n), log_norm))
+    terms = 2.0 * log_v - weight_order * np.log1p(k.astype(float) ** 2)
+    terms[~np.isfinite(terms)] = -np.inf
+    order = np.argsort(np.abs(k), kind="stable")
+    running = np.logaddexp.accumulate(terms[order])
+    counts = np.searchsorted(np.abs(k)[order], truncations, side="right")
+    rows = [(int(n), -np.inf if c == 0 else 0.5 * float(running[c - 1]))
+            for n, c in zip(truncations, counts)]
     return GrowthTable(rows, weight_order, not band_limited)
 
 
@@ -475,16 +488,26 @@ def apply_variable_symbol(sigma: Callable, field: SpectralField,
     ``sigma`` must accept array arguments broadcast over ``(x, k)``.  For an
     ``x``-independent symbol this reduces exactly to mode-wise
     multiplication.  Requires ``n_quad >= 2N + 1``.
+
+    The quadrature rows are processed in blocks of about ``2**17`` entries,
+    so the working memory is O(block * (2N+1)), not O(n_quad * N).
     """
     n = field.n_modes
     if n_quad < 2 * n + 1:
         raise AliasingError(f"n_quad={n_quad} under-resolves 2N+1={2 * n + 1} modes")
     x = 2.0 * np.pi * np.arange(n_quad) / n_quad
     k = field.wavenumbers
-    weights = np.asarray(sigma(x[:, None], k[None, :]), dtype=complex)
-    values = (weights * np.exp(1j * np.outer(x, k))) @ field.coeffs
+    # exp(i k x_j) = roots[(j k) mod n_quad], and a row j = start + r of a
+    # block factors as roots[(start k) mod n_quad] * roots[(r k) mod n_quad]
+    roots = np.exp(1j * x)
+    k_mod = k % n_quad
+    rows = min(n_quad, max(1, 2 ** 17 // k.size))
+    block_phase = roots[np.outer(np.arange(rows), k_mod) % n_quad]
+    values = np.empty(n_quad, dtype=complex)
+    for start in range(0, n_quad, rows):
+        stop = min(start + rows, n_quad)
+        shifted = roots[start * k_mod % n_quad] * field.coeffs
+        weights = np.asarray(sigma(x[start:stop, None], k[None, :]))
+        values[start:stop] = (weights * block_phase[:stop - start]) @ shifted
     hat = np.fft.fft(values) / n_quad
-    out = np.empty(2 * n + 1, dtype=complex)
-    for i, kk in enumerate(k):
-        out[i] = hat[kk % n_quad]
-    return SpectralField(out)
+    return SpectralField(hat[k_mod])

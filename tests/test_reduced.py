@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 from shellsym.reduced import (
     AliasingError,
@@ -104,6 +107,19 @@ def test_solve_kernel_mode_error():
     with pytest.raises(KernelModeError) as exc:
         solve(op, flat_load(16))
     assert 3 in exc.value.modes and -3 in exc.value.modes
+    assert str(exc.value) == ("smoothing symbol vanishes on 2 modes with |k| in "
+                              "[3, 3]: [-3, 3]; use the non-inhibited rescaling")
+    # s(k) underflows to 0.0 for |k| >= 373 at d = 1: a count and a range,
+    # not 1304 listed modes; .modes keeps the full list
+    with pytest.raises(KernelModeError) as exc:
+        solve(default_op(0.0, n=1024), flat_load(1024))
+    dead = list(range(-1024, -372)) + list(range(373, 1025))
+    assert exc.value.modes == dead
+    msg = str(exc.value)
+    assert msg.startswith("smoothing symbol vanishes on 1304 modes with "
+                          "|k| in [373, 1024]: [-1024, -1023, -1022, -1021, ..., "
+                          "1021, 1022, 1023, 1024];")
+    assert len(msg) < 160
 
 
 def test_energy_identity():
@@ -206,6 +222,17 @@ def test_va_convergence_monotone_and_matches_closed_form():
     want = diff.h_norm(-1.5)
     got = va_norm_convergence(op, [eps], f)[0].va_distance
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_h_norm_scaled_past_double_range():
+    # max |v_k| ~ 2.7e174 at eps = 0: its square is not a double, the norm is
+    op = build_default_operator(theta=0.7, zeta=1.0, d=0.05, n_modes=4096, eps=0.0)
+    v = solve(op, flat_load(4096))
+    assert np.abs(v.coeffs).max() > 1e170
+    want = np.exp(0.5 * logsumexp(2.0 * np.log(np.abs(v.coeffs))))
+    assert np.isfinite(v.l2_norm())
+    assert v.l2_norm() == pytest.approx(want, rel=1e-12)
+    assert SpectralField.zeros(4).h_norm(1.0) == 0.0
 
 
 def test_va_single_mode_closed_form():
@@ -317,6 +344,45 @@ def test_growth_insensitive_to_polynomial_weight():
     assert t10.slope_estimate() > 1.0
 
 
+def _masked_logsumexp_rows(op, load, truncations, weight_order):
+    # per-truncation reference: masked logsumexp over the finite terms
+    k = load.wavenumbers
+    s, _ = op.symbol_values(k)
+    with np.errstate(divide="ignore"):
+        terms = (2.0 * (np.log(np.abs(load.coeffs)) - np.log(s))
+                 - weight_order * np.log1p(k.astype(float) ** 2))
+    rows = []
+    for n in truncations:
+        t = terms[(np.abs(k) <= n) & np.isfinite(terms)]
+        rows.append((n, -np.inf if t.size == 0 else 0.5 * float(logsumexp(t))))
+    return rows
+
+
+@pytest.mark.parametrize("weight_order", [0.0, 10.0])
+@pytest.mark.parametrize("load_kind", ["smooth", "holes", "band"])
+def test_growth_table_matches_masked_logsumexp(load_kind, weight_order):
+    n = 300
+    op = build_default_operator(theta=0.8, zeta=1.0, d=0.3, n_modes=n, eps=0.0)
+    load = {
+        "smooth": smooth_load(n),
+        # zero coefficients through the spectrum, at k = 0 but not at |k| = N
+        "holes": SpectralField.from_symbol(
+            n, lambda k: np.where((k % 3 == 0) & (np.abs(k) < n), 0.0,
+                                  (1.0 + k ** 2.0) ** -1.5)),
+        "band": SpectralField.from_symbol(n, lambda k: np.where(np.abs(k) <= 7, 1.0, 0.0)),
+    }[load_kind]
+    truncations = [40, 3, 0, 40, 299, 300, 1000, 7, 6, 2, 2, 150]
+    table = no_distribution_limit_probe(op, load, truncations, weight_order)
+    want = _masked_logsumexp_rows(op, load, truncations, weight_order)
+    assert [n for n, _ in table.rows] == truncations
+    for (_, got), (_, ref) in zip(table.rows, want):
+        if np.isinf(ref):
+            assert got == ref
+        else:
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+    assert table.diverges == (load_kind != "band")
+
+
 def test_growth_table_band_limited_load_is_flat():
     op = default_op(0.0, n=64)
     f = SpectralField.from_symbol(64, lambda k: np.where(np.abs(k) <= 5, 1.0, 0.0))
@@ -404,6 +470,48 @@ def test_apply_modulation_shifts_modes():
     assert abs(out.coeff(5) - 1.0) < 1e-12
     mask = np.abs(out.wavenumbers - 5) > 0
     assert np.abs(out.coeffs[mask]).max() < 1e-12
+
+
+def _dense_apply(sigma, field, n_quad):
+    # the whole (n_quad, 2N+1) quadrature matrix, then the FFT projection
+    x = 2.0 * np.pi * np.arange(n_quad) / n_quad
+    k = field.wavenumbers
+    values = (sigma(x[:, None], k[None, :]) * np.exp(1j * np.outer(x, k))) @ field.coeffs
+    return (np.fft.fft(values) / n_quad)[k % n_quad]
+
+
+@pytest.mark.parametrize("symbol", ["complex", "real", "x-only"])
+@pytest.mark.parametrize("n_modes,n_quad", [
+    (8, 17), (8, 1000),              # one block: n_quad = 2N+1 and n_quad >> 2N+1
+    (300, 601), (300, 2411),         # 218-row blocks; neither is a multiple
+])
+def test_apply_matches_dense_quadrature(rng, symbol, n_modes, n_quad):
+    sigma = {
+        "complex": lambda x, k: np.exp(1j * x * k / 7) / (1 + k ** 2),
+        "real": lambda x, k: np.exp(-0.01 * np.abs(k)) * (1.0 + 0.4 * np.cos(3 * x)),
+        "x-only": lambda x, k: np.exp(1j * x) + 0.5 * np.sin(x),
+    }[symbol]
+    f = SpectralField(rng.normal(size=2 * n_modes + 1)
+                      + 1j * rng.normal(size=2 * n_modes + 1))
+    got = apply_variable_symbol(sigma, f, n_quad).coeffs
+    want = _dense_apply(sigma, f, n_quad)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_apply_working_memory_is_blocked(rng):
+    # the three full (n_quad, 2N+1) complex arrays of a dense evaluation
+    # would take about 200 MB here
+    n_modes = 1024
+    f = SpectralField(rng.normal(size=2 * n_modes + 1)
+                      + 1j * rng.normal(size=2 * n_modes + 1))
+    sigma = lambda x, k: np.exp(-0.01 * np.abs(k)) * (1.0 + 0.5 * np.cos(x))
+    tracemalloc.start()
+    try:
+        apply_variable_symbol(sigma, f, 2 * n_modes + 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_apply_aliasing_guard():
