@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 class KernelModeError(ValueError):
@@ -289,6 +288,8 @@ def frequency_window(op: ReducedOperator) -> float:
     logarithmic correction).  Raises :class:`WindowResolutionError` when no
     crossover exists below the cutoff.
     """
+    from scipy.optimize import brentq
+
     if op.eps <= 0:
         raise ValueError("frequency window needs eps > 0")
 

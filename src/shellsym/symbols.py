@@ -27,19 +27,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import ElasticityTensor, MetricData
-from .polymat import ExpPolyMode, PolyMatrix, apply_normal_ode
+from .polymat import PolyMatrix
 
-DET_RTOL = 1e-8           # relative threshold for "determinant is nonzero"
-KERNEL_RTOL = 1e-5        # singular-value threshold for null-space dimension
-ROOT_CLUSTER_RTOL = 1e-5  # radius for grouping repeated characteristic roots
+DET_RTOL = 1e-8       # relative threshold for "determinant is nonzero"
+# |beta / alpha| below which a pencil eigenvalue counts as infinite; the
+# index-2 infinite eigenvalues of mixed orders leak out near sqrt(eps_mach)
+INFINITE_RTOL = 1e-6
 
 
 class EllipticityError(ValueError):
     """The system fails Douglis-Nirenberg ellipticity where it is required."""
-
-
-class JordanDepthError(NotImplementedError):
-    """Characteristic root with a Jordan structure deeper than chains of 2."""
 
 
 class DegenerateModeError(ValueError):
@@ -105,7 +102,11 @@ class BoundaryConditionSet:
 
 @dataclass
 class SLReport:
-    """Outcome of a Shapiro-Lopatinskii check at one boundary point."""
+    """Outcome of a Shapiro-Lopatinskii check at one boundary point.
+
+    ``margin`` is ``sigma_min / |C|_2`` of the SL matrix; it stays out of
+    the CSV row.
+    """
 
     point_id: str
     xi1: float
@@ -113,8 +114,9 @@ class SLReport:
     decaying_roots: np.ndarray
     sl_matrix: np.ndarray
     sl_determinant: complex
+    margin: float
     satisfied: bool
-    witness: list | None = None   # ExpPolyMode list spanning a nonzero null solution
+    witness: np.ndarray | None = None   # Cauchy data of a nonzero null solution
 
     CSV_HEADER = "point_id,xi1,m,abs_det,satisfied"
 
@@ -338,18 +340,14 @@ def ellipticity_check(system: DNSystem, point: MetricData,
     return EllipticityReport(lo > DET_RTOL * hi, lo, hi, n_angles)
 
 
-def _det_poly_in_xi2(system: DNSystem, point: MetricData, xi1: float) -> np.ndarray:
-    """Ascending coefficients of ``det L'(xi1, .)``; exact degree ``2m``."""
-    deg = system.total_order
-    radius = max(1.0, abs(xi1))
-    n = deg + 1
-    zs = radius * np.exp(2j * np.pi * np.arange(n) / n)
-    dets = np.linalg.det(system.symbol_gen(point, (xi1, zs)))
+def _det_poly_in_xi2(system: DNSystem, point: MetricData, s: float) -> np.ndarray:
+    """Ascending coefficients of ``det L'(s, .)``, ``|s| = 1``; exact degree ``2m``."""
+    n = system.total_order + 1
+    zs = np.exp(2j * np.pi * np.arange(n) / n)
+    dets = np.linalg.det(system.symbol_gen(point, (s, zs)))
     js = np.arange(n)
     phases = np.exp(-2j * np.pi * np.outer(js, js) / n)
-    coeffs = phases @ dets / n
-    coeffs /= radius ** js
-    return coeffs
+    return phases @ dets / n
 
 
 def characteristic_roots(system: DNSystem, point: MetricData,
@@ -358,14 +356,14 @@ def characteristic_roots(system: DNSystem, point: MetricData,
 
     Exactly ``m`` roots must have positive and ``m`` negative imaginary part;
     a root that is real to within tolerance signals an ellipticity failure.
-    Root-finding goes through the companion matrix of the degree-``2m``
-    polynomial.
+    By homogeneity the roots are those at ``sign(xi1)`` scaled by ``|xi1|``;
+    they are found through the companion matrix of the degree-``2m``
+    polynomial at unit ``|xi1|``.
     """
     if xi1 == 0:
         raise ValueError("xi1 must be nonzero")
-    coeffs = _det_poly_in_xi2(system, point, xi1)
-    # c_j scales as |xi1|^(2m-j), so |c_j| R^j compares terms of one degree
-    sized = np.abs(coeffs) * max(1.0, abs(xi1)) ** np.arange(coeffs.size)
+    coeffs = _det_poly_in_xi2(system, point, float(np.sign(xi1)))
+    sized = np.abs(coeffs)
     scale = sized.max()
     if scale == 0:
         raise EllipticityError("principal determinant vanishes identically")
@@ -377,15 +375,15 @@ def characteristic_roots(system: DNSystem, point: MetricData,
     im_tol = 1e-8 * (1.0 + np.abs(roots))
     if np.any(np.abs(roots.imag) < im_tol):
         bad = roots[np.abs(roots.imag) < im_tol]
-        raise EllipticityError(
-            f"{system.name}: real characteristic root(s) {bad} at xi1={xi1}")
+        raise EllipticityError(f"{system.name}: real characteristic "
+                               f"root(s) {abs(xi1) * bad} at xi1={xi1}")
     m = system.half_order
     if np.sum(roots.imag > 0) != m:
         raise EllipticityError(
             f"{system.name}: expected {m} decaying roots, found "
             f"{int(np.sum(roots.imag > 0))}")
     order = np.lexsort((roots.real, roots.imag))
-    return roots[order]
+    return abs(xi1) * roots[order]
 
 
 def verify_homogeneity(system: DNSystem, point: MetricData,
@@ -412,134 +410,101 @@ def verify_homogeneity(system: DNSystem, point: MetricData,
 # ---------------------------------------------------------------------------
 
 def _entry_polymatrix(gen, point, xi1, degree) -> PolyMatrix:
-    radius = max(1.0, abs(xi1))
-    return PolyMatrix.from_samples(
-        lambda z: gen(point, (xi1, z)), max(degree, 0), radius)
+    return PolyMatrix.from_samples(lambda z: gen(point, (xi1, z)), max(degree, 0))
 
 
-def _cluster_roots(roots: np.ndarray, xi1: float) -> list:
-    """Group near-coincident roots; returns (center, multiplicity) pairs."""
-    tol = ROOT_CLUSTER_RTOL * max(1.0, abs(xi1))
-    clusters = []
-    for z in sorted(roots, key=lambda z: (z.real, z.imag)):
-        for c in clusters:
-            if abs(z - c[0][0]) < tol:
-                c[0].append(z)
-                break
-        else:
-            clusters.append([[z]])
-    return [(complex(np.mean(c[0])), len(c[0])) for c in clusters]
-
-
-def _kernel_vectors(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal null vectors of a (nearly) singular matrix via SVD."""
-    _, sv, vh = np.linalg.svd(mat)
-    keep = sv < KERNEL_RTOL * max(sv[0], 1e-300)
-    return vh[keep].conj()
-
-
-def decaying_solution_basis(system: DNSystem, point: MetricData,
-                            xi1: float) -> list:
-    """Basis of half-space solutions decaying as ``x2 -> +infty``.
-
-    Returns ``m`` :class:`ExpPolyMode` objects ``exp(i*xi2*x2) p(x2)``.
-    Simple roots give pure exponentials; a double root with one-dimensional
-    kernel gives a Jordan pair ``(w, x2*w + v)`` with ``S(xi2) v = i S'(xi2) w``;
-    deeper structures raise :class:`JordanDepthError`.
-    """
-    roots = characteristic_roots(system, point, xi1)
-    upper = roots[roots.imag > 0]
-    spoly = _entry_polymatrix(system.symbol_gen, point, xi1,
-                              system.max_entry_degree)
-    spoly_d = spoly.derivative()
-    basis = []
-    for center, mult in _cluster_roots(upper, xi1):
-        s_at = spoly.eval(center)
-        kernel = _kernel_vectors(s_at)
-        kd = kernel.shape[0]
-        if kd >= mult:
-            for w in kernel[:mult]:
-                basis.append(ExpPolyMode(1j * center, [w], center))
-        elif kd == 1 and mult == 2:
-            w = kernel[0]
-            rhs = 1j * (spoly_d.eval(center) @ w)
-            v, *_ = np.linalg.lstsq(s_at, rhs, rcond=None)
-            resid = np.linalg.norm(s_at @ v - rhs)
-            if resid > 1e-6 * (np.linalg.norm(rhs) + 1.0):
-                raise DegenerateModeError(
-                    f"{system.name}: Jordan chain unsolvable at root {center} "
-                    f"(residual {resid:.2e}, xi1={xi1})")
-            basis.append(ExpPolyMode(1j * center, [w], center))
-            basis.append(ExpPolyMode(1j * center, [v, w], center))
-        else:
-            raise JordanDepthError(
-                f"{system.name}: root {center} has multiplicity {mult} with "
-                f"kernel dimension {kd}; chains longer than 2 are not handled")
-    if len(basis) != system.half_order:
-        raise EllipticityError(
-            f"{system.name}: decaying basis has {len(basis)} modes, "
-            f"expected {system.half_order}")
-    return basis
+def _decaying(alpha, beta):
+    """Finite pencil eigenvalues ``alpha / beta`` in the upper half-plane."""
+    finite = np.abs(beta) > INFINITE_RTOL * np.abs(alpha)
+    return finite & ((alpha * beta.conj()).imag > 0)
 
 
 def sl_check(system: DNSystem, bc: BoundaryConditionSet, point: MetricData,
              xi1: float, point_id: str = "") -> SLReport:
     """Shapiro-Lopatinskii verdict for ``system`` with conditions ``bc``.
 
-    Builds the decaying solution basis, applies the boundary symbols at
-    ``x2 = 0`` and tests the resulting ``m x m`` determinant against the
-    relative threshold ``DET_RTOL * max|entry|^m``.  When the condition
-    fails, a nonzero decaying solution annihilated by all boundary operators
-    is returned as the witness.
+    The symbols are homogeneous, so the test is made on the unit cosphere,
+    at ``s = sign(xi1)``: the verdict, ``sl_determinant`` and ``margin`` do
+    not depend on ``|xi1|``.  ``L'(s, xi2) = sum_i A_i xi2^i`` is linearised
+    as the block-companion pencil on the Cauchy data
+    ``(u, D u, ..., D^(deg-1) u)`` at ``x2 = 0``.  An ordered complex QZ puts
+    its finite eigenvalues with positive imaginary part first, so the
+    unitary ``Z[:, :m]`` spans the Cauchy data of the decaying solutions,
+    whatever the root multiplicities or Jordan structure.
+
+    The boundary rows ``C = [C_0 ... C_(deg-1)]``, each scaled to unit norm,
+    give the SL matrix ``M = C Z[:, :m]``.  The condition holds iff
+    ``margin = sigma_min(M) / |C|_2 > DET_RTOL``; ``|det M|`` does not
+    depend on the choice of the orthonormal basis.  ``decaying_roots`` are
+    the selected eigenvalues scaled by ``|xi1|``.  When the condition
+    fails, the witness is the Cauchy data, rescaled to ``xi1``, of a
+    decaying solution that every boundary operator annihilates.
     """
-    m = system.half_order
+    from scipy.linalg import ordqz
+
+    m, n, deg = system.half_order, system.n_unknowns, system.max_entry_degree
     if bc.count != m:
         raise ValueError(
             f"{bc.name}: {bc.count} boundary conditions, system needs {m}")
+    if xi1 == 0:
+        raise ValueError("xi1 must be nonzero")
     report_ok = ellipticity_check(system, point, n_angles=64)
     if not report_ok.elliptic:
         raise EllipticityError(
             f"{system.name}: not elliptic at this point "
             f"(min |D| = {report_ok.min_abs_det:.3e})")
 
-    basis = decaying_solution_basis(system, point, xi1)
-    basis = [mode.scaled(1.0 / mode.norm()) for mode in basis]
-    max_bc_degree = max(max(bc.r_indices) + max(system.t_indices), 0)
-    bpoly = _entry_polymatrix(bc.symbol_gen, point, xi1, max_bc_degree)
+    s = float(np.sign(xi1))
+    coeffs = _entry_polymatrix(system.symbol_gen, point, s, deg).coeffs
+    size = n * deg
+    # lhs Y = xi2 rhs Y for Y_i = D^i u: a block shift, and in the last block
+    # row A_deg D^deg u = -sum_(i<deg) A_i D^i u
+    lhs = np.eye(size, k=n, dtype=complex)
+    lhs[-n:] = -coeffs[:deg].transpose(1, 0, 2).reshape(n, size)
+    rhs = np.eye(size, dtype=complex)
+    rhs[-n:, -n:] = coeffs[deg]
+    _, _, alpha, beta, _, z = ordqz(lhs, rhs, sort=_decaying, output="complex")
+    found = int(np.count_nonzero(_decaying(alpha, beta)))
+    if found != m:
+        raise EllipticityError(
+            f"{system.name}: expected {m} decaying roots, found {found}")
+    basis = z[:, :m]
 
-    cols = []
-    for mode in basis:
-        applied = apply_normal_ode(bpoly, mode)
-        cols.append(applied.value_at_zero())
-    sl_matrix = np.column_stack(cols)
-    det = complex(np.linalg.det(sl_matrix))
-    max_entry = float(np.abs(sl_matrix).max())
-    threshold = DET_RTOL * max_entry ** m
-    satisfied = abs(det) > threshold
+    bdeg = max(max(bc.r_indices) + max(system.t_indices), 0)
+    bcoeffs = _entry_polymatrix(bc.symbol_gen, point, s, bdeg).coeffs
+    if np.abs(bcoeffs[deg:]).max(initial=0.0) > 1e-12 * np.abs(bcoeffs).max():
+        raise ValueError(f"{bc.name}: boundary operators must have order < {deg}")
+    cauchy = np.zeros((m, deg, n), dtype=complex)
+    cauchy[:, :bdeg + 1] = bcoeffs[:deg].transpose(1, 0, 2)
+    cauchy = cauchy.reshape(m, size)
+    cauchy /= np.linalg.norm(cauchy, axis=1, keepdims=True)
 
+    sl_matrix = cauchy @ basis
+    _, sv, vh = np.linalg.svd(sl_matrix)
+    margin = float(sv[-1] / np.linalg.norm(cauchy, 2))
+    satisfied = margin > DET_RTOL
     witness = None
     if not satisfied:
-        _, _, vh = np.linalg.svd(sl_matrix)
-        null = vh[-1].conj()
-        witness = [mode.scaled(c) for mode, c in zip(basis, null)
-                   if abs(c) > 1e-12]
+        # u(x2) at xi1 is diag(|xi1|^-t_j) times the unit-frequency u(|xi1| x2)
+        powers = np.arange(deg)[:, None] - np.asarray(system.t_indices)
+        witness = (basis @ vh[-1].conj()) * (abs(float(xi1)) ** powers).ravel()
+    return SLReport(point_id or f"b={point.b_triple}", float(xi1), m,
+                    abs(xi1) * (alpha[:m] / beta[:m]), sl_matrix,
+                    complex(np.linalg.det(sl_matrix)), margin, bool(satisfied),
+                    witness)
 
-    roots = np.array([mode.frequency for mode in basis])
-    return SLReport(point_id or f"b={point.b_triple}", float(xi1), m, roots,
-                    sl_matrix, det, bool(satisfied), witness)
 
-
-def rigidity_strain_residual(witness: list, point: MetricData,
+def rigidity_strain_residual(witness: np.ndarray, point: MetricData,
                              xi1: float) -> float:
-    """Sup-norm of the frozen membrane strain of an exponential witness.
+    """Membrane strain of an SL witness, relative to the witness size.
 
-    Applies the strain rows to each mode of the witness and returns the
-    largest polynomial-coefficient magnitude, normalized by the witness size.
+    ``witness`` is the Cauchy data ``(u, D u, ...)`` at ``x2 = 0`` of a
+    decaying membrane solution at tangential frequency ``xi1``, as
+    :func:`sl_check` returns it.  The stress of such a solution solves the
+    first-order tension system, whose decaying solutions are fixed by their
+    value at the edge, so the strain vanishes identically iff it vanishes
+    at ``x2 = 0``, where it is ``S_0 u + S_1 D u``.
     """
-    spoly = _entry_polymatrix(strain_symbol, point, xi1, 1)
-    worst = 0.0
-    scale = sum(mode.norm() for mode in witness)
-    for mode in witness:
-        out = apply_normal_ode(spoly, mode)
-        worst = max(worst, max(np.linalg.norm(c) for c in out.coeffs))
-    return worst / max(scale, 1e-300)
+    data = np.asarray(witness).reshape(-1, 3)
+    s0, s1 = _entry_polymatrix(strain_symbol, point, xi1, 1).coeffs
+    return float(np.linalg.norm(s0 @ data[0] + s1 @ data[1]) / np.linalg.norm(data))

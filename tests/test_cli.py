@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +142,20 @@ def test_cli_solve_and_remaining_commands(tmp_path, cfg_path):
         assert len(body) > 2
 
 
+def test_cli_starts_without_scipy(tmp_path, cfg_path):
+    # only the window search and the SL test import scipy
+    out = str(tmp_path / "out.csv")
+    code = ("import sys\n"
+            "from shellsym.cli import main\n"
+            "for command in ('check-ellipticity', 'solve-reduced'):\n"
+            f"    assert main([command, '--config', {cfg_path!r}, '--out', {out!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_cli_default_theta_zeta_from_layer(tmp_path):
     # without overrides the operator coefficients come from the layer data
     cfg = tmp_path / "layer.cfg"
@@ -158,7 +176,7 @@ SPHERE_CAP_CFG = ("chart = sphere-cap\nchart_params = 1.7\nelasticity = isotropi
 
 @pytest.mark.parametrize("config,command,digest", [
     (CRITERION_12_CFG, "check-sl",
-     "676545bc7d1a646b630eb206e0583e60ba5a31320e175c91d2b2dd7b9ca65bf3"),
+     "47b85387650d5580fa32954b5a8191b034cba51b1849f01af681d497bf437911"),
     (CRITERION_12_CFG, "layer-modes",
      "239f3b97e3c57e1354a539088ad409eb21b672c32ef4900d4a9688498232ca86"),
     (CRITERION_12_CFG, "check-ellipticity",
@@ -167,8 +185,10 @@ SPHERE_CAP_CFG = ("chart = sphere-cap\nchart_params = 1.7\nelasticity = isotropi
      "f18367990b7a51f62e3c0a65abc2a274f364359faab833b7d6398c4929881a53"),
 ])
 def test_cli_golden_bytes(tmp_path, config, command, digest):
-    # sha256 of the CSV bytes as written before the symbol layer was batched;
-    # a refactor of the symbol layer must reproduce them exactly
+    # sha256 of the CSV bytes as written before the symbol layer was batched
+    # (check-sl: since the SL test moved to the unit cosphere, where abs_det
+    # is |det| of unit boundary rows on an orthonormal decaying basis); a
+    # refactor of the symbol layer must reproduce them exactly
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(config)
     out = tmp_path / "golden.csv"

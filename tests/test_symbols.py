@@ -3,13 +3,13 @@ import pytest
 
 from shellsym.geometry import ElasticityTensor, SurfaceEllipticityError, frozen_point
 from shellsym.symbols import (
+    BoundaryConditionSet,
     DNSystem,
     EllipticityError,
     SLReport,
     builtin_boundary_conditions,
     builtin_system,
     characteristic_roots,
-    decaying_solution_basis,
     ellipticity_check,
     principal_determinant,
     rigidity_strain_residual,
@@ -287,6 +287,18 @@ def test_root_halves_balance(rng, name, eps):
             assert np.sum(roots.imag < 0) == m
 
 
+def test_characteristic_roots_homogeneous():
+    # the roots at xi1 are those at sign(xi1) scaled by |xi1|; at 250, 300
+    # and 500 an unscaled leading-coefficient test used to reject them
+    pt = frozen_point(1.0, 0.0, 1.0)
+    koiter = builtin_system("koiter", pt, IDENTITY, eps=1e-2)
+    for s in (1.0, -1.0):
+        unit = characteristic_roots(koiter, pt, s)
+        assert np.sum(unit.imag > 0) == 4
+        for t in (250.0, 300.0, 500.0):
+            assert np.array_equal(characteristic_roots(koiter, pt, s * t), t * unit)
+
+
 def test_real_root_raises():
     pt = frozen_point(1.0, 2.0, 1.0)
     with pytest.raises(EllipticityError):
@@ -302,30 +314,39 @@ def test_sl_verdict_matrix_canonical_point():
     rigidity = builtin_system("rigidity", pt)
     for name in ("u1", "u2", "u3"):
         rep = sl_check(rigidity, builtin_boundary_conditions(name), pt, 1.0)
-        assert rep.satisfied
+        assert rep.satisfied and rep.margin > 1e-3
     membrane = builtin_system("membrane", pt, IDENTITY)
-    assert sl_check(membrane, builtin_boundary_conditions("membrane_dirichlet"),
-                    pt, 1.0).satisfied
+    rep = sl_check(membrane, builtin_boundary_conditions("membrane_dirichlet"),
+                   pt, 1.0)
+    assert rep.satisfied and rep.margin > 1e-3
     rep = sl_check(membrane,
                    builtin_boundary_conditions("membrane_traction", IDENTITY),
                    pt, 1.0)
-    assert not rep.satisfied
+    assert not rep.satisfied and rep.margin < 1e-12
     assert rep.witness is not None
 
 
 def test_sl_traction_witness_is_strain_free(rng):
     # the null solution of the traction problem is the zero-strain layer mode
+    # w exp(i xi2 x2), so its Cauchy data is (w, xi2 w) with Im xi2 > 0
     for _ in range(5):
         b = random_elliptic_b(rng)
         pt = frozen_point(*b)
         membrane = builtin_system("membrane", pt, IDENTITY)
-        rep = sl_check(membrane,
-                       builtin_boundary_conditions("membrane_traction", IDENTITY),
-                       pt, 1.0)
-        assert not rep.satisfied
-        assert rigidity_strain_residual(rep.witness, pt, 1.0) < 1e-10
-        lam = 1j * rep.witness[0].frequency
-        assert lam.real < 0
+        for xi1 in (1.0, -3.0):
+            rep = sl_check(membrane,
+                           builtin_boundary_conditions("membrane_traction", IDENTITY),
+                           pt, xi1)
+            assert not rep.satisfied
+            assert rigidity_strain_residual(rep.witness, pt, xi1) < 1e-10
+            u, du = rep.witness.reshape(2, 3)
+            xi2 = np.vdot(u, du) / np.vdot(u, u)
+            assert np.linalg.norm(du - xi2 * u) < 1e-10 * np.linalg.norm(du)
+            lam = 1j * xi2
+            assert lam.real < 0
+            strain_free = [z for z in characteristic_roots(
+                builtin_system("rigidity", pt), pt, xi1) if z.imag > 0]
+            assert xi2 == pytest.approx(strain_free[0], abs=1e-10 * abs(xi1))
 
 
 def test_sl_verdicts_random_points(rng):
@@ -335,15 +356,16 @@ def test_sl_verdicts_random_points(rng):
         membrane = builtin_system("membrane", pt, IDENTITY)
         for xi1 in (1.0, 3.0):
             for name in ("u1", "u2", "u3"):
-                assert sl_check(rigidity, builtin_boundary_conditions(name),
-                                pt, xi1).satisfied
-            assert sl_check(membrane,
-                            builtin_boundary_conditions("membrane_dirichlet"),
-                            pt, xi1).satisfied
-            assert not sl_check(
-                membrane,
-                builtin_boundary_conditions("membrane_traction", IDENTITY),
-                pt, xi1).satisfied
+                rep = sl_check(rigidity, builtin_boundary_conditions(name), pt, xi1)
+                assert rep.satisfied and rep.margin > 1e-3
+            rep = sl_check(membrane,
+                           builtin_boundary_conditions("membrane_dirichlet"),
+                           pt, xi1)
+            assert rep.satisfied and rep.margin > 1e-3
+            rep = sl_check(membrane,
+                           builtin_boundary_conditions("membrane_traction", IDENTITY),
+                           pt, xi1)
+            assert not rep.satisfied and rep.margin < 1e-12
 
 
 def test_sl_verdict_scale_invariant(rng):
@@ -371,7 +393,22 @@ def test_sl_koiter_clamped():
     koiter = builtin_system("koiter", pt, IDENTITY, eps=0.1)
     rep = sl_check(koiter, builtin_boundary_conditions("koiter_clamped"), pt, 1.0)
     assert rep.half_order == 4
-    assert rep.satisfied
+    assert rep.satisfied and rep.margin > 1e-3
+
+
+def test_sl_margin_ignores_boundary_row_scale():
+    # the boundary rows are scaled to unit norm, so weighting the boundary
+    # operators leaves |det M| and the margin as they are
+    pt = frozen_point(1.3, 0.4, 0.8)
+    koiter = builtin_system("koiter", pt, IDENTITY, eps=1e-2)
+    bc = builtin_boundary_conditions("koiter_clamped")
+    weights = np.array([1.0, 1e3, 1e-3, 7.0])[:, None]
+    weighted = BoundaryConditionSet(
+        "weighted", bc.r_indices, lambda p, xi: weights * bc.symbol_gen(p, xi))
+    plain, rep = sl_check(koiter, bc, pt, 2.0), sl_check(koiter, weighted, pt, 2.0)
+    assert rep.margin == pytest.approx(plain.margin, rel=1e-12)
+    assert abs(rep.sl_determinant) == pytest.approx(abs(plain.sl_determinant),
+                                                    rel=1e-12)
 
 
 def test_sl_wrong_bc_count():
@@ -379,15 +416,6 @@ def test_sl_wrong_bc_count():
     membrane = builtin_system("membrane", pt, IDENTITY)
     with pytest.raises(ValueError):
         sl_check(membrane, builtin_boundary_conditions("u1"), pt, 1.0)
-
-
-def test_decaying_basis_size_and_jordan_profile():
-    pt = frozen_point(1.0, 0.0, 1.0)
-    membrane = builtin_system("membrane", pt, IDENTITY)
-    basis = decaying_solution_basis(membrane, pt, 1.0)
-    assert len(basis) == 2
-    degrees = sorted(len(mode.coeffs) for mode in basis)
-    assert degrees == [1, 2]   # one pure exponential, one Jordan profile
 
 
 def test_sl_report_csv_row():
