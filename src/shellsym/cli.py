@@ -65,6 +65,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.chart not in geometry.CHART_GENERATORS:
             raise ConfigError(f"unknown chart {self.chart!r}")
+        if self.chart == "sphere-cap" and self.chart_params and (
+                self.chart_params[0] == 0 or not np.isfinite(self.chart_params[0])):
+            raise ConfigError("sphere-cap radius must be finite and nonzero")
         if len(self.b_coeffs) != 3:
             raise ConfigError("b_coeffs needs exactly three values")
         if not self.epsilon_list:
@@ -80,6 +83,8 @@ class ExperimentConfig:
         if self.elasticity == "explicit" and (
                 len(self.elasticity_membrane) != 6 or len(self.elasticity_bending) != 6):
             raise ConfigError("explicit elasticity needs 6+6 upper-triangle entries")
+        if 0 in self.xi1_list:
+            raise ConfigError("xi1 values must be nonzero")
         b11, b12, b22 = self.b_coeffs
         if self.command in ("check-sl", "layer-modes", "sweep-epsilon") and \
                 (b11 <= 0 or b11 * b22 - b12 ** 2 <= 0):

@@ -7,7 +7,10 @@ the same data frozen at one point, which is what the symbol machinery
 consumes.  Displacements are triples ``(u1, u2, u3)`` of covariant tangential
 components plus the normal component on the same grid.
 
-Two strain measures are evaluated by second-order finite differences:
+Chart arrays store components first, ``(2, 2, n1, n2)``, so every
+contraction runs over contiguous grids; the strain functions return the
+``(n1, n2, 2, 2)`` layout as a view.  Two strain measures are evaluated by
+second-order finite differences:
 
 * the membrane strain
   ``gamma_ab(u) = (u_{a|b} + u_{b|a}) / 2 - b_ab u3``,
@@ -16,13 +19,16 @@ Two strain measures are evaluated by second-order finite differences:
   - b^l_a b_lb u3``,
 
 with ``|`` the covariant derivative of the surface.  The quadratic energy
-forms contract these with the membrane and bending rigidity tensors and
-integrate with the midpoint rule against the area element ``sqrt(det a)``.
+forms contract these with the membrane and bending rigidity tensors and sum
+over the grid nodes with the weight ``h^2 sqrt(det a)`` at every node, edge
+rows included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,21 +108,36 @@ def frozen_point(b11: float, b12: float, b22: float) -> MetricData:
     return MetricData(np.eye(2), b, b.copy(), np.zeros((2, 2, 2)))
 
 
+class ChartTerms(NamedTuple):
+    """Strain terms that depend on the chart only, as read-only arrays."""
+
+    bcov: np.ndarray    # (2, 2, 2, n1, n2), b^l_{b|a} in [l, a, b]
+    bb: np.ndarray      # (2, 2, n1, n2), sum_l b^l_a b_lb in [a, b]
+    area: np.ndarray    # (n1, n2), sqrt(det a)
+
+
 @dataclass(frozen=True)
 class MetricField:
-    """Chart metric data sampled on an ``(n1, n2)`` grid with spacing ``h``."""
+    """Chart metric data sampled on an ``(n1, n2)`` grid with spacing ``h``.
 
-    a_cov: np.ndarray          # (n1, n2, 2, 2)
-    b_cov: np.ndarray          # (n1, n2, 2, 2)
-    b_mixed: np.ndarray        # (n1, n2, 2, 2), b^i_j in [..., i, j]
-    christoffel: np.ndarray    # (n1, n2, 2, 2, 2), Gamma^l_ab in [..., l, a, b]
+    Components come first: ``a_cov[a, b]`` is the ``(n1, n2)`` grid of
+    ``a_ab``, and ``christoffel[l, a, b]`` that of ``Gamma^l_ab``.  The
+    chart-only strain terms are built once, in :attr:`chart_terms`.
+    """
+
+    a_cov: np.ndarray          # (2, 2, n1, n2)
+    b_cov: np.ndarray          # (2, 2, n1, n2)
+    b_mixed: np.ndarray        # (2, 2, n1, n2), b^i_j in [i, j]
+    christoffel: np.ndarray    # (2, 2, 2, n1, n2), Gamma^l_ab in [l, a, b]
     h: float
 
     def __post_init__(self):
         if self.h <= 0:
             raise InvariantError("grid spacing must be positive")
-        if self.a_cov.shape[:2] != self.b_cov.shape[:2]:
-            raise GridMismatchError("metric component grids differ")
+        grid = (2, 2) + self.shape
+        if (len(grid) != 4 or self.christoffel.shape != (2,) + grid
+                or any(x.shape != grid for x in (self.a_cov, self.b_cov, self.b_mixed))):
+            raise GridMismatchError("metric components must share one (n1, n2) grid")
         # validate invariants on a sample of points (corners + center)
         n1, n2 = self.shape
         for i, j in {(0, 0), (0, n2 - 1), (n1 - 1, 0), (n1 - 1, n2 - 1),
@@ -125,16 +146,31 @@ class MetricField:
 
     @property
     def shape(self) -> tuple:
-        return self.a_cov.shape[:2]
+        return self.a_cov.shape[2:]
 
     def point(self, i: int, j: int) -> MetricData:
-        return MetricData(self.a_cov[i, j], self.b_cov[i, j],
-                          self.b_mixed[i, j], self.christoffel[i, j])
+        return MetricData(*(np.ascontiguousarray(x[..., i, j]) for x in (
+            self.a_cov, self.b_cov, self.b_mixed, self.christoffel)))
+
+    @cached_property
+    def chart_terms(self) -> ChartTerms:
+        """The chart-only strain terms, built on first use.
+
+        ``b^l_{b|a} = d_a b^l_b + Gamma^l_an b^n_b - Gamma^n_ba b^l_n``.
+        """
+        bm, gam = self.b_mixed, self.christoffel
+        bcov = np.stack(np.gradient(bm, self.h, axis=(2, 3), edge_order=2), axis=1)
+        bcov += np.einsum("lanxy,nbxy->labxy", gam, bm)
+        bcov -= np.einsum("nbaxy,lnxy->labxy", gam, bm)
+        bb = np.einsum("laxy,lbxy->abxy", bm, self.b_cov)
+        a = self.a_cov
+        area = np.sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+        for x in (bcov, bb, area):
+            x.flags.writeable = False
+        return ChartTerms(bcov, bb, area)
 
     def area_element(self) -> np.ndarray:
-        det = (self.a_cov[..., 0, 0] * self.a_cov[..., 1, 1]
-               - self.a_cov[..., 0, 1] * self.a_cov[..., 1, 0])
-        return np.sqrt(det)
+        return self.chart_terms.area
 
 
 def frozen_chart(b11: float, b12: float, b22: float,
@@ -144,12 +180,10 @@ def frozen_chart(b11: float, b12: float, b22: float,
     This is the frozen-coefficient setting in which all principal symbols are
     evaluated; the curvature triple is the only free data.
     """
-    n1, n2 = shape
-    ones = np.ones((n1, n2))
-    a = np.einsum("ij,xy->xyij", np.eye(2), ones)
-    b = np.einsum("ij,xy->xyij", np.array([[b11, b12], [b12, b22]]), ones)
-    gamma = np.zeros((n1, n2, 2, 2, 2))
-    return MetricField(a, b, b.copy(), gamma, h)
+    ones = np.ones(shape)
+    a = np.eye(2)[:, :, None, None] * ones
+    b = np.array([[b11, b12], [b12, b22]])[:, :, None, None] * ones
+    return MetricField(a, b, b.copy(), np.zeros((2, 2, 2) + tuple(shape)), h)
 
 
 def sphere_cap_chart(radius: float = 1.0, shape: tuple = (24, 24),
@@ -161,6 +195,8 @@ def sphere_cap_chart(radius: float = 1.0, shape: tuple = (24, 24),
     ``b = a / R``, ``Gamma^1_22 = -sin th cos th``,
     ``Gamma^2_12 = cos th / sin th``.
     """
+    if radius == 0 or not np.isfinite(radius):
+        raise InvariantError("radius must be finite and nonzero")
     if not 0 < theta0 < np.pi / 2:
         raise InvariantError("theta0 must lie in (0, pi/2)")
     n1, n2 = shape
@@ -169,17 +205,15 @@ def sphere_cap_chart(radius: float = 1.0, shape: tuple = (24, 24),
         raise InvariantError("chart extends past the south pole")
     sin_t = np.sin(theta)[:, None] * np.ones((1, n2))
     cos_t = np.cos(theta)[:, None] * np.ones((1, n2))
-    a = np.zeros((n1, n2, 2, 2))
-    a[..., 0, 0] = radius ** 2
-    a[..., 1, 1] = (radius * sin_t) ** 2
+    a = np.zeros((2, 2, n1, n2))
+    a[0, 0] = radius ** 2
+    a[1, 1] = (radius * sin_t) ** 2
     b = a / radius
     b_mixed = np.zeros_like(a)
-    b_mixed[..., 0, 0] = 1.0 / radius
-    b_mixed[..., 1, 1] = 1.0 / radius
-    gamma = np.zeros((n1, n2, 2, 2, 2))
-    gamma[..., 0, 1, 1] = -sin_t * cos_t          # Gamma^1_22
-    gamma[..., 1, 0, 1] = cos_t / sin_t           # Gamma^2_12
-    gamma[..., 1, 1, 0] = cos_t / sin_t           # Gamma^2_21
+    b_mixed[0, 0] = b_mixed[1, 1] = 1.0 / radius
+    gamma = np.zeros((2, 2, 2, n1, n2))
+    gamma[0, 1, 1] = -sin_t * cos_t                   # Gamma^1_22
+    gamma[1, 0, 1] = gamma[1, 1, 0] = cos_t / sin_t   # Gamma^2_12 = Gamma^2_21
     return MetricField(a, b, b_mixed, gamma, h)
 
 
@@ -305,11 +339,6 @@ class DisplacementField:
                                  alpha * self.u3 + beta * other.u3, self.h)
 
 
-def first_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second-order first derivative: centered inside, one-sided at edges."""
-    return np.gradient(f, h, axis=axis, edge_order=2)
-
-
 def second_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order pure second derivative with one-sided edge stencils."""
     g = np.moveaxis(f, axis, 0)
@@ -321,121 +350,94 @@ def second_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def _check_grids(u: DisplacementField, m: MetricField):
-    if u.shape != m.shape:
+    if u.shape != m.shape or u.h != m.h:
         raise GridMismatchError(
-            f"displacement grid {u.shape} does not match metric grid {m.shape}")
+            f"displacement grid {u.shape} at spacing {u.h} does not match "
+            f"metric grid {m.shape} at spacing {m.h}")
 
 
 # ---------------------------------------------------------------------------
 # strain measures
 # ---------------------------------------------------------------------------
 
+def _tangential_gradient(u: DisplacementField, m: MetricField) -> tuple:
+    """``(ut, cov)``: ``ut[l] = u_l`` and ``cov[a, b] = u_{a|b}``.
+
+    First derivatives are second order: centered inside, one-sided at edges.
+    """
+    _check_grids(u, m)
+    ut = np.stack((u.u1, u.u2))
+    cov = np.stack(np.gradient(ut, u.h, axis=(1, 2), edge_order=2), axis=1)
+    cov -= np.einsum("labxy,lxy->abxy", m.christoffel, ut)
+    return ut, cov
+
+
+def _grid_first(t: np.ndarray) -> np.ndarray:
+    return np.moveaxis(t, (0, 1), (2, 3))
+
+
 def strain_tensor(u: DisplacementField, m: MetricField) -> np.ndarray:
     """Membrane strain ``gamma_ab(u)`` as an ``(n1, n2, 2, 2)`` array.
 
     Symmetric by construction.
     """
-    _check_grids(u, m)
-    ut = (u.u1, u.u2)
-    du = np.empty(u.shape + (2, 2))       # du[..., a, b] = d_b u_a
-    for a in range(2):
-        for b in range(2):
-            du[..., a, b] = first_derivative(ut[a], u.h, axis=b)
-    # covariant derivative u_{a|b} = d_b u_a - Gamma^l_ab u_l
-    cov = du.copy()
-    for a in range(2):
-        for b in range(2):
-            for l in range(2):
-                cov[..., a, b] -= m.christoffel[..., l, a, b] * ut[l]
-    gamma = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    gamma -= m.b_cov * u.u3[..., None, None]
-    return gamma
+    _, cov = _tangential_gradient(u, m)
+    gamma = 0.5 * (cov + cov.swapaxes(0, 1))
+    gamma -= m.b_cov * u.u3
+    return _grid_first(gamma)
 
 
 def curvature_change_tensor(u: DisplacementField, m: MetricField) -> np.ndarray:
     """Change-of-curvature strain ``rho_ab(u)`` as an ``(n1, n2, 2, 2)`` array."""
-    _check_grids(u, m)
+    ut, ucov = _tangential_gradient(u, m)     # ucov[l, a] = u_{l|a}
+    terms = m.chart_terms
     h = u.h
-    ut = (u.u1, u.u2)
-
     # second covariant derivative of the normal component
-    d3 = [first_derivative(u.u3, h, axis=a) for a in range(2)]
-    dd3 = np.empty(u.shape + (2, 2))
-    dd3[..., 0, 0] = second_derivative(u.u3, h, axis=0)
-    dd3[..., 1, 1] = second_derivative(u.u3, h, axis=1)
-    mixed = first_derivative(d3[0], h, axis=1)
-    dd3[..., 0, 1] = mixed
-    dd3[..., 1, 0] = mixed
-    u3_cov = dd3.copy()
-    for a in range(2):
-        for b in range(2):
-            for l in range(2):
-                u3_cov[..., a, b] -= m.christoffel[..., l, a, b] * d3[l]
+    d3 = np.gradient(u.u3, h, edge_order=2)
+    rho = np.empty(ucov.shape)
+    rho[0, 0] = second_derivative(u.u3, h, axis=0)
+    rho[1, 1] = second_derivative(u.u3, h, axis=1)
+    rho[0, 1] = rho[1, 0] = np.gradient(d3[0], h, axis=1, edge_order=2)
+    rho -= np.einsum("labxy,lxy->abxy", m.christoffel, np.array(d3))
+    rho += np.einsum("labxy,lxy->abxy", terms.bcov, ut)
+    tangential = np.einsum("lbxy,laxy->abxy", m.b_mixed, ucov)  # b^l_b u_{l|a}
+    rho += tangential
+    rho += tangential.swapaxes(0, 1)
+    rho -= terms.bb * u.u3
+    return _grid_first(rho)
 
-    # covariant derivative of the tangential components
-    ucov = np.empty(u.shape + (2, 2))     # ucov[..., l, a] = u_{l|a}
-    for l in range(2):
-        for a in range(2):
-            ucov[..., l, a] = first_derivative(ut[l], h, axis=a)
-            for s in range(2):
-                ucov[..., l, a] -= m.christoffel[..., s, l, a] * ut[s]
 
-    # covariant derivative of the mixed curvature tensor,
-    # b^l_{b|a} = d_a b^l_b + Gamma^l_an b^n_b - Gamma^n_ba b^l_n
-    bcov = np.empty(u.shape + (2, 2, 2))  # bcov[..., l, b, a]
-    for l in range(2):
-        for b in range(2):
-            for a in range(2):
-                term = first_derivative(m.b_mixed[..., l, b], h, axis=a)
-                for n in range(2):
-                    term = (term
-                            + m.christoffel[..., l, a, n] * m.b_mixed[..., n, b]
-                            - m.christoffel[..., n, b, a] * m.b_mixed[..., l, n])
-                bcov[..., l, b, a] = term
-
-    rho = u3_cov
-    for a in range(2):
-        for b in range(2):
-            acc = np.zeros(u.shape)
-            for l in range(2):
-                acc += bcov[..., l, b, a] * ut[l]
-                acc += m.b_mixed[..., l, b] * ucov[..., l, a]
-                acc += m.b_mixed[..., l, a] * ucov[..., l, b]
-                acc -= m.b_mixed[..., l, a] * m.b_cov[..., l, b] * u.u3
-            rho[..., a, b] += acc
-    return rho
+_UPPER = np.triu_indices(3)
+# density g^T M g: half the diagonal and the symmetrized off-diagonal entries
+_UPPER_COEFF = np.where(_UPPER[0] == _UPPER[1], 0.25, 0.5)
 
 
 def _strain_vector(g: np.ndarray) -> np.ndarray:
-    """(g11, g22, 2*g12) stacked on the last axis."""
-    return np.stack([g[..., 0, 0], g[..., 1, 1], 2.0 * g[..., 0, 1]], axis=-1)
+    """(g11, g22, 2*g12) stacked on the first axis, one row per grid point."""
+    return np.stack([g[..., 0, 0], g[..., 1, 1], 2.0 * g[..., 0, 1]]).reshape(3, -1)
+
+
+def _form(strain, mat: np.ndarray, u: DisplacementField, v: DisplacementField,
+          m: MetricField, weight: np.ndarray) -> float:
+    su = _strain_vector(strain(u, m))
+    sv = su if v is u else _strain_vector(strain(v, m))
+    products = np.empty((len(_UPPER[0]), weight.size))
+    for k, (i, j) in enumerate(zip(*_UPPER)):
+        np.multiply(su[i], sv[j], out=products[k])
+        products[k] += sv[i] * su[j]
+    return float(_UPPER_COEFF * (mat + mat.T)[_UPPER] @ (products @ weight))
 
 
 def energy_forms(u: DisplacementField, v: DisplacementField,
                  m: MetricField, e: ElasticityTensor) -> tuple:
     """Membrane and bending energy forms ``(a(u, v), b(u, v))``.
 
-    Midpoint-rule quadrature against the area element.  The integrand is
-    assembled from the symmetrized products ``(g_i(u) g_j(v) + g_i(v)
-    g_j(u)) / 2``, so exchanging ``u`` and ``v`` returns bitwise-identical
-    values.
+    A node sum with the weight ``h^2 sqrt(det a)`` at every grid node, edge
+    rows included.  The six upper-triangle products ``g_i(u) g_j(v) +
+    g_i(v) g_j(u)`` of each form are summed against the weights in one
+    matrix-vector product, so exchanging ``u`` and ``v`` returns
+    bitwise-identical values; for ``v is u`` the strains are computed once.
     """
-    _check_grids(u, m)
-    _check_grids(v, m)
-    if u.h != v.h:
-        raise GridMismatchError("fields have different grid spacings")
-    weight = m.area_element() * u.h ** 2
-
-    def form(mat, su, sv):
-        density = np.zeros(u.shape)
-        for i in range(3):
-            for j in range(3):
-                density += mat[i, j] * 0.5 * (su[..., i] * sv[..., j]
-                                              + sv[..., i] * su[..., j])
-        return float(np.sum(density * weight))
-
-    a_val = form(e.membrane, _strain_vector(strain_tensor(u, m)),
-                 _strain_vector(strain_tensor(v, m)))
-    b_val = form(e.bending, _strain_vector(curvature_change_tensor(u, m)),
-                 _strain_vector(curvature_change_tensor(v, m)))
-    return a_val, b_val
+    weight = (m.area_element() * u.h ** 2).ravel()
+    return (_form(strain_tensor, e.membrane, u, v, m, weight),
+            _form(curvature_change_tensor, e.bending, u, v, m, weight))

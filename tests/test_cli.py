@@ -83,6 +83,29 @@ def test_config_validation_errors():
         cfg.validate()
 
 
+def test_config_rejects_zero_radius_and_zero_xi1(tmp_path):
+    out = str(tmp_path / "x.csv")
+    for command, text in (
+            ("check-ellipticity", "chart = sphere-cap\nchart_params = 0.0\n"),
+            ("check-ellipticity", "chart = sphere-cap\nchart_params = inf\n"),
+            ("check-ellipticity", "chart = sphere-cap\nchart_params = nan\n"),
+            ("check-sl", "xi1_list = 1,0\n"),
+            ("layer-modes", "xi1_list = 1,0\n")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", out]) == 2, text
+        with pytest.raises(ConfigError):
+            config = parse_config(text)
+            config.command = command
+            config.validate()
+    # a negative radius is a valid chart; its output is unchanged
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(SPHERE_CAP_CFG.replace("1.7", "-1.7"))
+    assert main(["check-ellipticity", "--config", str(cfg), "--out", out]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == \
+        "f1f4a00562c5311cd0e3fcee298b31002fea027039ae10345f15039804f7fc77"
+
+
 def test_cli_determinism(tmp_path, cfg_path):
     for command in ("check-sl", "sweep-epsilon", "layer-modes"):
         out1 = str(tmp_path / f"{command}-1.csv")

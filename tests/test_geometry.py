@@ -1,16 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from shellsym import geometry
 from shellsym.geometry import (
+    ChartTerms,
     DisplacementField,
     ElasticityTensor,
     GridMismatchError,
     InvariantError,
     MetricData,
+    MetricField,
     curvature_change_tensor,
     energy_forms,
     frozen_chart,
     frozen_point,
+    second_derivative,
     sphere_cap_chart,
     strain_tensor,
 )
@@ -90,11 +96,11 @@ def _analytic_membrane_strain(m, y1, y2, u, du):
     g = np.empty(y1.shape + (2, 2))
     for a in range(2):
         for b in range(2):
-            cov_ab = du[a][b] - sum(m.christoffel[..., l, a, b] * u[l]
+            cov_ab = du[a][b] - sum(m.christoffel[l, a, b] * u[l]
                                     for l in range(2))
-            cov_ba = du[b][a] - sum(m.christoffel[..., l, b, a] * u[l]
+            cov_ba = du[b][a] - sum(m.christoffel[l, b, a] * u[l]
                                     for l in range(2))
-            g[..., a, b] = 0.5 * (cov_ab + cov_ba) - m.b_cov[..., a, b] * u[2]
+            g[..., a, b] = 0.5 * (cov_ab + cov_ba) - m.b_cov[a, b] * u[2]
     return g
 
 
@@ -146,17 +152,19 @@ def test_sphere_cap_christoffel_matches_metric_derivatives():
     # Gamma^l_ab = a^{ls} (d_a a_sb + d_b a_sa - d_s a_ab) / 2, by central FD
     chart = sphere_cap_chart(radius=1.3, shape=(14, 14), h=0.01, theta0=0.8)
     h = chart.h
-    da = np.stack([np.gradient(chart.a_cov, h, axis=i, edge_order=2)
+    a_cov = np.moveaxis(chart.a_cov, (0, 1), (2, 3))
+    christoffel = np.moveaxis(chart.christoffel, (0, 1, 2), (2, 3, 4))
+    da = np.stack([np.gradient(a_cov, h, axis=i, edge_order=2)
                    for i in range(2)])  # da[c, x, y, a, b] = d_c a_ab
-    a_inv = np.linalg.inv(chart.a_cov)
-    want = np.zeros_like(chart.christoffel)
+    a_inv = np.linalg.inv(a_cov)
+    want = np.zeros_like(christoffel)
     for l in range(2):
         for a in range(2):
             for b in range(2):
                 term = 0.5 * (da[a, ..., :, b] + da[b, ..., :, a]
                               - np.stack([da[s, ..., a, b] for s in range(2)], axis=-1))
                 want[..., l, a, b] = np.einsum("xys,xys->xy", a_inv[..., l, :], term)
-    assert np.allclose(want, chart.christoffel, atol=5e-4)
+    assert np.allclose(want, christoffel, atol=5e-4)
 
 
 def test_energy_forms_zero_and_positive(rng):
@@ -200,6 +208,19 @@ def test_grid_mismatch_and_invariant_errors(rng):
     small = DisplacementField.zeros((8, 8), H)
     with pytest.raises(GridMismatchError):
         strain_tensor(small, m)
+    with pytest.raises(GridMismatchError):   # same shape, other spacing
+        strain_tensor(DisplacementField.zeros(SHAPE, 2 * H), m)
+    with pytest.raises(GridMismatchError):
+        energy_forms(DisplacementField.zeros(SHAPE, 2 * H),
+                     DisplacementField.zeros(SHAPE, 2 * H), m,
+                     ElasticityTensor.identity())
+    with pytest.raises(GridMismatchError):
+        MetricField(m.a_cov, m.b_cov, m.b_mixed, m.christoffel[..., :-1], H)
+    with pytest.raises(GridMismatchError):
+        MetricField(m.a_cov, m.b_cov, m.b_mixed[..., :-1, :], m.christoffel, H)
+    for radius in (0.0, np.inf, np.nan):
+        with pytest.raises(InvariantError):
+            sphere_cap_chart(radius=radius)
     with pytest.raises(GridMismatchError):
         DisplacementField(np.zeros((8, 8)), np.zeros((8, 9)), np.zeros((8, 8)), H)
     with pytest.raises(InvariantError):
@@ -228,3 +249,191 @@ def test_surface_ellipticity_flag():
     assert frozen_point(1.0, 0.0, 1.0).is_surface_elliptic
     assert not frozen_point(1.0, 2.0, 1.0).is_surface_elliptic
     assert not frozen_point(-1.0, 0.0, -2.0).is_surface_elliptic
+
+
+# ---------------------------------------------------------------------------
+# the contractions against per-component loops
+# ---------------------------------------------------------------------------
+
+def _grid_first(m):
+    """Chart arrays with the grid axes first: ``[x, y, ...components]``."""
+    return (np.moveaxis(m.b_cov, (0, 1), (2, 3)),
+            np.moveaxis(m.b_mixed, (0, 1), (2, 3)),
+            np.moveaxis(m.christoffel, (0, 1, 2), (2, 3, 4)))
+
+
+def _loop_strain(u, m):
+    """gamma_ab by explicit loops over the components."""
+    b_cov, _, chris = _grid_first(m)
+    ut = (u.u1, u.u2)
+    du = np.empty(u.shape + (2, 2))       # du[..., a, b] = d_b u_a
+    for a in range(2):
+        for b in range(2):
+            du[..., a, b] = np.gradient(ut[a], u.h, axis=b, edge_order=2)
+    cov = du.copy()
+    for a in range(2):
+        for b in range(2):
+            for l in range(2):
+                cov[..., a, b] -= chris[..., l, a, b] * ut[l]
+    gamma = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    gamma -= b_cov * u.u3[..., None, None]
+    return gamma
+
+
+def _loop_curvature(u, m):
+    """rho_ab by explicit loops over the components."""
+    b_cov, b_mixed, chris = _grid_first(m)
+    h = u.h
+    ut = (u.u1, u.u2)
+    d3 = [np.gradient(u.u3, h, axis=a, edge_order=2) for a in range(2)]
+    dd3 = np.empty(u.shape + (2, 2))
+    dd3[..., 0, 0] = second_derivative(u.u3, h, axis=0)
+    dd3[..., 1, 1] = second_derivative(u.u3, h, axis=1)
+    mixed = np.gradient(d3[0], h, axis=1, edge_order=2)
+    dd3[..., 0, 1] = mixed
+    dd3[..., 1, 0] = mixed
+    u3_cov = dd3.copy()
+    for a in range(2):
+        for b in range(2):
+            for l in range(2):
+                u3_cov[..., a, b] -= chris[..., l, a, b] * d3[l]
+    ucov = np.empty(u.shape + (2, 2))     # ucov[..., l, a] = u_{l|a}
+    for l in range(2):
+        for a in range(2):
+            ucov[..., l, a] = np.gradient(ut[l], h, axis=a, edge_order=2)
+            for s in range(2):
+                ucov[..., l, a] -= chris[..., s, l, a] * ut[s]
+    # b^l_{b|a} = d_a b^l_b + Gamma^l_an b^n_b - Gamma^n_ba b^l_n
+    bcov = np.empty(u.shape + (2, 2, 2))  # bcov[..., l, b, a]
+    for l in range(2):
+        for b in range(2):
+            for a in range(2):
+                term = np.gradient(b_mixed[..., l, b], h, axis=a, edge_order=2)
+                for n in range(2):
+                    term = (term
+                            + chris[..., l, a, n] * b_mixed[..., n, b]
+                            - chris[..., n, b, a] * b_mixed[..., l, n])
+                bcov[..., l, b, a] = term
+    rho = u3_cov
+    for a in range(2):
+        for b in range(2):
+            acc = np.zeros(u.shape)
+            for l in range(2):
+                acc += bcov[..., l, b, a] * ut[l]
+                acc += b_mixed[..., l, b] * ucov[..., l, a]
+                acc += b_mixed[..., l, a] * ucov[..., l, b]
+                acc -= b_mixed[..., l, a] * b_cov[..., l, b] * u.u3
+            rho[..., a, b] += acc
+    return rho
+
+
+def _loop_form(mat, gu, gv, weight):
+    """Node sum of ``(g_i(u) g_j(v) + g_i(v) g_j(u)) / 2`` against ``mat``."""
+    su = np.stack([gu[..., 0, 0], gu[..., 1, 1], 2.0 * gu[..., 0, 1]], axis=-1)
+    sv = np.stack([gv[..., 0, 0], gv[..., 1, 1], 2.0 * gv[..., 0, 1]], axis=-1)
+    density = np.zeros(weight.shape)
+    for i in range(3):
+        for j in range(3):
+            density += mat[i, j] * 0.5 * (su[..., i] * sv[..., j]
+                                          + sv[..., i] * su[..., j])
+    return float(np.sum(density * weight)), float(np.sum(np.abs(density * weight)))
+
+
+def _synthetic_chart(rng, shape=(20, 18), h=0.05):
+    """Variable metric, curvature and Christoffels, so ``b^l_{b|a} != 0``."""
+    n1, n2 = shape
+    y1 = h * np.arange(n1)[:, None] * np.ones((1, n2))
+    y2 = h * np.arange(n2)[None, :] * np.ones((n1, 1))
+
+    def smooth():
+        p, q, r = rng.normal(size=3)
+        return np.sin(p * y1 + q * y2 + r)
+
+    a = np.empty((2, 2) + shape)
+    a[0, 0], a[1, 1] = 1.0 + 0.1 * smooth(), 1.2 + 0.1 * smooth()
+    a[0, 1] = a[1, 0] = 0.05 * smooth()
+    b = np.empty((2, 2) + shape)
+    b[0, 0], b[1, 1] = 1.0 + 0.3 * smooth(), 0.8 + 0.2 * smooth()
+    b[0, 1] = b[1, 0] = 0.2 * smooth()
+    b_mixed = np.array([[1.0 + 0.3 * smooth(), 0.4 * smooth()],
+                        [0.1 * smooth(), 0.9 + 0.2 * smooth()]])
+    gamma = np.empty((2, 2, 2) + shape)
+    for l in range(2):
+        gamma[l, 0, 0], gamma[l, 1, 1] = smooth(), smooth()
+        gamma[l, 0, 1] = gamma[l, 1, 0] = smooth()
+    return MetricField(a, b, b_mixed, gamma, h)
+
+
+def test_contractions_match_component_loops(rng):
+    m = _synthetic_chart(rng)
+    bcov = m.chart_terms.bcov
+    assert np.abs(bcov).max() > 0.1
+    assert np.abs(bcov - np.swapaxes(bcov, 0, 1)).max() > 0.1   # index order matters
+    u, v = (DisplacementField(*rng.normal(size=(3,) + m.shape), m.h) for _ in range(2))
+    for op, ref in ((strain_tensor, _loop_strain),
+                    (curvature_change_tensor, _loop_curvature)):
+        for w in (u, v):
+            want = ref(w, m)
+            got = op(w, m)
+            assert got.shape == m.shape + (2, 2)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    e = ElasticityTensor.from_matrices(random_spd_matrix(rng), random_spd_matrix(rng))
+    weight = m.area_element() * m.h ** 2
+    got = energy_forms(u, v, m, e)
+    for k, (ref, mat) in enumerate(((_loop_strain, e.membrane),
+                                    (_loop_curvature, e.bending))):
+        want, scale = _loop_form(mat, ref(u, m), ref(v, m), weight)
+        assert abs(got[k] - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("make_chart", [
+    lambda: frozen_chart(1.0, 0.2, 1.5, (96, 96), 1.0 / 96),
+    lambda: sphere_cap_chart(radius=1.3, shape=(96, 96), h=0.8 / 96),
+], ids=["frozen", "sphere-cap"])
+def test_energy_forms_bitwise_symmetry_and_self_pair(rng, make_chart):
+    chart = make_chart()
+    e = ElasticityTensor.isotropic(0.8, 1.1)
+    u, v = (DisplacementField(*rng.normal(size=(3, 96, 96)), chart.h) for _ in range(2))
+    assert energy_forms(u, v, chart, e) == energy_forms(v, u, chart, e)
+    twin = DisplacementField(u.u1.copy(), u.u2.copy(), u.u3.copy(), u.h)
+    assert energy_forms(u, u, chart, e) == energy_forms(u, twin, chart, e)
+
+
+def test_chart_terms_built_once(monkeypatch, rng):
+    built = []
+
+    def counting(*terms):
+        built.append(terms)
+        return ChartTerms(*terms)
+
+    monkeypatch.setattr(geometry, "ChartTerms", counting)
+    m = sphere_cap_chart(radius=1.3, shape=SHAPE, h=0.02)
+    e = ElasticityTensor.identity()
+    u, v = (DisplacementField(*rng.normal(size=(3,) + SHAPE), 0.02) for _ in range(2))
+    for _ in range(3):
+        energy_forms(u, v, m, e)
+        curvature_change_tensor(u, m)
+    assert len(built) == 1
+    assert m.chart_terms is m.chart_terms
+    assert not m.chart_terms.bcov.flags.writeable
+    assert not m.area_element().flags.writeable
+
+
+def test_energy_job_memory_192():
+    # chart plus three energy_forms calls at 192^2; keeping a grid-first copy
+    # of the chart data beside the components-first one would exceed the bound
+    n = 192
+    h = 0.8 / n
+    rng = np.random.default_rng(0)
+    u, v = (DisplacementField(*rng.normal(size=(3, n, n)), h) for _ in range(2))
+    e = ElasticityTensor.isotropic()
+    tracemalloc.start()
+    try:
+        m = sphere_cap_chart(radius=1.3, shape=(n, n), h=h)
+        energy_forms(u, v, m, e)
+        energy_forms(v, u, m, e)
+        energy_forms(u, u, m, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2 ** 20
