@@ -33,7 +33,7 @@ for eps in (1e-3, 1e-5, 1e-7, 1e-9):
     op = build_default_operator(theta=1.0, zeta=1.0, d=1.0, n_modes=N, eps=eps)
     k_star = frequency_window(op)
     v = solve(op, flat_load(N))
-    print(f"{eps:8.0e} | {k_star:6.3f} | {solution_argmax(op):6d} | "
+    print(f"{eps:8.0e} | {k_star:6.3f} | {solution_argmax(v):6d} | "
           f"{np.abs(v.coeffs).max():18.4e} | {sensitivity_probe(op, 10):.3e}")
 print("(window ~ log(1/eps)/d; at eps = 0 the k=10 amplification is",
       f"{sensitivity_probe(build_default_operator(theta=1.0, zeta=1.0, d=1.0, n_modes=N, eps=0.0), 10):.3e})")

@@ -10,7 +10,12 @@ Commands: ``check-ellipticity``, ``check-sl``, ``layer-modes``,
 The configuration is a flat ``key = value`` text file; lists are
 comma-separated.  Outputs are CSV files with a ``# schema=1`` header line,
 17-significant-digit floats, '.' decimal separator and LF line endings, so
-repeated runs of the same configuration are byte-identical.
+repeated runs of the same configuration are byte-identical.  The reduced
+commands render each row from one ``%``-template of ``%d`` and ``%.17g``
+fields over Python ints and floats (the same rounding as
+``format(x, ".17g")``); ``v_abs`` is ``np.hypot(re, im)``, which matches the
+``abs`` of a numpy complex scalar bit for bit, where the array ``np.abs``
+of a complex array may differ in the last bit.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 """
@@ -89,6 +94,22 @@ class ExperimentConfig:
         if self.command in ("check-sl", "layer-modes", "sweep-epsilon") and \
                 (b11 <= 0 or b11 * b22 - b12 ** 2 <= 0):
             raise ConfigError("b_coeffs must be surface-elliptic for this command")
+        for name in ("theta", "zeta"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be positive")
+        if self.f_profile.startswith("delta:"):
+            try:
+                k = int(self.f_profile[len("delta:"):])
+            except ValueError:
+                raise ConfigError(f"f_profile {self.f_profile!r}: "
+                                  "delta needs an integer mode") from None
+            if abs(k) > self.n_modes:
+                raise ConfigError(f"f_profile delta mode {k} beyond N={self.n_modes}")
+        elif self.f_profile not in ("flat", "smooth4"):
+            raise ConfigError(f"unknown f_profile {self.f_profile!r}")
+        if self.command == "sweep-epsilon" and abs(self.k_probe) > self.n_modes:
+            raise ConfigError(f"k_probe {self.k_probe} beyond N={self.n_modes}")
 
     def elasticity_tensor(self) -> geometry.ElasticityTensor:
         if self.elasticity == "identity":
@@ -251,25 +272,23 @@ def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
 
 
 def _load(cfg: ExperimentConfig) -> reduced.SpectralField:
+    # validate() admits flat, smooth4 and delta:k with |k| <= N
     if cfg.f_profile == "flat":
         return reduced.flat_load(cfg.n_modes)
-    if cfg.f_profile.startswith("delta:"):
-        return reduced.SpectralField.delta(cfg.n_modes,
-                                           int(cfg.f_profile.split(":")[1]))
     if cfg.f_profile == "smooth4":
         return reduced.smooth_load(cfg.n_modes, decay=2.0)
-    raise ConfigError(f"unknown f_profile {cfg.f_profile!r}")
+    return reduced.SpectralField.delta(cfg.n_modes,
+                                       int(cfg.f_profile[len("delta:"):]))
 
 
 def cmd_solve_reduced(cfg: ExperimentConfig) -> None:
     op = _operator(cfg, cfg.epsilon_list[0])
     load = _load(cfg)
     v = reduced.solve(op, load)
-    rows = []
-    for i, k in enumerate(v.wavenumbers):
-        rows.append(",".join([str(int(k)), fmt(load.coeffs[i].real),
-                              fmt(v.coeffs[i].real), fmt(v.coeffs[i].imag),
-                              fmt(abs(v.coeffs[i]))]))
+    re, im = v.coeffs.real, v.coeffs.imag
+    columns = (v.wavenumbers.tolist(), load.coeffs.real.tolist(), re.tolist(),
+               im.tolist(), np.hypot(re, im).tolist())
+    rows = ["%d,%.17g,%.17g,%.17g,%.17g" % row for row in zip(*columns)]
     write_csv(cfg.output_path, "k,f_re,v_re,v_im,v_abs", rows)
 
 
@@ -277,17 +296,20 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig) -> None:
     load = _load(cfg)
     flat = reduced.flat_load(cfg.n_modes)
     base = _operator(cfg, cfg.epsilon_list[0])
+    ops = [base.with_eps(eps) for eps in cfg.epsilon_list]
+    # the window search at the first eps precedes the kernel check of the
+    # A-norm table, so a config that fails both reports the window
+    k_stars = [reduced.frequency_window(ops[0])]
+    va_rows = reduced.va_norm_convergence(base, cfg.epsilon_list, load)
+    k_stars += [reduced.frequency_window(op) for op in ops[1:]]
     rows = []
-    for eps in cfg.epsilon_list:
-        op = base.with_eps(eps)
-        k_star = reduced.frequency_window(op)
-        argmax = reduced.solution_argmax(op, flat)
-        vmax = float(np.abs(reduced.solve(op, flat).coeffs).max())
-        row = reduced.va_norm_convergence(op, [eps], load)[0]
-        coer = reduced.coercivity_constant(op)
-        amp = reduced.sensitivity_probe(op, cfg.k_probe)
-        rows.append(",".join([fmt(eps), fmt(k_star), str(argmax), fmt(vmax),
-                              fmt(row.va_distance), fmt(coer), fmt(amp)]))
+    for op, k_star, va in zip(ops, k_stars, va_rows):
+        v = reduced.solve(op, flat)
+        rows.append("%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g" % (
+            op.eps, k_star, reduced.solution_argmax(v),
+            np.abs(v.coeffs).max(), va.va_distance,
+            reduced.coercivity_constant(op),
+            reduced.sensitivity_probe(op, cfg.k_probe)))
     write_csv(cfg.output_path,
               "eps,k_star,argmax_k,max_abs_v,va_distance,coercivity,amplification",
               rows)
@@ -298,7 +320,8 @@ def cmd_sensitivity(cfg: ExperimentConfig) -> None:
     k = np.arange(cfg.n_modes + 1)
     amp0 = reduced.sensitivity_probe(op.with_eps(0.0), k)
     amp = reduced.sensitivity_probe(op, k)
-    rows = [",".join([str(i), fmt(a0), fmt(a)]) for i, a0, a in zip(k, amp0, amp)]
+    rows = ["%d,%.17g,%.17g" % row
+            for row in zip(k.tolist(), amp0.tolist(), amp.tolist())]
     write_csv(cfg.output_path, "k,amplification_eps0,amplification_eps", rows)
 
 
@@ -308,7 +331,7 @@ def cmd_rescale_demo(cfg: ExperimentConfig) -> None:
     load = _load(cfg)
     _, rows_data = reduced.noninhibited_rescale(op, load, cfg.epsilon_list,
                                                 cfg.kernel_modes)
-    rows = [",".join([fmt(r.eps), fmt(r.kernel_error), fmt(r.off_kernel_max)])
+    rows = ["%.17g,%.17g,%.17g" % (r.eps, r.kernel_error, r.off_kernel_max)
             for r in rows_data]
     write_csv(cfg.output_path, "eps,kernel_error,off_kernel_max", rows)
 
@@ -324,16 +347,18 @@ _DISPATCH = {
 }
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="shellsym",
+    description="Ellipticity/SL checks, layer modes and the reduced "
+                "boundary solver for sensitive elliptic shells.")
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True, help="flat key=value file")
+_PARSER.add_argument("--out", default=None, help="override output_path")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="shellsym",
-        description="Ellipticity/SL checks, layer modes and the reduced "
-                    "boundary solver for sensitive elliptic shells.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="flat key=value file")
-    parser.add_argument("--out", default=None, help="override output_path")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

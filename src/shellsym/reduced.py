@@ -27,7 +27,9 @@ in the non-inhibited (kernel) case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,6 +105,8 @@ class SpectralField:
 
     @classmethod
     def delta(cls, n_modes: int, k: int) -> "SpectralField":
+        if abs(k) > n_modes:
+            raise ValueError(f"delta mode {k} beyond cutoff N={n_modes}")
         f = cls.zeros(n_modes)
         f.coeffs[k + n_modes] = 1.0
         return f
@@ -162,7 +166,26 @@ class ReducedOperator:
             raise ValueError("eps must be nonnegative")
 
     def with_eps(self, eps: float) -> "ReducedOperator":
-        return replace(self, eps=eps)
+        """The same symbols at another ``eps``, sharing the mode grids."""
+        op = replace(self, eps=eps)
+        op.__dict__["_grids"] = self._grids
+        return op
+
+    @cached_property
+    def _grids(self) -> dict:
+        # n -> ModeGrid; shared by with_eps copies, which keep both symbols
+        return {}
+
+    def grid(self, n_modes: int | None = None) -> "ModeGrid":
+        """The eps-independent samples on ``k = -n..n`` (default ``n = N``).
+
+        Made once per ``n`` for this operator and every ``with_eps`` copy of
+        it, so an eps sweep samples ``s`` and ``q`` once.
+        """
+        n = self.n_modes if n_modes is None else n_modes
+        if n not in self._grids:
+            self._grids[n] = ModeGrid(self, n)
+        return self._grids[n]
 
     def symbol_values(self, k) -> tuple:
         k = np.asarray(k, dtype=float)
@@ -187,6 +210,26 @@ class ReducedOperator:
             raise ValueError("order-3 envelope violated")
 
 
+class ModeGrid:
+    """Samples of an operator's symbols on the modes ``k = -n..n``.
+
+    ``s`` and ``q`` are taken on construction; the order-3 weights
+    ``(1 + k^2)^(3/2)`` and ``(1 + k^2)^(-3/2)`` on first use.
+    """
+
+    def __init__(self, op: ReducedOperator, n_modes: int):
+        self.k = np.arange(-n_modes, n_modes + 1)
+        self.s, self.q = op.symbol_values(self.k)
+
+    @cached_property
+    def order3(self) -> np.ndarray:
+        return (1.0 + self.k.astype(float) ** 2) ** 1.5
+
+    @cached_property
+    def order3_inverse(self) -> np.ndarray:
+        return (1.0 + self.k.astype(float) ** 2) ** -1.5
+
+
 def build_default_operator(layer_symbols=None, d: float = 1.0,
                            n_modes: int = 128, eps: float = 1e-4,
                            theta: float | None = None,
@@ -201,6 +244,13 @@ def build_default_operator(layer_symbols=None, d: float = 1.0,
     it enters squared because the smoothing operator is the two-sided
     composition with the layer form.  ``q_floor`` keeps ``B`` strictly
     positive on constants.
+
+    The declared smoothing envelope has rate ``d`` and amplitude
+    ``theta * sup_k (1+k^2)^(1/2) e^(-d k)``, in closed form: the critical
+    points solve ``d k^2 - k + d = 0``, so for ``d >= 1/2`` the supremum is
+    1, at ``k = 0``; for ``d < 1/2`` it is ``max(1, f(k+))`` at the larger
+    root ``k+ = (1 + sqrt(1 - 4 d^2)) / (2 d)`` (the smaller root is a local
+    minimum).
     """
     if d <= 0:
         raise ValueError("transmission decay rate d must be positive")
@@ -222,9 +272,10 @@ def build_default_operator(layer_symbols=None, d: float = 1.0,
         out = _z * k ** 3
         return np.where(k == 0, _z * _f, out)
 
-    # smoothing envelope with rate d: amplitude = theta * sup (1+k^2)^(1/2) e^{-d k}
-    kk = np.linspace(0.0, max(10.0 / d, 10.0), 20001)
-    amp = theta * float((np.sqrt(1.0 + kk ** 2) * np.exp(-d * kk)).max())
+    amp = theta
+    if d < 0.5:
+        k_max = (1.0 + math.sqrt(1.0 - 4.0 * d * d)) / (2.0 * d)
+        amp = theta * max(1.0, math.hypot(1.0, k_max) * math.exp(-d * k_max))
     return ReducedOperator(s_symbol, q_symbol, eps, n_modes,
                            smoothing_bound=(amp, d),
                            order3_bounds=(zeta * 0.3, zeta * 1.1))
@@ -256,12 +307,13 @@ def solve(op: ReducedOperator, load: SpectralField) -> SpectralField:
     Exact for the frozen-coefficient model.  At ``eps = 0`` a vanishing
     symbol value raises :class:`KernelModeError` listing the dead modes.
     """
-    return SpectralField(load.coeffs / _nonzero_symbol(op, load.wavenumbers))
+    g = op.grid(load.n_modes)
+    return SpectralField(load.coeffs / _nonzero_symbol(op, g.k, g.s, g.q))
 
 
-def _nonzero_symbol(op: ReducedOperator, k: np.ndarray) -> np.ndarray:
-    """``(s + eps^2 q)(k)``, raising :class:`KernelModeError` where it vanishes."""
-    denom = op.total_symbol(k)
+def _nonzero_symbol(op: ReducedOperator, k, s, q) -> np.ndarray:
+    """``s + eps^2 q`` at the modes ``k``; :class:`KernelModeError` where it vanishes."""
+    denom = s + op.eps ** 2 * q
     dead = k[denom <= 0.0]
     if dead.size:
         raise KernelModeError(dead.tolist())
@@ -275,9 +327,8 @@ def coercivity_constant(op: ReducedOperator, n_modes: int | None = None) -> floa
     order-3 lower bound; it is the discrete coercivity constant of the
     quadratic form.
     """
-    n = op.n_modes if n_modes is None else n_modes
-    k = np.arange(-n, n + 1, dtype=float)
-    return float((op.total_symbol(k) / (1.0 + k ** 2) ** 1.5).min())
+    g = op.grid(n_modes)
+    return float(((g.s + op.eps ** 2 * g.q) / g.order3).min())
 
 
 def frequency_window(op: ReducedOperator) -> float:
@@ -309,14 +360,13 @@ def frequency_window(op: ReducedOperator) -> float:
     return float(brentq(gap, lo, hi, xtol=1e-10))
 
 
-def solution_argmax(op: ReducedOperator, load: SpectralField | None = None) -> int:
-    """Nonnegative mode index maximizing ``|v_k|`` (ties break to smaller k)."""
-    load = flat_load(op.n_modes) if load is None else load
-    v = solve(op, load)
-    k = v.wavenumbers
+def solution_argmax(v: SpectralField) -> int:
+    """Nonnegative mode index maximizing ``|v_k|`` of a solved field.
+
+    Of the modes with the largest ``|v_k|`` the smallest ``|k|`` is returned.
+    """
     mags = np.abs(v.coeffs)
-    order = np.lexsort((np.abs(k), -mags))
-    return int(abs(k[order[0]]))
+    return int(np.abs(v.wavenumbers[mags == mags.max()]).min())
 
 
 @dataclass(frozen=True)
@@ -334,11 +384,10 @@ def va_norm_convergence(op: ReducedOperator, eps_list: Sequence[float],
     drives the limit argument.  Requires a strictly positive smoothing
     symbol (inhibited case): the limit ``v_0`` is the eps = 0 diagonal solve.
     """
-    k = load.wavenumbers
-    s, q = op.symbol_values(k)
+    g = op.grid(load.n_modes)
+    k, s, q, weight = g.k, g.s, g.q, g.order3_inverse
     if np.any(s <= 0):
         raise KernelModeError(k[s <= 0].tolist())
-    weight = (1.0 + k.astype(float) ** 2) ** -1.5
     rows = []
     for eps in eps_list:
         denom = s + eps ** 2 * q
@@ -366,7 +415,9 @@ def sensitivity_probe(op: ReducedOperator, k_probe):
     k = np.asarray(k_probe)
     if np.any(np.abs(k) > op.n_modes):
         raise ValueError("probe mode beyond cutoff")
-    amp = 1.0 / _nonzero_symbol(op, k)
+    g = op.grid()
+    i = k + op.n_modes
+    amp = 1.0 / _nonzero_symbol(op, k, g.s[i], g.q[i])
     return float(amp) if amp.ndim == 0 else amp
 
 
@@ -409,8 +460,8 @@ def no_distribution_limit_probe(op: ReducedOperator, load: SpectralField,
     All truncations are read from one running log-sum over the modes
     ordered by ``|k|``: one O(N log N) pass, whatever their number.
     """
-    k = load.wavenumbers
-    s, _ = op.symbol_values(k)
+    g = op.grid(load.n_modes)
+    k, s = g.k, g.s
     if np.any(s <= 0):
         raise KernelModeError(k[s <= 0].tolist())
     if truncations is None:
@@ -454,8 +505,8 @@ def noninhibited_rescale(op: ReducedOperator, load: SpectralField,
     kset = sorted({abs(int(k)) for k in kernel_modes})
     if not kset:
         raise ValueError("kernel set is empty; use va_norm_convergence")
-    k = load.wavenumbers
-    s, q = op.symbol_values(k)
+    g = op.grid(load.n_modes)
+    k, s, q = g.k, g.s, g.q
     on_kernel = np.isin(np.abs(k), kset)
     if np.any(s[on_kernel] > 0):
         raise ValueError("operator smoothing symbol must vanish on the kernel set")

@@ -185,7 +185,7 @@ def criterion_06_frequency_window():
         ell = np.log(1.0 / eps)
         ratios.append(k_star / ((ell - np.log(ell / d)) / d))
         raw.append(k_star * d / ell)
-        argmax_ok &= abs(solution_argmax(op) - k_star) <= 2.0
+        argmax_ok &= abs(solution_argmax(solve(op, flat_load(128))) - k_star) <= 2.0
     elapsed = time.perf_counter() - t0
     ratio_ok = all(0.9 <= r <= 1.1 for r in ratios)
     rising = all(b > a for a, b in zip(raw, raw[1:]))

@@ -2,11 +2,13 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shellsym import reduced
 from shellsym.cli import (
     ConfigError,
     ExperimentConfig,
@@ -90,7 +92,15 @@ def test_config_rejects_zero_radius_and_zero_xi1(tmp_path):
             ("check-ellipticity", "chart = sphere-cap\nchart_params = inf\n"),
             ("check-ellipticity", "chart = sphere-cap\nchart_params = nan\n"),
             ("check-sl", "xi1_list = 1,0\n"),
-            ("layer-modes", "xi1_list = 1,0\n")):
+            ("layer-modes", "xi1_list = 1,0\n"),
+            ("solve-reduced", "N = 128\nf_profile = delta:-200\n"),
+            ("solve-reduced", "N = 128\nf_profile = delta:200\n"),
+            ("solve-reduced", "f_profile = delta:x\n"),
+            ("solve-reduced", "f_profile = bogus\n"),
+            ("sweep-epsilon", "N = 128\nk_probe = 500\n"),
+            ("sweep-epsilon", "N = 128\nk_probe = -129\n"),
+            ("solve-reduced", "theta = -1\n"),
+            ("sensitivity", "theta = 1\nzeta = 0\n")):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         assert main([command, "--config", str(cfg), "--out", out]) == 2, text
@@ -150,7 +160,7 @@ def test_cli_exit_codes(tmp_path, cfg_path):
     # numerical failure: no crossover below a tiny cutoff
     hard = tmp_path / "hard.cfg"
     hard.write_text("b_coeffs = 1,0,1\nepsilon_list = 1e-30\nN = 8\n"
-                    "theta = 1\nzeta = 1\n")
+                    "theta = 1\nzeta = 1\nk_probe = 5\n")
     assert main(["sweep-epsilon", "--config", str(hard), "--out",
                  str(tmp_path / "x.csv")]) == 3
 
@@ -191,10 +201,41 @@ def test_cli_default_theta_zeta_from_layer(tmp_path):
     assert float(row[-1]) == pytest.approx(3.0)   # zeta
 
 
+def test_sweep_samples_symbols_once(tmp_path, monkeypatch):
+    # s, q and the order-3 weights are eps-independent: one sweep samples
+    # them on the 2N+1 modes once, whatever the number of eps
+    n = 1024
+    calls = {"s": 0, "q": 0}
+
+    def counted(name, fn):
+        def symbol(k):
+            calls[name] += np.size(k) == 2 * n + 1
+            return fn(k)
+        return symbol
+
+    build = reduced.build_default_operator
+
+    def build_counted(*args, **kwargs):
+        op = build(*args, **kwargs)
+        return replace(op, s_symbol=counted("s", op.s_symbol),
+                       q_symbol=counted("q", op.q_symbol))
+
+    monkeypatch.setattr(reduced, "build_default_operator", build_counted)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_1024_CFG)
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep-epsilon", "--config", str(cfg), "--out", out]) == 0
+    assert len(read(out).splitlines()) == 2 + 12
+    assert calls == {"s": 1, "q": 1}
+
+
 CRITERION_12_CFG = ("b_coeffs = 1,0,1\nelasticity = identity\n"
                     "epsilon_list = 1e-2,1e-3,1e-4\nN = 64\nxi1_list = 1,3\n")
 SPHERE_CAP_CFG = ("chart = sphere-cap\nchart_params = 1.7\nelasticity = isotropic\n"
                   "epsilon_list = 1e-2\n")
+SWEEP_EPS = "1e-2,1e-3,1e-5,1e-7,1e-9,1e-12,1e-15,1e-19,1e-24,1e-29,1e-34,1e-40"
+FLAT_4096_CFG = "N = 4096\nd = 0.05\nepsilon_list = 1e-50\nf_profile = flat\n"
+SWEEP_1024_CFG = f"N = 1024\nd = 0.15\nepsilon_list = {SWEEP_EPS}\n"
 
 
 @pytest.mark.parametrize("config,command,digest", [
@@ -206,12 +247,26 @@ SPHERE_CAP_CFG = ("chart = sphere-cap\nchart_params = 1.7\nelasticity = isotropi
      "fe77ea3e223b1d7f203a0669660029b78ac221813f679b09a41cc57c3e98b232"),
     (SPHERE_CAP_CFG, "check-ellipticity",
      "f18367990b7a51f62e3c0a65abc2a274f364359faab833b7d6398c4929881a53"),
+    (FLAT_4096_CFG, "solve-reduced",
+     "ced86e187b3d5908063f68acf51ec5c8f41d91970c26dee499637913a56461ee"),
+    (FLAT_4096_CFG, "sensitivity",
+     "3a71b9f2e75add5e591e28096f091200ba8e966f127123597ba1658a4aedfd0b"),
+    (SWEEP_1024_CFG, "sweep-epsilon",
+     "f48e90eeab752bf5c4255fc8f6296d9a3e7c7781913cbd628453522422e5505e"),
+    (CRITERION_12_CFG + "kernel_modes = 3,7\n", "rescale-demo",
+     "d8ae8bd98e0f889e075ef011eb39d1c217052b86c3ceebc93d2e942df819d870"),
+    (CRITERION_12_CFG, "solve-reduced",
+     "00d5aa0c3363735785dd6e43243e31581dc4f000dde0463dd33022ac021c990e"),
+    (CRITERION_12_CFG, "sweep-epsilon",
+     "d1897933a511fda4a951d277832039fa335b701742abcd3be733379f080e7507"),
 ])
 def test_cli_golden_bytes(tmp_path, config, command, digest):
     # sha256 of the CSV bytes as written before the symbol layer was batched
     # (check-sl: since the SL test moved to the unit cosphere, where abs_det
-    # is |det| of unit boundary rows on an orthonormal decaying basis); a
-    # refactor of the symbol layer must reproduce them exactly
+    # is |det| of unit boundary rows on an orthonormal decaying basis; the
+    # reduced commands: before their rows came from one %-template); a
+    # refactor of the symbol layer or of the CSV writer must reproduce them
+    # exactly
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(config)
     out = tmp_path / "golden.csv"

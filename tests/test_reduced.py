@@ -53,12 +53,16 @@ def test_smoothing_envelope_matches_scalar_maximization():
     oracle = float((np.sqrt(1.0 + kk * kk) * np.exp(-kk)).max())
     assert amp == pytest.approx(oracle, rel=1e-9)
     op.validate_invariants()
-    # at d < 1/2 the envelope peaks away from k = 0
-    op_slow = default_op(1e-3, d=0.25)
-    res = minimize_scalar(lambda k: -np.sqrt(1.0 + k * k) * np.exp(-0.25 * k),
-                          bounds=(0.0, 40.0), method="bounded")
-    assert op_slow.smoothing_bound[0] == pytest.approx(-res.fun, rel=1e-6)
-    op_slow.validate_invariants()
+    # at d < 1/2 the envelope peaks away from k = 0; the closed form must
+    # take the larger critical point (the smaller one is a local minimum)
+    for d in (0.05, 0.15, 0.25, 0.49, 0.5, 0.51, 2.0):
+        op_d = default_op(1e-3, d=d)
+        res = minimize_scalar(lambda k: -np.sqrt(1.0 + k * k) * np.exp(-d * k),
+                              bounds=(0.0, 40.0 / d), method="bounded",
+                              options={"xatol": 1e-10})
+        oracle = max(1.0, -res.fun)      # the supremum at k = 0 for d >= 1/2
+        assert op_d.smoothing_bound == (pytest.approx(oracle, rel=1e-9), d), d
+        op_d.validate_invariants()
 
 
 def test_symbols_even_and_invariants_reject_violations():
@@ -83,6 +87,14 @@ def test_solve_constructed_inverse():
     load = SpectralField(op.total_symbol(k).astype(complex))
     v = solve(op, load)
     assert np.allclose(v.coeffs, 1.0, atol=1e-14)
+
+
+def test_delta_load_rejects_modes_beyond_cutoff():
+    assert SpectralField.delta(16, -16).coeffs[0] == 1.0
+    assert SpectralField.delta(16, 16).coeffs[-1] == 1.0
+    for k in (17, -17, -200):
+        with pytest.raises(ValueError):
+            SpectralField.delta(16, k)
 
 
 def test_solve_linearity():
@@ -189,14 +201,33 @@ def test_window_sharpness_argmax():
     for eps in (1e-3, 1e-5, 1e-7, 1e-9):
         op = default_op(eps)
         k_star = frequency_window(op)
-        assert abs(solution_argmax(op) - k_star) <= 2.0
+        assert abs(solution_argmax(solve(op, flat_load(128))) - k_star) <= 2.0
 
 
 def test_argmax_against_dense_sweep_oracle():
     op = default_op(1e-3)
     k = np.arange(0, 129, dtype=float)
     oracle = int(np.argmin(op.total_symbol(k)))
-    assert solution_argmax(op) == oracle
+    assert solution_argmax(solve(op, flat_load(128))) == oracle
+
+
+def test_argmax_ties_match_lexsort_rule():
+    # largest |v|, then smallest |k|: the order np.lexsort((|k|, -|v|)) gives
+    k = np.arange(-32, 33)
+    rng = np.random.default_rng(11)
+
+    def lexsort_rule(v):
+        return int(abs(k[np.lexsort((np.abs(k), -np.abs(v.coeffs)))[0]]))
+
+    for peaks in ([5, -5], [9, -9, 5, -5], [-12, 7], [0, 3, -3], [32, -32]):
+        phase = np.exp(2j * np.pi * rng.uniform(size=k.size))
+        mags = rng.uniform(0.1, 0.5, size=k.size)
+        mags[np.isin(k, peaks)] = 2.0
+        v = SpectralField(mags * np.where(np.isin(k, peaks), 1.0, phase))
+        assert solution_argmax(v) == lexsort_rule(v) == min(abs(p) for p in peaks)
+    op = default_op(1e-3, n=32)
+    flat = solve(op, flat_load(32))   # |v| ties at every +-k
+    assert solution_argmax(flat) == lexsort_rule(flat)
 
 
 # ---------------------------------------------------------------------------
