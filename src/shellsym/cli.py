@@ -23,6 +23,8 @@ Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
@@ -70,9 +72,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.chart not in geometry.CHART_GENERATORS:
             raise ConfigError(f"unknown chart {self.chart!r}")
-        if self.chart == "sphere-cap" and self.chart_params and (
-                self.chart_params[0] == 0 or not np.isfinite(self.chart_params[0])):
-            raise ConfigError("sphere-cap radius must be finite and nonzero")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{f.name} must be finite")
+        if self.chart == "sphere-cap" and self.chart_params[:1] == (0.0,):
+            raise ConfigError("sphere-cap radius must be nonzero")
         if len(self.b_coeffs) != 3:
             raise ConfigError("b_coeffs needs exactly three values")
         if not self.epsilon_list:
@@ -110,6 +116,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown f_profile {self.f_profile!r}")
         if self.command == "sweep-epsilon" and abs(self.k_probe) > self.n_modes:
             raise ConfigError(f"k_probe {self.k_probe} beyond N={self.n_modes}")
+        if self.command == "rescale-demo" and not (
+                self.kernel_modes and max(map(abs, self.kernel_modes)) <= self.n_modes):
+            raise ConfigError(f"kernel_modes {self.kernel_modes} must be nonempty "
+                              f"and within N={self.n_modes}")
 
     def elasticity_tensor(self) -> geometry.ElasticityTensor:
         if self.elasticity == "identity":
@@ -234,21 +244,21 @@ _SL_CASES = (
 
 def cmd_check_sl(cfg: ExperimentConfig) -> None:
     elastic = cfg.elasticity_tensor()
-    b11, b12, b22 = cfg.b_coeffs
-    point = geometry.frozen_point(b11, b12, b22)
-    eps = cfg.epsilon_list[0]
-    rows = []
-    for sys_name, bc_name in _SL_CASES:
-        system = symbols.builtin_system(sys_name, point, elastic, eps)
+    point = geometry.frozen_point(*cfg.b_coeffs)
+
+    @functools.cache
+    def decaying(sys_name, s):
+        system = symbols.builtin_system(sys_name, point, elastic, cfg.epsilon_list[0])
+        return symbols.decaying_solution_basis(system, point, s)
+
+    @functools.cache
+    def report(sys_name, bc_name, s):
         bc = symbols.builtin_boundary_conditions(bc_name, elastic)
-        # the verdict depends on xi1 only through its sign
-        reports = {}
-        for xi1 in cfg.xi1_list:
-            s = float(np.sign(xi1))
-            if s not in reports:
-                reports[s] = symbols.sl_check(system, bc, point, s,
-                                              point_id=f"{sys_name}+{bc_name}")
-            rows.append(replace(reports[s], xi1=xi1).csv_row(fmt))
+        return symbols.sl_verdict(decaying(sys_name, s), bc, s, f"{sys_name}+{bc_name}")
+
+    # one basis per system and sign of xi1, one verdict per case and sign
+    rows = [replace(report(*case, float(np.sign(xi1))), xi1=xi1).csv_row(fmt)
+            for case in _SL_CASES for xi1 in cfg.xi1_list]
     write_csv(cfg.output_path, symbols.SLReport.CSV_HEADER, rows)
 
 

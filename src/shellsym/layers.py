@@ -102,13 +102,6 @@ class LayerMode:
     b: tuple
     system: str = "rigidity"
 
-    @property
-    def decaying(self) -> bool:
-        return self.lam.real < 0
-
-    def eigen_profile(self) -> ExpPolyMode:
-        return ExpPolyMode(self.lam, [self.w])
-
     def jordan_profile(self) -> ExpPolyMode:
         if self.v is None:
             raise StructureError("mode carries no generalized vector")
@@ -168,17 +161,19 @@ def generalized_eigenvector(lam: complex, w: np.ndarray,
     return v, tau, u0
 
 
+def _layer_mode(lam: complex, b: tuple, a_membrane: np.ndarray,
+                xi1: float) -> LayerMode:
+    """The :class:`LayerMode` of exponent ``lam`` with its Jordan vector."""
+    w = layer_eigenvector(lam, xi1, b)
+    v, _, _ = generalized_eigenvector(lam, w, a_membrane, xi1, b)
+    return LayerMode(lam, w, v, xi1, b)
+
+
 def build_layer_modes(b, a_membrane: np.ndarray, xi1: float) -> tuple:
     """(decaying, growing) :class:`LayerMode` pair with Jordan vectors."""
-    b11, b12, b22 = _b_triple(b)
-    lam_p, lam_m = rigidity_roots(b11, b12, b22, xi1)
-    modes = []
-    for lam in (lam_m, lam_p):
-        w = layer_eigenvector(lam, xi1, (b11, b12, b22))
-        v, _, _ = generalized_eigenvector(lam, w, a_membrane, xi1,
-                                          (b11, b12, b22))
-        modes.append(LayerMode(lam, w, v, xi1, (b11, b12, b22)))
-    return modes[0], modes[1]
+    b = _b_triple(b)
+    lam_p, lam_m = rigidity_roots(*b, xi1)
+    return tuple(_layer_mode(lam, b, a_membrane, xi1) for lam in (lam_m, lam_p))
 
 
 def jordan_residual(mode: LayerMode, a_membrane: np.ndarray) -> float:
@@ -362,8 +357,9 @@ def layer_energy_coefficient(b, a_membrane: np.ndarray,
     ``r`` is invariant under ``xi1 -> c*xi1`` (c > 0), so ``theta`` is a
     frequency-independent positive constant of the data ``(A, b)``.
     """
-    b11, b12, b22 = _b_triple(b)
-    mode_m, _ = build_layer_modes(b, a_membrane, xi1)
+    b11, b12, b22 = b = _b_triple(b)
+    _, lam_m = rigidity_roots(*b, xi1)
+    mode_m = _layer_mode(lam_m, b, a_membrane, xi1)
     r = strain_residual_vector(mode_m)
     mu = mode_m.lam / abs(xi1)
     pref = (b11 * b22 / (2.0 * np.sqrt(b11 * b22 - b12 ** 2))) ** 2
@@ -396,8 +392,9 @@ def layer_correction_energy_quadrature(xi1: float, w3_hat: complex, b,
     and falls off like ``|xi1|^{-3}`` at fixed trace: the layer motion is
     near-rigid, which is the amplification mechanism.
     """
-    b11, b12, b22 = _b_triple(b)
-    mode_m, _ = build_layer_modes(b, a_membrane, xi1)
+    b11, b12, b22 = b = _b_triple(b)
+    _, lam_m = rigidity_roots(*b, xi1)
+    mode_m = _layer_mode(lam_m, b, a_membrane, xi1)
     r = strain_residual_vector(mode_m)
     c1 = b11 * b22 / (2.0 * abs(xi1) * np.sqrt(b11 * b22 - b12 ** 2)) * w3_hat
     quad = float(np.vdot(r, np.asarray(a_membrane) @ r).real) \

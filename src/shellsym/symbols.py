@@ -6,7 +6,10 @@ symbol ``L'(x, xi)``: entry ``(k, j)`` is homogeneous in ``xi`` of degree
 ``s_k + t_j`` (or identically zero).  Ellipticity asks the determinant of
 ``L'`` not to vanish for real ``xi != 0``; the Shapiro-Lopatinskii (SL)
 condition asks whether a set of half of the characteristic boundary data
-determines the decaying half-space solutions uniquely.
+determines the decaying half-space solutions uniquely.  Both the
+characteristic roots and the SL test read one object, built once per
+system, point and sign of ``xi1``: the decaying subspace of the ordered-QZ
+block-companion pencil (:func:`decaying_solution_basis`).
 
 The boundary frame convention is the usual one: ``x1`` tangential, ``x2``
 the inward normal, symbols written in ``D = -i d/dx`` so that solutions of
@@ -305,7 +308,7 @@ def builtin_boundary_conditions(name: str,
 
 
 # ---------------------------------------------------------------------------
-# determinant, ellipticity, characteristic roots
+# determinant and ellipticity
 # ---------------------------------------------------------------------------
 
 def principal_determinant(system: DNSystem, point: MetricData, xi) -> complex:
@@ -340,52 +343,6 @@ def ellipticity_check(system: DNSystem, point: MetricData,
     return EllipticityReport(lo > DET_RTOL * hi, lo, hi, n_angles)
 
 
-def _det_poly_in_xi2(system: DNSystem, point: MetricData, s: float) -> np.ndarray:
-    """Ascending coefficients of ``det L'(s, .)``, ``|s| = 1``; exact degree ``2m``."""
-    n = system.total_order + 1
-    zs = np.exp(2j * np.pi * np.arange(n) / n)
-    dets = np.linalg.det(system.symbol_gen(point, (s, zs)))
-    js = np.arange(n)
-    phases = np.exp(-2j * np.pi * np.outer(js, js) / n)
-    return phases @ dets / n
-
-
-def characteristic_roots(system: DNSystem, point: MetricData,
-                         xi1: float) -> np.ndarray:
-    """Roots in ``xi2`` of ``det L'(x, xi1, xi2) = 0``, with multiplicity.
-
-    Exactly ``m`` roots must have positive and ``m`` negative imaginary part;
-    a root that is real to within tolerance signals an ellipticity failure.
-    By homogeneity the roots are those at ``sign(xi1)`` scaled by ``|xi1|``;
-    they are found through the companion matrix of the degree-``2m``
-    polynomial at unit ``|xi1|``.
-    """
-    if xi1 == 0:
-        raise ValueError("xi1 must be nonzero")
-    coeffs = _det_poly_in_xi2(system, point, float(np.sign(xi1)))
-    sized = np.abs(coeffs)
-    scale = sized.max()
-    if scale == 0:
-        raise EllipticityError("principal determinant vanishes identically")
-    if sized[-1] < 1e-10 * scale:
-        raise EllipticityError(
-            f"{system.name}: determinant degenerates in the normal frequency "
-            f"(leading coefficient ~ {abs(coeffs[-1]):.2e})")
-    roots = np.roots(coeffs[::-1])
-    im_tol = 1e-8 * (1.0 + np.abs(roots))
-    if np.any(np.abs(roots.imag) < im_tol):
-        bad = roots[np.abs(roots.imag) < im_tol]
-        raise EllipticityError(f"{system.name}: real characteristic "
-                               f"root(s) {abs(xi1) * bad} at xi1={xi1}")
-    m = system.half_order
-    if np.sum(roots.imag > 0) != m:
-        raise EllipticityError(
-            f"{system.name}: expected {m} decaying roots, found "
-            f"{int(np.sum(roots.imag > 0))}")
-    order = np.lexsort((roots.real, roots.imag))
-    return abs(xi1) * roots[order]
-
-
 def verify_homogeneity(system: DNSystem, point: MetricData,
                        rng=None, n_samples: int = 20) -> float:
     """Max relative error of the per-entry scaling ``L'(c xi) = c^(s+t) L'(xi)``."""
@@ -406,7 +363,7 @@ def verify_homogeneity(system: DNSystem, point: MetricData,
 
 
 # ---------------------------------------------------------------------------
-# Shapiro-Lopatinskii check
+# decaying solutions, characteristic roots, Shapiro-Lopatinskii check
 # ---------------------------------------------------------------------------
 
 def _entry_polymatrix(gen, point, xi1, degree) -> PolyMatrix:
@@ -419,41 +376,42 @@ def _decaying(alpha, beta):
     return finite & ((alpha * beta.conj()).imag > 0)
 
 
-def sl_check(system: DNSystem, bc: BoundaryConditionSet, point: MetricData,
-             xi1: float, point_id: str = "") -> SLReport:
-    """Shapiro-Lopatinskii verdict for ``system`` with conditions ``bc``.
+@dataclass(frozen=True)
+class DecayingBasis:
+    """Finite pencil eigenvalues ``roots``, the ``m`` decaying ones first, and
+    the orthonormal ``basis`` of the decaying Cauchy data of ``L'(sign, D)``."""
 
-    The symbols are homogeneous, so the test is made on the unit cosphere,
-    at ``s = sign(xi1)``: the verdict, ``sl_determinant`` and ``margin`` do
-    not depend on ``|xi1|``.  ``L'(s, xi2) = sum_i A_i xi2^i`` is linearised
+    system: DNSystem
+    point: MetricData
+    sign: float
+    roots: np.ndarray
+    basis: np.ndarray
+
+
+def decaying_solution_basis(system: DNSystem, point: MetricData,
+                            xi1: float) -> DecayingBasis:
+    """The decaying half-space solutions of ``system`` at ``sign(xi1)``.
+
+    The symbols are homogeneous, so only ``s = sign(xi1)`` matters.  After a
+    64-angle ellipticity scan, ``L'(s, xi2) = sum_i A_i xi2^i`` is linearised
     as the block-companion pencil on the Cauchy data
-    ``(u, D u, ..., D^(deg-1) u)`` at ``x2 = 0``.  An ordered complex QZ puts
-    its finite eigenvalues with positive imaginary part first, so the
-    unitary ``Z[:, :m]`` spans the Cauchy data of the decaying solutions,
-    whatever the root multiplicities or Jordan structure.
-
-    The boundary rows ``C = [C_0 ... C_(deg-1)]``, each scaled to unit norm,
-    give the SL matrix ``M = C Z[:, :m]``.  The condition holds iff
-    ``margin = sigma_min(M) / |C|_2 > DET_RTOL``; ``|det M|`` does not
-    depend on the choice of the orthonormal basis.  ``decaying_roots`` are
-    the selected eigenvalues scaled by ``|xi1|``.  When the condition
-    fails, the witness is the Cauchy data, rescaled to ``xi1``, of a
-    decaying solution that every boundary operator annihilates.
+    ``(u, D u, ..., D^(deg-1) u)`` at ``x2 = 0``.  Exactly ``m`` finite
+    eigenvalues must lie in each open half-plane.  An ordered complex QZ puts
+    those with positive imaginary part first, so the unitary ``Z[:, :m]``
+    spans the decaying Cauchy data whatever the root multiplicities or
+    Jordan structure.
     """
     from scipy.linalg import ordqz
 
-    m, n, deg = system.half_order, system.n_unknowns, system.max_entry_degree
-    if bc.count != m:
-        raise ValueError(
-            f"{bc.name}: {bc.count} boundary conditions, system needs {m}")
     if xi1 == 0:
         raise ValueError("xi1 must be nonzero")
-    report_ok = ellipticity_check(system, point, n_angles=64)
-    if not report_ok.elliptic:
+    report = ellipticity_check(system, point, n_angles=64)
+    if not report.elliptic:
         raise EllipticityError(
             f"{system.name}: not elliptic at this point "
-            f"(min |D| = {report_ok.min_abs_det:.3e})")
+            f"(min |D| = {report.min_abs_det:.3e})")
 
+    m, n, deg = system.half_order, system.n_unknowns, system.max_entry_degree
     s = float(np.sign(xi1))
     coeffs = _entry_polymatrix(system.symbol_gen, point, s, deg).coeffs
     size = n * deg
@@ -464,11 +422,46 @@ def sl_check(system: DNSystem, bc: BoundaryConditionSet, point: MetricData,
     rhs = np.eye(size, dtype=complex)
     rhs[-n:, -n:] = coeffs[deg]
     _, _, alpha, beta, _, z = ordqz(lhs, rhs, sort=_decaying, output="complex")
-    found = int(np.count_nonzero(_decaying(alpha, beta)))
-    if found != m:
-        raise EllipticityError(
-            f"{system.name}: expected {m} decaying roots, found {found}")
-    basis = z[:, :m]
+    finite = np.abs(beta) > INFINITE_RTOL * np.abs(alpha)
+    # the sort key's half-plane test, so that Z[:, :m] is the selection
+    side = (alpha * beta.conj()).imag[finite]
+    above, below = np.count_nonzero(side > 0), np.count_nonzero(side < 0)
+    if (above, below) != (m, m):
+        raise EllipticityError(f"{system.name}: expected {m} roots in each half-plane, "
+                               f"found {above} above and {below} below")
+    return DecayingBasis(system, point, s, alpha[finite] / beta[finite], z[:, :m])
+
+
+def characteristic_roots(system: DNSystem, point: MetricData,
+                         xi1: float) -> np.ndarray:
+    """Roots in ``xi2`` of ``det L'(x, xi1, xi2) = 0``, with multiplicity.
+
+    By homogeneity they are the pencil eigenvalues of
+    :func:`decaying_solution_basis` scaled by ``|xi1|``, the ``m`` decaying
+    ones first.
+    """
+    return abs(xi1) * decaying_solution_basis(system, point, xi1).roots
+
+
+def sl_verdict(decaying: DecayingBasis, bc: BoundaryConditionSet, xi1: float,
+               point_id: str = "") -> SLReport:
+    """Shapiro-Lopatinskii verdict of ``bc`` on the decaying basis of ``xi1``'s sign.
+
+    The boundary rows ``C = [C_0 ... C_(deg-1)]`` at the unit cosphere, each
+    scaled to unit norm, give ``M = C Z[:, :m]``.  The condition holds iff
+    ``margin = sigma_min(M) / |C|_2 > DET_RTOL``; ``|det M|`` does not depend
+    on the choice of the orthonormal basis, and nothing but the roots and
+    the witness depends on ``|xi1|``.  The witness is the Cauchy data,
+    rescaled to ``xi1``, of a decaying solution that every boundary
+    operator annihilates.
+    """
+    system, point, s = decaying.system, decaying.point, decaying.sign
+    m, n, deg = system.half_order, system.n_unknowns, system.max_entry_degree
+    if bc.count != m:
+        raise ValueError(
+            f"{bc.name}: {bc.count} boundary conditions, system needs {m}")
+    if np.sign(xi1) != s:
+        raise ValueError(f"xi1={xi1} does not have the sign of the basis ({s:+g})")
 
     bdeg = max(max(bc.r_indices) + max(system.t_indices), 0)
     bcoeffs = _entry_polymatrix(bc.symbol_gen, point, s, bdeg).coeffs
@@ -476,10 +469,10 @@ def sl_check(system: DNSystem, bc: BoundaryConditionSet, point: MetricData,
         raise ValueError(f"{bc.name}: boundary operators must have order < {deg}")
     cauchy = np.zeros((m, deg, n), dtype=complex)
     cauchy[:, :bdeg + 1] = bcoeffs[:deg].transpose(1, 0, 2)
-    cauchy = cauchy.reshape(m, size)
+    cauchy = cauchy.reshape(m, n * deg)
     cauchy /= np.linalg.norm(cauchy, axis=1, keepdims=True)
 
-    sl_matrix = cauchy @ basis
+    sl_matrix = cauchy @ decaying.basis
     _, sv, vh = np.linalg.svd(sl_matrix)
     margin = float(sv[-1] / np.linalg.norm(cauchy, 2))
     satisfied = margin > DET_RTOL
@@ -487,11 +480,18 @@ def sl_check(system: DNSystem, bc: BoundaryConditionSet, point: MetricData,
     if not satisfied:
         # u(x2) at xi1 is diag(|xi1|^-t_j) times the unit-frequency u(|xi1| x2)
         powers = np.arange(deg)[:, None] - np.asarray(system.t_indices)
-        witness = (basis @ vh[-1].conj()) * (abs(float(xi1)) ** powers).ravel()
+        witness = (decaying.basis @ vh[-1].conj()) * (abs(float(xi1)) ** powers).ravel()
     return SLReport(point_id or f"b={point.b_triple}", float(xi1), m,
-                    abs(xi1) * (alpha[:m] / beta[:m]), sl_matrix,
+                    abs(xi1) * decaying.roots[:m], sl_matrix,
                     complex(np.linalg.det(sl_matrix)), margin, bool(satisfied),
                     witness)
+
+
+def sl_check(system: DNSystem, bc: BoundaryConditionSet, point: MetricData,
+             xi1: float, point_id: str = "") -> SLReport:
+    """Shapiro-Lopatinskii verdict for ``system`` with conditions ``bc``."""
+    return sl_verdict(decaying_solution_basis(system, point, xi1), bc, xi1,
+                      point_id)
 
 
 def rigidity_strain_residual(witness: np.ndarray, point: MetricData,

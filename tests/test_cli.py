@@ -2,13 +2,14 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shellsym import reduced
+from shellsym import reduced, symbols
 from shellsym.cli import (
     ConfigError,
     ExperimentConfig,
@@ -100,7 +101,21 @@ def test_config_rejects_zero_radius_and_zero_xi1(tmp_path):
             ("sweep-epsilon", "N = 128\nk_probe = 500\n"),
             ("sweep-epsilon", "N = 128\nk_probe = -129\n"),
             ("solve-reduced", "theta = -1\n"),
-            ("sensitivity", "theta = 1\nzeta = 0\n")):
+            ("sensitivity", "theta = 1\nzeta = 0\n"),
+            ("rescale-demo", "kernel_modes =\n"),
+            ("rescale-demo", "N = 64\nkernel_modes = 100\n"),
+            ("rescale-demo", "N = 64\nkernel_modes = 3,-65\n"),
+            ("check-sl", "xi1_list = nan\n"),
+            ("layer-modes", "xi1_list = nan\n"),
+            ("layer-modes", "xi1_list = 1,inf\n"),
+            ("sweep-epsilon", "d = nan\n"),
+            ("solve-reduced", "d = nan\n"),
+            ("solve-reduced", "theta = inf\nzeta = 1\n"),
+            ("sensitivity", "zeta = nan\n"),
+            ("check-ellipticity", "b_coeffs = nan,0,1\n"),
+            ("check-ellipticity", "elasticity = explicit\n"
+             "elasticity_membrane = 2,0.5,0,2,0,inf\n"
+             "elasticity_bending = 1,0,0.25,1,0,0.5\n")):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         assert main([command, "--config", str(cfg), "--out", out]) == 2, text
@@ -229,6 +244,32 @@ def test_sweep_samples_symbols_once(tmp_path, monkeypatch):
     assert calls == {"s": 1, "q": 1}
 
 
+def test_check_sl_builds_one_basis_per_system_and_sign(tmp_path, monkeypatch):
+    # the six check-sl cases share three systems; each system's decaying
+    # basis and its ellipticity scan are built once per sign of xi1
+    bases, scans = Counter(), Counter()
+    build, scan = symbols.decaying_solution_basis, symbols.ellipticity_check
+
+    def build_counted(system, point, xi1):
+        bases[system.name, float(np.sign(xi1))] += 1
+        return build(system, point, xi1)
+
+    def scan_counted(system, *args, **kwargs):
+        scans[system.name] += 1
+        return scan(system, *args, **kwargs)
+
+    monkeypatch.setattr(symbols, "decaying_solution_basis", build_counted)
+    monkeypatch.setattr(symbols, "ellipticity_check", scan_counted)
+    cfg = tmp_path / "sl.cfg"
+    cfg.write_text(CRITERION_12_CFG.replace("xi1_list = 1,3", "xi1_list = 1,-3,3,-1"))
+    out = str(tmp_path / "sl.csv")
+    assert main(["check-sl", "--config", str(cfg), "--out", out]) == 0
+    assert len(read(out).splitlines()) == 2 + 6 * 4
+    assert bases == {(name, s): 1 for name in ("rigidity", "membrane", "koiter")
+                     for s in (1.0, -1.0)}
+    assert scans == {"rigidity": 2, "membrane": 2, "koiter": 2}
+
+
 CRITERION_12_CFG = ("b_coeffs = 1,0,1\nelasticity = identity\n"
                     "epsilon_list = 1e-2,1e-3,1e-4\nN = 64\nxi1_list = 1,3\n")
 SPHERE_CAP_CFG = ("chart = sphere-cap\nchart_params = 1.7\nelasticity = isotropic\n"
@@ -236,6 +277,8 @@ SPHERE_CAP_CFG = ("chart = sphere-cap\nchart_params = 1.7\nelasticity = isotropi
 SWEEP_EPS = "1e-2,1e-3,1e-5,1e-7,1e-9,1e-12,1e-15,1e-19,1e-24,1e-29,1e-34,1e-40"
 FLAT_4096_CFG = "N = 4096\nd = 0.05\nepsilon_list = 1e-50\nf_profile = flat\n"
 SWEEP_1024_CFG = f"N = 1024\nd = 0.15\nepsilon_list = {SWEEP_EPS}\n"
+MIXED_SIGN_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = {}\nepsilon_list = 1e-2\n"
+                  "xi1_list = -2,1,3,-0.5\n")
 
 
 @pytest.mark.parametrize("config,command,digest", [
@@ -259,14 +302,23 @@ SWEEP_1024_CFG = f"N = 1024\nd = 0.15\nepsilon_list = {SWEEP_EPS}\n"
      "00d5aa0c3363735785dd6e43243e31581dc4f000dde0463dd33022ac021c990e"),
     (CRITERION_12_CFG, "sweep-epsilon",
      "d1897933a511fda4a951d277832039fa335b701742abcd3be733379f080e7507"),
+    (MIXED_SIGN_CFG.format("frobenius"), "check-sl",
+     "065aa5b46516b93c1d311057e427a870d263e2c3faaebf3e855bb93b3fcde003"),
+    (MIXED_SIGN_CFG.format("isotropic"), "check-sl",
+     "98e390342e522ce43fe79d568c75d15a3f566eb211083e67019ebba158d87e13"),
+    (MIXED_SIGN_CFG.format("frobenius"), "layer-modes",
+     "b958bf91a065f50a05fa2517a56de8a8de15fe1fc184fef5c91955dfe6b1942f"),
+    (MIXED_SIGN_CFG.format("isotropic"), "layer-modes",
+     "665cb9bac145d99667642901f45a168042d6a478823233ca742b820dee2814f1"),
 ])
 def test_cli_golden_bytes(tmp_path, config, command, digest):
     # sha256 of the CSV bytes as written before the symbol layer was batched
     # (check-sl: since the SL test moved to the unit cosphere, where abs_det
     # is |det| of unit boundary rows on an orthonormal decaying basis; the
-    # reduced commands: before their rows came from one %-template); a
-    # refactor of the symbol layer or of the CSV writer must reproduce them
-    # exactly
+    # reduced commands: before their rows came from one %-template; the
+    # mixed-sign check-sl and layer-modes cases: before check-sl shared one
+    # decaying basis per system and sign); a refactor of the symbol layer or
+    # of the CSV writer must reproduce them exactly
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(config)
     out = tmp_path / "golden.csv"

@@ -1,4 +1,5 @@
-"""Property test: the SL verdict over random points, rigidities, eps and xi1."""
+"""Property test: the SL verdict and the characteristic roots over random
+points, rigidities, eps and xi1."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,7 +7,13 @@ from hypothesis import strategies as st
 
 from shellsym.cli import _SL_CASES
 from shellsym.geometry import ElasticityTensor, frozen_point
-from shellsym.symbols import builtin_boundary_conditions, builtin_system, sl_check
+from shellsym.symbols import (
+    builtin_boundary_conditions,
+    builtin_system,
+    characteristic_roots,
+    principal_determinant,
+    sl_check,
+)
 
 
 def _spd(entries):
@@ -15,6 +22,15 @@ def _spd(entries):
 
 
 _SPD = st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(_spd)
+
+
+def _det_backward_error(system, pt, xi1, z):
+    # |det L'(xi1, z)| over the largest |det L'(xi1, w)| sampled on |w| = |z|,
+    # which is at most sum_i |a_i| |z|^i: an upper bound of the backward
+    # error of z as a root of the determinant polynomial
+    ring = abs(z) * np.exp(2j * np.pi * np.arange(16) / 16)
+    top = max(abs(principal_determinant(system, pt, (xi1, w))) for w in ring)
+    return abs(principal_determinant(system, pt, (xi1, z))) / top
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -27,7 +43,9 @@ _SPD = st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(_spd)
 def test_sl_verdict_property(case, b_diag, b_tilt, membrane, bending, log_eps,
                              log_xi1, sign):
     # fixed-edge sets satisfy SL, the free-edge traction set fails it, with
-    # margins 9 decades apart, and the report at xi1 is the one at sign(xi1)
+    # margins 9 decades apart, and the report at xi1 is the one at sign(xi1);
+    # the roots split m / m between the half-planes, the decaying ones are
+    # the report's, and each is a root of det L' checked without the pencil
     b11, b22 = b_diag
     pt = frozen_point(b11, b_tilt * np.sqrt(b11 * b22), b22)
     elastic = ElasticityTensor.from_matrices(membrane, bending)
@@ -45,3 +63,11 @@ def test_sl_verdict_property(case, b_diag, b_tilt, membrane, bending, log_eps,
         (unit.satisfied, unit.margin, unit.sl_determinant)
     assert np.array_equal(rep.decaying_roots, abs(xi1) * unit.decaying_roots)
     assert np.all(rep.decaying_roots.imag > 0)
+    roots = characteristic_roots(system, pt, xi1)
+    m = system.half_order
+    assert (np.sum(roots.imag > 0), np.sum(roots.imag < 0)) == (m, m)
+    assert np.array_equal(rep.decaying_roots, roots[roots.imag > 0])
+    # the companion pencil is not equilibrated: Koiter's bending rows carry
+    # eps^2, and its roots' backward error grows like eps_mach / eps^2
+    tol = 1e-14 / 10.0 ** (2 * log_eps) if sys_name == "koiter" else 1e-11
+    assert max(_det_backward_error(system, pt, xi1, z) for z in roots) < tol

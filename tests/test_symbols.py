@@ -369,8 +369,8 @@ def test_sl_verdicts_random_points(rng):
 
 
 def test_sl_verdict_scale_invariant(rng):
-    # large |xi1| must not trip the leading-coefficient test in
-    # characteristic_roots (a false EllipticityError)
+    # the verdict is the same at every |xi1|, also at large |xi1|, where a
+    # leading-coefficient test once raised a false EllipticityError
     b = random_elliptic_b(rng)
     pt = frozen_point(*b)
     cases = (
