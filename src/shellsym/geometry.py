@@ -10,7 +10,8 @@ components plus the normal component on the same grid.
 Chart arrays store components first, ``(2, 2, n1, n2)``, so every
 contraction runs over contiguous grids; the strain functions return the
 ``(n1, n2, 2, 2)`` layout as a view.  Two strain measures are evaluated by
-second-order finite differences:
+second-order finite differences, both from one covariant gradient
+``u_{a|b}`` per field:
 
 * the membrane strain
   ``gamma_ab(u) = (u_{a|b} + u_{b|a}) / 2 - b_ab u3``,
@@ -349,31 +350,39 @@ def second_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis) / h ** 2
 
 
-def _check_grids(u: DisplacementField, m: MetricField):
-    if u.shape != m.shape or u.h != m.h:
-        raise GridMismatchError(
-            f"displacement grid {u.shape} at spacing {u.h} does not match "
-            f"metric grid {m.shape} at spacing {m.h}")
-
-
 # ---------------------------------------------------------------------------
 # strain measures
 # ---------------------------------------------------------------------------
 
-def _tangential_gradient(u: DisplacementField, m: MetricField) -> tuple:
-    """``(ut, cov)``: ``ut[l] = u_l`` and ``cov[a, b] = u_{a|b}``.
+def _strains(u: DisplacementField, m: MetricField) -> tuple:
+    """``(gamma, rho)`` of ``u``, components first, from one covariant gradient.
 
     First derivatives are second order: centered inside, one-sided at edges.
     """
-    _check_grids(u, m)
+    if u.shape != m.shape or u.h != m.h:
+        raise GridMismatchError(
+            f"displacement grid {u.shape} at spacing {u.h} does not match "
+            f"metric grid {m.shape} at spacing {m.h}")
+    h = u.h
     ut = np.stack((u.u1, u.u2))
-    cov = np.stack(np.gradient(ut, u.h, axis=(1, 2), edge_order=2), axis=1)
-    cov -= np.einsum("labxy,lxy->abxy", m.christoffel, ut)
-    return ut, cov
-
-
-def _grid_first(t: np.ndarray) -> np.ndarray:
-    return np.moveaxis(t, (0, 1), (2, 3))
+    cov = np.stack(np.gradient(ut, h, axis=(1, 2), edge_order=2), axis=1)
+    cov -= np.einsum("labxy,lxy->abxy", m.christoffel, ut)     # cov[a, b] = u_{a|b}
+    gamma = 0.5 * (cov + cov.swapaxes(0, 1))
+    gamma -= m.b_cov * u.u3
+    tangential = np.einsum("lbxy,laxy->abxy", m.b_mixed, cov)  # b^l_b u_{l|a}
+    del cov                # lowers the peak memory of energy_forms
+    # second covariant derivative of the normal component
+    d3 = np.array(np.gradient(u.u3, h, edge_order=2))
+    rho = np.empty(tangential.shape)
+    rho[0, 0] = second_derivative(u.u3, h, axis=0)
+    rho[1, 1] = second_derivative(u.u3, h, axis=1)
+    rho[0, 1] = rho[1, 0] = np.gradient(d3[0], h, axis=1, edge_order=2)
+    rho -= np.einsum("labxy,lxy->abxy", m.christoffel, d3)
+    rho += np.einsum("labxy,lxy->abxy", m.chart_terms.bcov, ut)
+    rho += tangential
+    rho += tangential.swapaxes(0, 1)
+    rho -= m.chart_terms.bb * u.u3
+    return gamma, rho
 
 
 def strain_tensor(u: DisplacementField, m: MetricField) -> np.ndarray:
@@ -381,30 +390,12 @@ def strain_tensor(u: DisplacementField, m: MetricField) -> np.ndarray:
 
     Symmetric by construction.
     """
-    _, cov = _tangential_gradient(u, m)
-    gamma = 0.5 * (cov + cov.swapaxes(0, 1))
-    gamma -= m.b_cov * u.u3
-    return _grid_first(gamma)
+    return np.moveaxis(_strains(u, m)[0], (0, 1), (2, 3))
 
 
 def curvature_change_tensor(u: DisplacementField, m: MetricField) -> np.ndarray:
     """Change-of-curvature strain ``rho_ab(u)`` as an ``(n1, n2, 2, 2)`` array."""
-    ut, ucov = _tangential_gradient(u, m)     # ucov[l, a] = u_{l|a}
-    terms = m.chart_terms
-    h = u.h
-    # second covariant derivative of the normal component
-    d3 = np.gradient(u.u3, h, edge_order=2)
-    rho = np.empty(ucov.shape)
-    rho[0, 0] = second_derivative(u.u3, h, axis=0)
-    rho[1, 1] = second_derivative(u.u3, h, axis=1)
-    rho[0, 1] = rho[1, 0] = np.gradient(d3[0], h, axis=1, edge_order=2)
-    rho -= np.einsum("labxy,lxy->abxy", m.christoffel, np.array(d3))
-    rho += np.einsum("labxy,lxy->abxy", terms.bcov, ut)
-    tangential = np.einsum("lbxy,laxy->abxy", m.b_mixed, ucov)  # b^l_b u_{l|a}
-    rho += tangential
-    rho += tangential.swapaxes(0, 1)
-    rho -= terms.bb * u.u3
-    return _grid_first(rho)
+    return np.moveaxis(_strains(u, m)[1], (0, 1), (2, 3))
 
 
 _UPPER = np.triu_indices(3)
@@ -412,15 +403,13 @@ _UPPER = np.triu_indices(3)
 _UPPER_COEFF = np.where(_UPPER[0] == _UPPER[1], 0.25, 0.5)
 
 
-def _strain_vector(g: np.ndarray) -> np.ndarray:
-    """(g11, g22, 2*g12) stacked on the first axis, one row per grid point."""
-    return np.stack([g[..., 0, 0], g[..., 1, 1], 2.0 * g[..., 0, 1]]).reshape(3, -1)
+def _strain_vectors(u: DisplacementField, m: MetricField) -> list:
+    """``(g11, g22, 2*g12)`` rows of both strains of ``u``, a column per node."""
+    return [np.stack([g[0, 0], g[1, 1], 2.0 * g[0, 1]]).reshape(3, -1)
+            for g in _strains(u, m)]
 
 
-def _form(strain, mat: np.ndarray, u: DisplacementField, v: DisplacementField,
-          m: MetricField, weight: np.ndarray) -> float:
-    su = _strain_vector(strain(u, m))
-    sv = su if v is u else _strain_vector(strain(v, m))
+def _form(mat: np.ndarray, su: np.ndarray, sv: np.ndarray, weight: np.ndarray) -> float:
     products = np.empty((len(_UPPER[0]), weight.size))
     for k, (i, j) in enumerate(zip(*_UPPER)):
         np.multiply(su[i], sv[j], out=products[k])
@@ -433,11 +422,14 @@ def energy_forms(u: DisplacementField, v: DisplacementField,
     """Membrane and bending energy forms ``(a(u, v), b(u, v))``.
 
     A node sum with the weight ``h^2 sqrt(det a)`` at every grid node, edge
-    rows included.  The six upper-triangle products ``g_i(u) g_j(v) +
-    g_i(v) g_j(u)`` of each form are summed against the weights in one
-    matrix-vector product, so exchanging ``u`` and ``v`` returns
-    bitwise-identical values; for ``v is u`` the strains are computed once.
+    rows included.  Both strains of a field come from its one covariant
+    gradient, taken once in total for ``v is u``.  The six upper-triangle
+    products ``g_i(u) g_j(v) + g_i(v) g_j(u)`` of each form are summed against
+    the weights in one matrix-vector product, so exchanging ``u`` and ``v``
+    returns bitwise-identical values.
     """
     weight = (m.area_element() * u.h ** 2).ravel()
-    return (_form(strain_tensor, e.membrane, u, v, m, weight),
-            _form(curvature_change_tensor, e.bending, u, v, m, weight))
+    su = _strain_vectors(u, m)
+    sv = su if v is u else _strain_vectors(v, m)
+    return tuple(_form(mat, a, b, weight)
+                 for mat, a, b in zip((e.membrane, e.bending), su, sv))

@@ -216,6 +216,11 @@ class DecayingProfile:
         return sum(m.value_at_zero() for m in self.modes)
 
 
+def _edge_amplitude(b11: float, b12: float, b22: float, xi1: float) -> float:
+    """Layer amplitude per unit edge trace ``b11*b22 / (2|xi1| sqrt(b11*b22 - b12^2))``."""
+    return b11 * b22 / (2.0 * abs(xi1) * np.sqrt(b11 * b22 - b12 ** 2))
+
+
 def decaying_profile(w3_trace_hat: complex, xi1: float, b) -> DecayingProfile:
     """Near-edge mode profile reconstructed from its third-component trace."""
     b11, b12, b22 = _b_triple(b)
@@ -224,8 +229,7 @@ def decaying_profile(w3_trace_hat: complex, xi1: float, b) -> DecayingProfile:
     lam_p, lam_m = rigidity_roots(b11, b12, b22, xi1)
     w_p = layer_eigenvector(lam_p, xi1, b)
     w_m = layer_eigenvector(lam_m, xi1, b)
-    amp = b11 * b22 / (2.0 * abs(xi1) * np.sqrt(b11 * b22 - b12 ** 2))
-    amp = amp * w3_trace_hat
+    amp = _edge_amplitude(b11, b12, b22, xi1) * w3_trace_hat
     return DecayingProfile(amp, (
         ExpPolyMode(lam_p, [amp * w_p]),
         ExpPolyMode(lam_m, [-amp * w_m]),
@@ -273,8 +277,7 @@ def matching_constants(xi1: float, b, a_membrane: np.ndarray,
     """
     b11, b12, b22 = _b_triple(b)
     mode_m, mode_p = build_layer_modes(b, a_membrane, xi1)
-    c1 = b11 * b22 / (2.0 * abs(xi1) * np.sqrt(b11 * b22 - b12 ** 2))
-    c1 = c1 * w3_trace_hat
+    c1 = _edge_amplitude(b11, b12, b22, xi1) * w3_trace_hat
     sys2 = np.array([[mode_m.w[0], mode_m.v[0]],
                      [mode_m.w[1], mode_m.v[1]]], dtype=complex)
     cond = np.linalg.cond(sys2)
@@ -392,11 +395,11 @@ def layer_correction_energy_quadrature(xi1: float, w3_hat: complex, b,
     and falls off like ``|xi1|^{-3}`` at fixed trace: the layer motion is
     near-rigid, which is the amplification mechanism.
     """
-    b11, b12, b22 = b = _b_triple(b)
+    b = _b_triple(b)
     _, lam_m = rigidity_roots(*b, xi1)
     mode_m = _layer_mode(lam_m, b, a_membrane, xi1)
     r = strain_residual_vector(mode_m)
-    c1 = b11 * b22 / (2.0 * abs(xi1) * np.sqrt(b11 * b22 - b12 ** 2)) * w3_hat
+    c1 = _edge_amplitude(*b, xi1) * w3_hat
     quad = float(np.vdot(r, np.asarray(a_membrane) @ r).real) \
         / (2.0 * abs(mode_m.lam.real))
     return abs(c1) ** 2 * quad

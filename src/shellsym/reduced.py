@@ -348,7 +348,8 @@ def frequency_window(op: ReducedOperator) -> float:
 
     def gap(k):
         s, q = op.symbol_values(np.array([k]))
-        return float(np.log(max(s[0], tiny)) - np.log(op.eps ** 2 * q[0]))
+        with np.errstate(divide="ignore"):   # eps^2 q underflows to 0 below eps ~ 1e-162
+            return float(np.log(max(s[0], tiny)) - np.log(op.eps ** 2 * q[0]))
 
     lo = 1e-6
     if gap(lo) <= 0:

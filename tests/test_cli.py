@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -178,6 +179,20 @@ def test_cli_exit_codes(tmp_path, cfg_path):
                     "theta = 1\nzeta = 1\nk_probe = 5\n")
     assert main(["sweep-epsilon", "--config", str(hard), "--out",
                  str(tmp_path / "x.csv")]) == 3
+
+
+def test_sweep_underflowing_eps_reports_only_the_failure(tmp_path, capsys):
+    # eps^2 q underflows to 0 at eps = 1e-200: the window search fails, and
+    # stderr carries that failure alone, without a numpy warning
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("d = 1\nN = 4096\nepsilon_list = 1e-200,1e-3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep-epsilon", "--config", str(cfg), "--out",
+                     str(tmp_path / "x.csv")]) == 3
+    assert not caught
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("numerical failure:") for line in err)
 
 
 def test_cli_solve_and_remaining_commands(tmp_path, cfg_path):

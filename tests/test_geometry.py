@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -437,3 +438,47 @@ def test_energy_job_memory_192():
     finally:
         tracemalloc.stop()
     assert peak < 18 * 2 ** 20
+
+
+@pytest.mark.parametrize("make_chart,shape,seed,forms_digest,strains_digest", [
+    (lambda shape: sphere_cap_chart(radius=1.3, shape=shape, h=0.8 / 56), (40, 56), 7,
+     "388e66302b0d4bc68c6639b4b6401d4c98afb42d5723e30ad8014cfa4f8eff8d",
+     "9819b22f814939d22ffabdbac9f160c72fa2e9352555137ec3a52a5e02c29fec"),
+    (lambda shape: frozen_chart(1.0, 0.2, 1.5, shape, 1.0 / 48), (48, 48), 11,
+     "59bcc4292b32aa52f0bcb80b60414b4202cbf3f7c1aa5e3883fee292eddc830c",
+     "d04c73b926f022f8afc61d62b041fcf4dcaf1fe1a2774c5c94891eee9e5151c4"),
+], ids=["sphere-cap", "frozen"])
+def test_energy_forms_and_strains_golden_bits(make_chart, shape, seed,
+                                              forms_digest, strains_digest):
+    # sha256 of the float64 bytes as computed when each strain took its own
+    # covariant gradient; a refactor of the strain layer must reproduce them
+    m = make_chart(shape)
+    rng = np.random.default_rng(seed)
+    u, v = (DisplacementField(*rng.normal(size=(3,) + shape), m.h) for _ in range(2))
+    e = ElasticityTensor.isotropic(0.8, 1.1)
+    forms = energy_forms(u, v, m, e) + energy_forms(v, u, m, e) + energy_forms(u, u, m, e)
+    strains = [op(w, m).ravel() for op in (strain_tensor, curvature_change_tensor)
+               for w in (u, v)]
+    assert hashlib.sha256(np.array(forms).tobytes()).hexdigest() == forms_digest
+    assert hashlib.sha256(np.concatenate(strains).tobytes()).hexdigest() == strains_digest
+
+
+def test_energy_forms_one_gradient_per_field(monkeypatch, rng):
+    # both strains of a field come from one covariant gradient of (u1, u2),
+    # the only 3-D np.gradient input
+    m = sphere_cap_chart(radius=1.3, shape=SHAPE, h=0.02)
+    e = ElasticityTensor.identity()
+    u, v = (DisplacementField(*rng.normal(size=(3,) + SHAPE), 0.02) for _ in range(2))
+    ndims = []
+    gradient = np.gradient
+
+    def counting(f, *args, **kwargs):
+        ndims.append(np.ndim(f))
+        return gradient(f, *args, **kwargs)
+
+    monkeypatch.setattr(np, "gradient", counting)
+    energy_forms(u, v, m, e)
+    assert ndims.count(3) == 2
+    ndims.clear()
+    energy_forms(u, u, m, e)
+    assert ndims.count(3) == 1
