@@ -25,7 +25,6 @@ from .geometry import (
     strain_tensor,
 )
 from .layers import (
-    EnergySymbol,
     LayerMode,
     bending_layer_energy,
     bending_symbol_coefficient,

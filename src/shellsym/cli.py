@@ -10,10 +10,11 @@ Commands: ``check-ellipticity``, ``check-sl``, ``layer-modes``,
 The configuration is a flat ``key = value`` text file; lists are
 comma-separated.  Outputs are CSV files with a ``# schema=1`` header line,
 17-significant-digit floats, '.' decimal separator and LF line endings, so
-repeated runs of the same configuration are byte-identical.  The reduced
-commands render each row from one ``%``-template of ``%d`` and ``%.17g``
-fields over Python ints and floats (the same rounding as
-``format(x, ".17g")``); ``v_abs`` is ``np.hypot(re, im)``, which matches the
+repeated runs of the same configuration are byte-identical.  This module is
+the only one that knows the output format: each command writes its header
+and renders each row from one ``%``-template of ``%s``, ``%d`` and
+``%.17g`` fields (the same rounding as ``format(x, ".17g")``).  In
+``solve-reduced``, ``v_abs`` is ``np.hypot(re, im)``, which matches the
 ``abs`` of a numpy complex scalar bit for bit, where the array ``np.abs``
 of a complex array may differ in the last bit.
 
@@ -26,7 +27,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -36,11 +37,6 @@ from . import geometry, layers, reduced, symbols
 SCHEMA_LINE = "# schema=1"
 COMMANDS = ("check-ellipticity", "check-sl", "layer-modes", "solve-reduced",
             "sweep-epsilon", "sensitivity", "rescale-demo")
-
-
-def fmt(x) -> str:
-    """Deterministic 17-significant-digit decimal rendering."""
-    return format(float(x), ".17g")
 
 
 class ConfigError(ValueError):
@@ -180,12 +176,12 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
-            rendered = ",".join(fmt(v) if isinstance(v, float) else str(v)
+            rendered = ",".join("%.17g" % v if isinstance(v, float) else str(v)
                                 for v in value)
         elif value is None:
             rendered = "none"
         elif isinstance(value, float):
-            rendered = fmt(value)
+            rendered = "%.17g" % value
         else:
             rendered = str(value)
         lines.append(f"{f.name} = {rendered}")
@@ -217,17 +213,17 @@ def _chart_points(cfg: ExperimentConfig) -> list:
 def cmd_check_ellipticity(cfg: ExperimentConfig) -> None:
     elastic = cfg.elasticity_tensor()
     eps = cfg.epsilon_list[0]
+    row = "%s,%s,%s,%.17g,%s"
     rows = []
     for point_id, point in _chart_points(cfg):
         for name in ("rigidity", "membrane_tension", "membrane", "koiter"):
             try:
                 system = symbols.builtin_system(name, point, elastic, eps)
                 rep = symbols.ellipticity_check(system, point)
-                rows.append(",".join([point_id, name, str(system.total_order),
-                                      fmt(rep.min_abs_det),
-                                      str(rep.elliptic).lower()]))
+                rows.append(row % (point_id, name, system.total_order,
+                                   rep.min_abs_det, str(rep.elliptic).lower()))
             except geometry.SurfaceEllipticityError:
-                rows.append(",".join([point_id, name, "-", fmt(0.0), "false"]))
+                rows.append(row % (point_id, name, "-", 0.0, "false"))
     write_csv(cfg.output_path, "point_id,system,total_order,min_abs_det,elliptic",
               rows)
 
@@ -256,29 +252,41 @@ def cmd_check_sl(cfg: ExperimentConfig) -> None:
         bc = symbols.builtin_boundary_conditions(bc_name, elastic)
         return symbols.sl_verdict(decaying(sys_name, s), bc, s, f"{sys_name}+{bc_name}")
 
-    # one basis per system and sign of xi1, one verdict per case and sign
-    rows = [replace(report(*case, float(np.sign(xi1))), xi1=xi1).csv_row(fmt)
-            for case in _SL_CASES for xi1 in cfg.xi1_list]
-    write_csv(cfg.output_path, symbols.SLReport.CSV_HEADER, rows)
+    # one basis per system and sign of xi1, one verdict per case and sign;
+    # the row takes xi1 itself from the config
+    rows = []
+    for case in _SL_CASES:
+        for xi1 in cfg.xi1_list:
+            rep = report(*case, float(np.sign(xi1)))
+            rows.append("%s,%.17g,%d,%.17g,%s" % (
+                rep.point_id, xi1, rep.half_order, abs(rep.sl_determinant),
+                str(rep.satisfied).lower()))
+    write_csv(cfg.output_path, "point_id,xi1,m,abs_det,satisfied", rows)
 
 
 def cmd_layer_modes(cfg: ExperimentConfig) -> None:
     elastic = cfg.elasticity_tensor()
-    rows = [layers.mode_table_row(xi1, cfg.b_coeffs, elastic, fmt)
-            for xi1 in cfg.xi1_list]
-    write_csv(cfg.output_path, layers.MODE_TABLE_HEADER, rows)
+    b = cfg.b_coeffs
+    rows = []
+    for xi1 in cfg.xi1_list:
+        lam_p, lam_m = layers.rigidity_roots(*b, xi1)
+        rows.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+            xi1, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag,
+            layers.layer_energy_coefficient(b, elastic.membrane, xi1),
+            layers.bending_symbol_coefficient(b, elastic.bending, xi1)))
+    write_csv(cfg.output_path,
+              "xi1,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,theta,zeta",
+              rows)
 
 
 def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
-    if cfg.theta is not None and cfg.zeta is not None:
-        return reduced.build_default_operator(
-            d=cfg.d, n_modes=cfg.n_modes, eps=eps,
-            theta=cfg.theta, zeta=cfg.zeta)
-    elastic = cfg.elasticity_tensor()
-    p_sym, q_sym = layers.energy_symbols(cfg.b_coeffs, elastic)
-    return reduced.build_default_operator(
-        (p_sym, q_sym), d=cfg.d, n_modes=cfg.n_modes, eps=eps,
-        theta=cfg.theta, zeta=cfg.zeta)
+    theta, zeta = cfg.theta, cfg.zeta
+    if theta is None or zeta is None:
+        layer_theta, layer_zeta = layers.energy_symbols(cfg.b_coeffs,
+                                                        cfg.elasticity_tensor())
+        theta = layer_theta if theta is None else theta
+        zeta = layer_zeta if zeta is None else zeta
+    return reduced.build_default_operator(theta, zeta, cfg.d, cfg.n_modes, eps)
 
 
 def _load(cfg: ExperimentConfig) -> reduced.SpectralField:
@@ -388,7 +396,7 @@ def main(argv=None) -> int:
     except (symbols.EllipticityError, symbols.DegenerateModeError,
             layers.StructureError, geometry.SurfaceEllipticityError,
             geometry.InvariantError, reduced.KernelModeError,
-            reduced.WindowResolutionError, reduced.AliasingError) as exc:
+            reduced.WindowResolutionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -56,12 +56,6 @@ def layer_matrices(b, xi1: float) -> tuple:
     return g0, g1
 
 
-def characteristic_polynomial(b, xi1: float) -> np.ndarray:
-    """Descending coefficients of ``det(G0 + lam*G1)`` in ``lam``."""
-    b11, b12, b22 = _b_triple(b)
-    return np.array([b11, 2j * b12 * xi1, -b22 * xi1 ** 2], dtype=complex)
-
-
 def rigidity_roots(b11: float, b12: float, b22: float, xi1: float) -> tuple:
     """Closed-form layer exponents ``(lam_plus, lam_minus)``.
 
@@ -89,7 +83,7 @@ def layer_eigenvector(lam: complex, xi1: float, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LayerMode:
-    """One characteristic layer mode with provenance.
+    """One characteristic layer mode of the rigidity system.
 
     ``v`` is the generalized (Jordan) vector when one exists; the associated
     profiles are ``w*exp(lam*y2)`` and ``(y2*w + v)*exp(lam*y2)``.
@@ -100,7 +94,6 @@ class LayerMode:
     v: np.ndarray | None
     xi1: float
     b: tuple
-    system: str = "rigidity"
 
     def jordan_profile(self) -> ExpPolyMode:
         if self.v is None:
@@ -306,44 +299,9 @@ def frequency_cutoff(xi1: float, eps: float) -> float:
     return float(t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2))
 
 
-def low_frequency_profile(y2, width: float) -> np.ndarray:
-    """Compactly supported low-frequency vector ``(0, 0, (1 - y2/width)_+^2)``.
-
-    The first two components vanish at the edge and the support ends at
-    ``y2 = width``.
-    """
-    y2 = np.asarray(y2, dtype=float)
-    bump = np.clip(1.0 - y2 / width, 0.0, None) ** 2
-    return np.stack([np.zeros_like(bump), np.zeros_like(bump), bump], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # boundary energy coefficients
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EnergySymbol:
-    """Principal symbol of a boundary energy operator on the circle.
-
-    ``kind = "P"``: order 1/2, value ``coefficient * (1 + xi1^2)^(1/4)``;
-    ``kind = "Q"``: order 3/2, value ``sqrt(coefficient * |xi1|^3)``.
-    """
-
-    kind: str
-    coefficient: float
-    order: float
-
-    def __post_init__(self):
-        if self.kind not in ("P", "Q"):
-            raise ValueError("kind must be 'P' or 'Q'")
-        if self.coefficient <= 0:
-            raise ValueError("coefficient must be positive")
-
-    def value(self, xi1: float) -> float:
-        if self.kind == "P":
-            return self.coefficient * (1.0 + xi1 ** 2) ** 0.25
-        return float(np.sqrt(self.coefficient * abs(xi1) ** 3))
-
 
 def layer_energy_coefficient(b, a_membrane: np.ndarray,
                              xi1: float = 1.0) -> float:
@@ -439,10 +397,13 @@ def bending_layer_energy(xi1: float, u3_hat: complex, b,
 
 
 def energy_symbols(b, elasticity: ElasticityTensor) -> tuple:
-    """The ``(P, Q)`` boundary symbols for curvature ``b`` and rigidities."""
-    theta = layer_energy_coefficient(b, elasticity.membrane)
-    zeta = bending_symbol_coefficient(b, elasticity.bending)
-    return (EnergySymbol("P", theta, 0.5), EnergySymbol("Q", zeta, 1.5))
+    """The boundary energy coefficients ``(theta, zeta)`` for curvature ``b``.
+
+    ``theta`` weighs the order-1/2 membrane symbol ``theta*|xi1|`` and
+    ``zeta`` the order-3/2 bending symbol ``zeta*|xi1|^3``.
+    """
+    return (layer_energy_coefficient(b, elasticity.membrane),
+            bending_symbol_coefficient(b, elasticity.bending))
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +431,3 @@ def sublayer_scaling_check(eps: float) -> SublayerScaling:
     delta = float(np.sqrt(eps))
     roots = np.roots([eps ** 2, 0.0, 0.0, 0.0, 1.0])
     return SublayerScaling(delta, float(np.abs(roots).mean()))
-
-
-MODE_TABLE_HEADER = "xi1,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,theta,zeta"
-
-
-def mode_table_row(xi1: float, b, elasticity: ElasticityTensor,
-                   fmt=lambda x: format(x, ".17g")) -> str:
-    """CSV row ``xi1, Re/Im lam_pm, theta, zeta`` for one frequency."""
-    b11, b12, b22 = _b_triple(b)
-    lam_p, lam_m = rigidity_roots(b11, b12, b22, xi1)
-    theta = layer_energy_coefficient(b, elasticity.membrane, xi1)
-    zeta = bending_symbol_coefficient(b, elasticity.bending, xi1)
-    vals = [xi1, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag, theta, zeta]
-    return ",".join(fmt(v) for v in vals)

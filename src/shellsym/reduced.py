@@ -14,25 +14,30 @@ solve is a division by ``s(k) + eps^2 q(k)``.
 The default model symbols are
 
     s(k) = theta * (1 + k^2)^(1/2) * exp(-2 d |k|),
-    q(k) = zeta * |k|^3            (q(0) floored at zeta * q_floor),
+    q(k) = zeta * |k|^3            (q(0) floored at zeta * Q_FLOOR),
 
 with ``theta, zeta`` the boundary energy coefficients and ``d`` the
-transmission decay rate.  The module exposes the phenomena that make the
-limit problem sensitive: the balance window ``|k| ~ log(1/eps)``, strong
-convergence in the ``A``-norm for every load, exponential amplification of
-single-mode load perturbations at ``eps = 0``, divergence of truncated
-limit solutions in every polynomially weighted norm, and the rescaled limit
-in the non-inhibited (kernel) case.
+transmission decay rate; :func:`build_default_operator` takes all three,
+with ``N`` and ``eps``, as required arguments, and ``Q_FLOOR = 1e-2``.  The
+module exposes the phenomena that make the limit problem sensitive: the
+balance window ``|k| ~ log(1/eps)``, strong convergence in the ``A``-norm
+for every load, exponential amplification of single-mode load
+perturbations at ``eps = 0``, divergence of truncated limit solutions in
+every polynomially weighted norm, and the rescaled limit in the
+non-inhibited (kernel) case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+
+
+# q(0) / zeta: keeps B strictly positive on constants
+Q_FLOOR = 1e-2
 
 
 class KernelModeError(ValueError):
@@ -124,11 +129,6 @@ class SpectralField:
     def l2_norm(self) -> float:
         return self.h_norm(0.0)
 
-    def is_real_valued(self, tol: float = 1e-12) -> bool:
-        mirrored = np.conj(self.coeffs[::-1])
-        scale = max(float(np.abs(self.coeffs).max()), 1e-300)
-        return bool(np.abs(self.coeffs - mirrored).max() <= tol * scale)
-
 
 def smooth_load(n_modes: int, decay: float = 2.0) -> SpectralField:
     """Real load with polynomially decaying spectrum ``(1 + k^2)^(-decay)``."""
@@ -149,17 +149,13 @@ class ReducedOperator:
     """Diagonal-in-frequency model of ``A + eps^2 B``.
 
     ``s_symbol`` and ``q_symbol`` are vectorized even functions of the mode
-    number.  ``smoothing_bound = (amplitude, rate)`` declares the smoothing
-    envelope ``s(k) <= amplitude * exp(-rate |k|)``; ``order3_bounds``
-    declares ``q(k) / (1+k^2)^(3/2)`` within ``[lo, hi]`` away from ``k=0``.
+    number.
     """
 
     s_symbol: Callable
     q_symbol: Callable
     eps: float
     n_modes: int = 128
-    smoothing_bound: tuple = (1.0, 1.0)
-    order3_bounds: tuple = (0.1, 10.0)
 
     def __post_init__(self):
         if self.eps < 0:
@@ -196,19 +192,6 @@ class ReducedOperator:
         s, q = self.symbol_values(k)
         return s + self.eps ** 2 * q
 
-    def validate_invariants(self, n_modes: int | None = None) -> None:
-        """Check the declared smoothing and order-3 envelopes on the grid."""
-        n = self.n_modes if n_modes is None else n_modes
-        k = np.arange(0, n + 1, dtype=float)
-        s, q = self.symbol_values(k)
-        amp, rate = self.smoothing_bound
-        if np.any(s > amp * np.exp(-rate * k) * (1.0 + 1e-12)):
-            raise ValueError("smoothing envelope violated")
-        lo, hi = self.order3_bounds
-        ratio = q[1:] / (1.0 + k[1:] ** 2) ** 1.5
-        if ratio.min() < lo * (1.0 - 1e-12) or ratio.max() > hi * (1.0 + 1e-12):
-            raise ValueError("order-3 envelope violated")
-
 
 class ModeGrid:
     """Samples of an operator's symbols on the modes ``k = -n..n``.
@@ -230,36 +213,19 @@ class ModeGrid:
         return (1.0 + self.k.astype(float) ** 2) ** -1.5
 
 
-def build_default_operator(layer_symbols=None, d: float = 1.0,
-                           n_modes: int = 128, eps: float = 1e-4,
-                           theta: float | None = None,
-                           zeta: float | None = None,
-                           q_floor: float = 1e-2) -> ReducedOperator:
-    """Default model operator from the boundary energy symbols.
+def build_default_operator(theta: float, zeta: float, d: float,
+                           n_modes: int, eps: float) -> ReducedOperator:
+    """Default model operator from the boundary energy coefficients.
 
-    ``layer_symbols`` is the ``(P, Q)`` pair produced by the layer module;
-    ``theta`` / ``zeta`` override their coefficients (both default to 1 when
-    neither source is given).  ``d > 0`` is the transmission decay rate: the
-    harmonic extension across the domain is modeled as ``exp(-d |k|)``, and
-    it enters squared because the smoothing operator is the two-sided
-    composition with the layer form.  ``q_floor`` keeps ``B`` strictly
-    positive on constants.
-
-    The declared smoothing envelope has rate ``d`` and amplitude
-    ``theta * sup_k (1+k^2)^(1/2) e^(-d k)``, in closed form: the critical
-    points solve ``d k^2 - k + d = 0``, so for ``d >= 1/2`` the supremum is
-    1, at ``k = 0``; for ``d < 1/2`` it is ``max(1, f(k+))`` at the larger
-    root ``k+ = (1 + sqrt(1 - 4 d^2)) / (2 d)`` (the smaller root is a local
-    minimum).
+    ``theta`` and ``zeta`` are the membrane and bending coefficients of the
+    layer analysis (``layers.energy_symbols``).  ``d > 0`` is the
+    transmission decay rate: the harmonic extension across the domain is
+    modeled as ``exp(-d |k|)``, and it enters squared because the smoothing
+    operator is the two-sided composition with the layer form.  ``q(0)`` is
+    ``zeta * Q_FLOOR``.
     """
     if d <= 0:
         raise ValueError("transmission decay rate d must be positive")
-    if layer_symbols is not None:
-        p_sym, q_sym = layer_symbols
-        theta = p_sym.coefficient if theta is None else theta
-        zeta = q_sym.coefficient if zeta is None else zeta
-    theta = 1.0 if theta is None else theta
-    zeta = 1.0 if zeta is None else zeta
     if theta <= 0 or zeta <= 0:
         raise ValueError("theta and zeta must be positive")
 
@@ -267,18 +233,12 @@ def build_default_operator(layer_symbols=None, d: float = 1.0,
         k = np.abs(np.asarray(k, dtype=float))
         return _t * np.sqrt(1.0 + k ** 2) * np.exp(-2.0 * _d * k)
 
-    def q_symbol(k, _z=zeta, _f=q_floor):
+    def q_symbol(k, _z=zeta):
         k = np.abs(np.asarray(k, dtype=float))
         out = _z * k ** 3
-        return np.where(k == 0, _z * _f, out)
+        return np.where(k == 0, _z * Q_FLOOR, out)
 
-    amp = theta
-    if d < 0.5:
-        k_max = (1.0 + math.sqrt(1.0 - 4.0 * d * d)) / (2.0 * d)
-        amp = theta * max(1.0, math.hypot(1.0, k_max) * math.exp(-d * k_max))
-    return ReducedOperator(s_symbol, q_symbol, eps, n_modes,
-                           smoothing_bound=(amp, d),
-                           order3_bounds=(zeta * 0.3, zeta * 1.1))
+    return ReducedOperator(s_symbol, q_symbol, eps, n_modes)
 
 
 def with_kernel(op: ReducedOperator, kernel_modes: Sequence[int]) -> ReducedOperator:

@@ -107,8 +107,8 @@ class BoundaryConditionSet:
 class SLReport:
     """Outcome of a Shapiro-Lopatinskii check at one boundary point.
 
-    ``margin`` is ``sigma_min / |C|_2`` of the SL matrix; it stays out of
-    the CSV row.
+    ``margin`` is ``sigma_min / |C|_2`` of the SL matrix; ``check-sl`` does
+    not write it.
     """
 
     point_id: str
@@ -120,12 +120,6 @@ class SLReport:
     margin: float
     satisfied: bool
     witness: np.ndarray | None = None   # Cauchy data of a nonzero null solution
-
-    CSV_HEADER = "point_id,xi1,m,abs_det,satisfied"
-
-    def csv_row(self, fmt=lambda x: format(x, ".17g")) -> str:
-        return ",".join([self.point_id, fmt(self.xi1), str(self.half_order),
-                         fmt(abs(self.sl_determinant)), str(self.satisfied).lower()])
 
 
 # ---------------------------------------------------------------------------

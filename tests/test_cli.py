@@ -154,6 +154,28 @@ def test_cli_check_sl_traction_row(tmp_path, cfg_path):
     assert all(r.endswith("true") for r in satisfied)
 
 
+def test_cli_check_sl_row_fields(tmp_path, cfg_path):
+    out = str(tmp_path / "sl.csv")
+    assert main(["check-sl", "--config", cfg_path, "--out", out]) == 0
+    header, *rows = read(out).decode().strip().splitlines()[1:]
+    fields = next(r for r in rows if r.startswith("rigidity+u1,")).split(",")
+    assert fields[0] == "rigidity+u1"        # point_id
+    assert fields[2] == "1"                  # m
+    assert fields[4] == "true"               # satisfied
+    assert all(r.count(",") == header.count(",") for r in rows)
+
+
+def test_cli_layer_modes_row_fields(tmp_path):
+    cfg = tmp_path / "round.cfg"
+    cfg.write_text("b_coeffs = 1,0,1\nxi1_list = 2\n")
+    out = str(tmp_path / "modes.csv")
+    assert main(["layer-modes", "--config", str(cfg), "--out", out]) == 0
+    fields = read(out).decode().strip().splitlines()[-1].split(",")
+    assert len(fields) == 7
+    assert float(fields[1]) == pytest.approx(2.0)   # Re lam_plus
+    assert float(fields[3]) == pytest.approx(-2.0)  # Re lam_minus
+
+
 def test_cli_sweep_window_grows(tmp_path, cfg_path):
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep-epsilon", "--config", cfg_path, "--out", out]) == 0
@@ -294,6 +316,9 @@ FLAT_4096_CFG = "N = 4096\nd = 0.05\nepsilon_list = 1e-50\nf_profile = flat\n"
 SWEEP_1024_CFG = f"N = 1024\nd = 0.15\nepsilon_list = {SWEEP_EPS}\n"
 MIXED_SIGN_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = {}\nepsilon_list = 1e-2\n"
                   "xi1_list = -2,1,3,-0.5\n")
+# hyperbolic curvature: a non-elliptic rigidity row and three "-,0,false"
+# rows of systems that need a surface-elliptic b
+HYPERBOLIC_CFG = "b_coeffs = 1,2,1\nelasticity = identity\nepsilon_list = 1e-2\n"
 
 
 @pytest.mark.parametrize("config,command,digest", [
@@ -325,6 +350,8 @@ MIXED_SIGN_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = {}\nepsilon_list = 1e-2\
      "b958bf91a065f50a05fa2517a56de8a8de15fe1fc184fef5c91955dfe6b1942f"),
     (MIXED_SIGN_CFG.format("isotropic"), "layer-modes",
      "665cb9bac145d99667642901f45a168042d6a478823233ca742b820dee2814f1"),
+    (HYPERBOLIC_CFG, "check-ellipticity",
+     "86bd2ebd1a3e6bce61d8753cabe603b01a2644bded492f40d28b928141433ae2"),
 ])
 def test_cli_golden_bytes(tmp_path, config, command, digest):
     # sha256 of the CSV bytes as written before the symbol layer was batched

@@ -8,7 +8,6 @@ from shellsym.layers import (
     bending_layer_energy,
     bending_symbol_coefficient,
     build_layer_modes,
-    characteristic_polynomial,
     decaying_profile,
     energy_symbols,
     fourth_order_polymatrix,
@@ -19,10 +18,8 @@ from shellsym.layers import (
     layer_eigenvector,
     layer_energy_coefficient,
     layer_matrices,
-    low_frequency_profile,
     matching_constants,
     membrane_layer_energy,
-    mode_table_row,
     rigidity_roots,
     strain_residual_vector,
     sublayer_scaling_check,
@@ -33,6 +30,12 @@ from conftest import random_elliptic_b, random_spd_matrix
 
 B_ROUND = (1.0, 0.0, 1.0)
 A_ID = np.eye(3)
+
+
+def characteristic_polynomial(b, xi1):
+    """Descending coefficients of ``det(G0 + lam*G1)`` in ``lam``."""
+    b11, b12, b22 = b
+    return np.array([b11, 2j * b12 * xi1, -b22 * xi1 ** 2], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +281,6 @@ def test_frequency_cutoff_domain():
             frequency_cutoff(1.0, bad)
 
 
-def test_low_frequency_profile_support():
-    vals = low_frequency_profile([0.0, 0.5, 1.0, 2.0], width=1.0)
-    assert np.allclose(vals[:, :2], 0.0)
-    assert vals[0, 2] == 1.0
-    assert vals[2, 2] == 0.0 and vals[3, 2] == 0.0
-
-
 # ---------------------------------------------------------------------------
 # energy coefficients
 # ---------------------------------------------------------------------------
@@ -372,10 +368,14 @@ def test_zeta_positive_and_round_value(rng):
 
 def test_energy_symbols_values(rng):
     e = ElasticityTensor.identity()
-    p_sym, q_sym = energy_symbols(B_ROUND, e)
-    assert p_sym.order == 0.5 and q_sym.order == 1.5
-    assert p_sym.value(1.0) == pytest.approx(p_sym.coefficient * 2 ** 0.25)
-    assert q_sym.value(2.0) == pytest.approx(np.sqrt(q_sym.coefficient * 8.0))
+    assert energy_symbols(B_ROUND, e) == (
+        layer_energy_coefficient(B_ROUND, e.membrane),
+        bending_symbol_coefficient(B_ROUND, e.bending))
+    for b in random_elliptic_b(rng, 3):
+        e = ElasticityTensor.from_matrices(random_spd_matrix(rng),
+                                           random_spd_matrix(rng))
+        assert energy_symbols(b, e) == (layer_energy_coefficient(b, e.membrane),
+                                        bending_symbol_coefficient(b, e.bending))
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +390,3 @@ def test_sublayer_scaling_examples():
         assert out.quartic_root_magnitude == pytest.approx(eps ** -0.5, rel=1e-10)
     with pytest.raises(ValueError):
         sublayer_scaling_check(0.0)
-
-
-def test_mode_table_row_format():
-    row = mode_table_row(2.0, B_ROUND, ElasticityTensor.identity())
-    fields = row.split(",")
-    assert len(fields) == 7
-    assert float(fields[1]) == pytest.approx(2.0)   # Re lam_plus
-    assert float(fields[3]) == pytest.approx(-2.0)  # Re lam_minus

@@ -6,7 +6,6 @@ from shellsym.symbols import (
     BoundaryConditionSet,
     DNSystem,
     EllipticityError,
-    SLReport,
     builtin_boundary_conditions,
     builtin_system,
     characteristic_roots,
@@ -416,16 +415,3 @@ def test_sl_wrong_bc_count():
     membrane = builtin_system("membrane", pt, IDENTITY)
     with pytest.raises(ValueError):
         sl_check(membrane, builtin_boundary_conditions("u1"), pt, 1.0)
-
-
-def test_sl_report_csv_row():
-    pt = frozen_point(1.0, 0.0, 1.0)
-    rigidity = builtin_system("rigidity", pt)
-    rep = sl_check(rigidity, builtin_boundary_conditions("u1"), pt, 1.0,
-                   point_id="p0")
-    row = rep.csv_row()
-    fields = row.split(",")
-    assert fields[0] == "p0"
-    assert fields[2] == "1"
-    assert fields[4] == "true"
-    assert SLReport.CSV_HEADER.count(",") == row.count(",")
