@@ -12,11 +12,17 @@ comma-separated.  Outputs are CSV files with a ``# schema=1`` header line,
 17-significant-digit floats, '.' decimal separator and LF line endings, so
 repeated runs of the same configuration are byte-identical.  This module is
 the only one that knows the output format: each command writes its header
-and renders each row from one ``%``-template of ``%s``, ``%d`` and
-``%.17g`` fields (the same rounding as ``format(x, ".17g")``).  In
+and renders each row from one ``%``-template of ``%s`` and ``%d`` fields.
+Every float field reaches its ``%s`` as text from ``_g17``, which formats
+each bit-distinct double of the command's float columns once, with the
+same rounding as ``format(x, ".17g")``; a spectrum writes the same values many
+times (``f(k) = f(-k)``, ``v(k) = v(-k)``, ``v_abs = |v_re|``).  In
 ``solve-reduced``, ``v_abs`` is ``np.hypot(re, im)``, which matches the
 ``abs`` of a numpy complex scalar bit for bit, where the array ``np.abs``
 of a complex array may differ in the last bit.
+
+Only ``check-ellipticity`` reads ``chart`` and ``chart_params``; the other
+commands work at the frozen point of ``b_coeffs`` and reject both.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 """
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -73,6 +80,11 @@ class ExperimentConfig:
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f"{f.name} must be finite")
+        if self.command != "check-ellipticity" and (
+                self.chart != "frozen" or self.chart_params):
+            raise ConfigError(f"{self.command} works at the frozen point of "
+                              "b_coeffs; chart and chart_params apply only "
+                              "to check-ellipticity")
         if self.chart == "sphere-cap" and self.chart_params[:1] == (0.0,):
             raise ConfigError("sphere-cap radius must be nonzero")
         if len(self.b_coeffs) != 3:
@@ -188,6 +200,21 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _g17(*columns) -> list:
+    """The ``format(x, ".17g")`` text of equal-length float columns, one list each.
+
+    Each bit-distinct double is formatted once, so ``-0.0`` keeps its
+    ``-0`` and every NaN and infinity its own text.
+    """
+    bits = np.array(columns, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    # map() with float.__format__ skips the per-value builtin lookup of a
+    # comprehension; the formatting itself is most of the cost
+    text = np.array(list(map(float.__format__, distinct.view(np.float64).tolist(),
+                             itertools.repeat(".17g"))), dtype=object)
+    return text[inverse.reshape(bits.shape)].tolist()
+
+
 def write_csv(path: str, header: str, rows: list):
     body = "\n".join([SCHEMA_LINE, header] + rows) + "\n"
     with open(path, "w", newline="") as fh:
@@ -213,17 +240,19 @@ def _chart_points(cfg: ExperimentConfig) -> list:
 def cmd_check_ellipticity(cfg: ExperimentConfig) -> None:
     elastic = cfg.elasticity_tensor()
     eps = cfg.epsilon_list[0]
-    row = "%s,%s,%s,%.17g,%s"
-    rows = []
+    records = []
     for point_id, point in _chart_points(cfg):
         for name in ("rigidity", "membrane_tension", "membrane", "koiter"):
             try:
                 system = symbols.builtin_system(name, point, elastic, eps)
                 rep = symbols.ellipticity_check(system, point)
-                rows.append(row % (point_id, name, system.total_order,
-                                   rep.min_abs_det, str(rep.elliptic).lower()))
+                records.append((point_id, name, system.total_order,
+                                rep.min_abs_det, str(rep.elliptic).lower()))
             except geometry.SurfaceEllipticityError:
-                rows.append(row % (point_id, name, "-", 0.0, "false"))
+                records.append((point_id, name, "-", 0.0, "false"))
+    point_ids, names, orders, dets, verdicts = zip(*records)
+    rows = ["%s,%s,%s,%s,%s" % row
+            for row in zip(point_ids, names, orders, *_g17(dets), verdicts)]
     write_csv(cfg.output_path, "point_id,system,total_order,min_abs_det,elliptic",
               rows)
 
@@ -254,26 +283,26 @@ def cmd_check_sl(cfg: ExperimentConfig) -> None:
 
     # one basis per system and sign of xi1, one verdict per case and sign;
     # the row takes xi1 itself from the config
-    rows = []
-    for case in _SL_CASES:
-        for xi1 in cfg.xi1_list:
-            rep = report(*case, float(np.sign(xi1)))
-            rows.append("%s,%.17g,%d,%.17g,%s" % (
-                rep.point_id, xi1, rep.half_order, abs(rep.sl_determinant),
-                str(rep.satisfied).lower()))
+    reps = [report(*case, float(np.sign(xi1)))
+            for case in _SL_CASES for xi1 in cfg.xi1_list]
+    xi1_text, det_text = _g17(cfg.xi1_list * len(_SL_CASES),
+                              [abs(rep.sl_determinant) for rep in reps])
+    rows = ["%s,%s,%d,%s,%s" % (rep.point_id, xi1, rep.half_order, det,
+                                str(rep.satisfied).lower())
+            for rep, xi1, det in zip(reps, xi1_text, det_text)]
     write_csv(cfg.output_path, "point_id,xi1,m,abs_det,satisfied", rows)
 
 
 def cmd_layer_modes(cfg: ExperimentConfig) -> None:
     elastic = cfg.elasticity_tensor()
     b = cfg.b_coeffs
-    rows = []
+    values = []
     for xi1 in cfg.xi1_list:
         lam_p, lam_m = layers.rigidity_roots(*b, xi1)
-        rows.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
-            xi1, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag,
-            layers.layer_energy_coefficient(b, elastic.membrane, xi1),
-            layers.bending_symbol_coefficient(b, elastic.bending, xi1)))
+        values.append((xi1, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag,
+                       layers.layer_energy_coefficient(b, elastic.membrane, xi1),
+                       layers.bending_symbol_coefficient(b, elastic.bending, xi1)))
+    rows = ["%s,%s,%s,%s,%s,%s,%s" % row for row in zip(*_g17(*zip(*values)))]
     write_csv(cfg.output_path,
               "xi1,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,theta,zeta",
               rows)
@@ -304,9 +333,8 @@ def cmd_solve_reduced(cfg: ExperimentConfig) -> None:
     load = _load(cfg)
     v = reduced.solve(op, load)
     re, im = v.coeffs.real, v.coeffs.imag
-    columns = (v.wavenumbers.tolist(), load.coeffs.real.tolist(), re.tolist(),
-               im.tolist(), np.hypot(re, im).tolist())
-    rows = ["%d,%.17g,%.17g,%.17g,%.17g" % row for row in zip(*columns)]
+    text = _g17(load.coeffs.real, re, im, np.hypot(re, im))
+    rows = ["%d,%s,%s,%s,%s" % row for row in zip(v.wavenumbers.tolist(), *text)]
     write_csv(cfg.output_path, "k,f_re,v_re,v_im,v_abs", rows)
 
 
@@ -320,14 +348,16 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig) -> None:
     k_stars = [reduced.frequency_window(ops[0])]
     va_rows = reduced.va_norm_convergence(base, cfg.epsilon_list, load)
     k_stars += [reduced.frequency_window(op) for op in ops[1:]]
-    rows = []
+    argmax, values = [], []
     for op, k_star, va in zip(ops, k_stars, va_rows):
         v = reduced.solve(op, flat)
-        rows.append("%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g" % (
-            op.eps, k_star, reduced.solution_argmax(v),
-            np.abs(v.coeffs).max(), va.va_distance,
-            reduced.coercivity_constant(op),
-            reduced.sensitivity_probe(op, cfg.k_probe)))
+        argmax.append(reduced.solution_argmax(v))
+        values.append((op.eps, k_star, np.abs(v.coeffs).max(), va.va_distance,
+                       reduced.coercivity_constant(op),
+                       reduced.sensitivity_probe(op, cfg.k_probe)))
+    eps_text, k_star_text, *rest = _g17(*zip(*values))
+    rows = ["%s,%s,%d,%s,%s,%s,%s" % row
+            for row in zip(eps_text, k_star_text, argmax, *rest)]
     write_csv(cfg.output_path,
               "eps,k_star,argmax_k,max_abs_v,va_distance,coercivity,amplification",
               rows)
@@ -338,8 +368,7 @@ def cmd_sensitivity(cfg: ExperimentConfig) -> None:
     k = np.arange(cfg.n_modes + 1)
     amp0 = reduced.sensitivity_probe(op.with_eps(0.0), k)
     amp = reduced.sensitivity_probe(op, k)
-    rows = ["%d,%.17g,%.17g" % row
-            for row in zip(k.tolist(), amp0.tolist(), amp.tolist())]
+    rows = ["%d,%s,%s" % row for row in zip(k.tolist(), *_g17(amp0, amp))]
     write_csv(cfg.output_path, "k,amplification_eps0,amplification_eps", rows)
 
 
@@ -349,8 +378,9 @@ def cmd_rescale_demo(cfg: ExperimentConfig) -> None:
     load = _load(cfg)
     _, rows_data = reduced.noninhibited_rescale(op, load, cfg.epsilon_list,
                                                 cfg.kernel_modes)
-    rows = ["%.17g,%.17g,%.17g" % (r.eps, r.kernel_error, r.off_kernel_max)
-            for r in rows_data]
+    text = _g17([r.eps for r in rows_data], [r.kernel_error for r in rows_data],
+                [r.off_kernel_max for r in rows_data])
+    rows = ["%s,%s,%s" % row for row in zip(*text)]
     write_csv(cfg.output_path, "eps,kernel_error,off_kernel_max", rows)
 
 

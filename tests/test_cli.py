@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -9,11 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellsym import reduced, symbols
 from shellsym.cli import (
+    COMMANDS,
     ConfigError,
     ExperimentConfig,
+    _g17,
     main,
     parse_config,
     serialize_config,
@@ -132,6 +137,22 @@ def test_config_rejects_zero_radius_and_zero_xi1(tmp_path):
         "f1f4a00562c5311cd0e3fcee298b31002fea027039ae10345f15039804f7fc77"
 
 
+def test_config_rejects_chart_outside_check_ellipticity(tmp_path):
+    # only check-ellipticity reads the chart; the other commands work at the
+    # frozen point of b_coeffs and used to ignore chart and chart_params
+    out = str(tmp_path / "x.csv")
+    cfg = tmp_path / "chart.cfg"
+    for text in (SPHERE_CAP_CFG, SPHERE_CAP_CFG.replace("1.7", "-1.7"),
+                 "chart = sphere-cap\n", "chart_params = 2\n"):
+        cfg.write_text(text)
+        for command in set(COMMANDS) - {"check-ellipticity"}:
+            assert main([command, "--config", str(cfg), "--out", out]) == 2, \
+                (command, text)
+            assert not os.path.exists(out)
+        assert main(["check-ellipticity", "--config", str(cfg), "--out", out]) == 0
+        os.remove(out)
+
+
 def test_cli_determinism(tmp_path, cfg_path):
     for command in ("check-sl", "sweep-epsilon", "layer-modes"):
         out1 = str(tmp_path / f"{command}-1.csv")
@@ -228,11 +249,13 @@ def test_cli_solve_and_remaining_commands(tmp_path, cfg_path):
 
 
 def test_cli_starts_without_scipy(tmp_path, cfg_path):
-    # only the window search and the SL test import scipy
+    # only the window search (sweep-epsilon) and the SL test (check-sl)
+    # import scipy
     out = str(tmp_path / "out.csv")
     code = ("import sys\n"
             "from shellsym.cli import main\n"
-            "for command in ('check-ellipticity', 'solve-reduced'):\n"
+            "for command in ('check-ellipticity', 'layer-modes', 'solve-reduced',\n"
+            "                'sensitivity', 'rescale-demo'):\n"
             f"    assert main([command, '--config', {cfg_path!r}, '--out', {out!r}]) == 0\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -319,6 +342,13 @@ MIXED_SIGN_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = {}\nepsilon_list = 1e-2\
 # hyperbolic curvature: a non-elliptic rigidity row and three "-,0,false"
 # rows of systems that need a surface-elliptic b
 HYPERBOLIC_CFG = "b_coeffs = 1,2,1\nelasticity = identity\nepsilon_list = 1e-2\n"
+# a one-mode load: the f and v columns are zero but for k = -7
+DELTA_512_CFG = "N = 512\nepsilon_list = 1e-3\nf_profile = delta:-7\n"
+# amplification_eps0 and amplification_eps agree at low k
+SENSITIVITY_1024_CFG = "N = 1024\nd = 0.15\nepsilon_list = 1e-20\n"
+# 16 xi1 of both signs: abs_det repeats across the xi1 of one sign
+SL_16_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = frobenius\nepsilon_list = 1e-2\n"
+             "xi1_list = -8,-4,-2,-1,-0.5,-0.25,-3,-6,0.25,0.5,1,2,4,8,3,6\n")
 
 
 @pytest.mark.parametrize("config,command,digest", [
@@ -352,6 +382,12 @@ HYPERBOLIC_CFG = "b_coeffs = 1,2,1\nelasticity = identity\nepsilon_list = 1e-2\n
      "665cb9bac145d99667642901f45a168042d6a478823233ca742b820dee2814f1"),
     (HYPERBOLIC_CFG, "check-ellipticity",
      "86bd2ebd1a3e6bce61d8753cabe603b01a2644bded492f40d28b928141433ae2"),
+    (DELTA_512_CFG, "solve-reduced",
+     "f719db18ca3f79726f97907db47743cf4c9ec549987c10015ebba7fba16d785e"),
+    (SENSITIVITY_1024_CFG, "sensitivity",
+     "5142d2bc61ccc59cc7c40f10cc2d444588eaf4f9309bc15a5dc706ae005b0e4c"),
+    (SL_16_CFG, "check-sl",
+     "1667f48219ce61c250440bba4225ac9175aa9c42f3e28819e2247598fa6f99da"),
 ])
 def test_cli_golden_bytes(tmp_path, config, command, digest):
     # sha256 of the CSV bytes as written before the symbol layer was batched
@@ -359,10 +395,46 @@ def test_cli_golden_bytes(tmp_path, config, command, digest):
     # is |det| of unit boundary rows on an orthonormal decaying basis; the
     # reduced commands: before their rows came from one %-template; the
     # mixed-sign check-sl and layer-modes cases: before check-sl shared one
-    # decaying basis per system and sign); a refactor of the symbol layer or
-    # of the CSV writer must reproduce them exactly
+    # decaying basis per system and sign; the delta, sensitivity-1024 and
+    # 16-xi1 cases: before each distinct double was formatted once); a
+    # refactor of the symbol layer or of the CSV writer must reproduce them
+    # exactly
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(config)
     out = tmp_path / "golden.csv"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(read(out)).hexdigest() == digest
+
+
+def _bits(pattern):
+    return float(np.uint64(pattern).view(np.float64))
+
+
+# zeros, infinities, NaNs of both signs and several payloads (quiet and
+# signalling), subnormals and the largest magnitudes
+_SPECIAL_DOUBLES = (0.0, -0.0, math.inf, -math.inf, math.nan,
+                    _bits(0x7FF8000000000001), _bits(0xFFF8000000000000),
+                    _bits(0x7FF0000000000001), _bits(0xFFF00000DEADBEEF),
+                    5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                    1e308, -1e308, 1.7976931348623157e308)
+
+
+@st.composite
+def _float_columns(draw):
+    n = draw(st.integers(0, 24))
+    # a small pool per case, so that values repeat within and across columns
+    pool = draw(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_DOUBLES)),
+                         min_size=1, max_size=8))
+    value = st.one_of(st.sampled_from(pool), st.sampled_from(_SPECIAL_DOUBLES),
+                      st.floats(width=64))
+    return [draw(st.lists(value, min_size=n, max_size=n))
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(columns=_float_columns())
+def test_g17_matches_per_value_formatting(columns):
+    text = _g17(*columns)
+    assert text == [["%.17g" % x for x in col] for col in columns]
+    # numpy columns give the same text as lists
+    assert _g17(*map(np.array, columns)) == text
