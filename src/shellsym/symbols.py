@@ -8,8 +8,9 @@ symbol ``L'(x, xi)``: entry ``(k, j)`` is homogeneous in ``xi`` of degree
 condition asks whether a set of half of the characteristic boundary data
 determines the decaying half-space solutions uniquely.  Both the
 characteristic roots and the SL test read one object, built once per
-system, point and sign of ``xi1``: the decaying subspace of the ordered-QZ
-block-companion pencil (:func:`decaying_solution_basis`).
+system, point and sign of ``xi1``: the decaying subspace of the
+block-companion pencil, found with numpy's eigenvalue solver and SVD alone
+(:func:`decaying_solution_basis`).
 
 The boundary frame convention is the usual one: ``x1`` tangential, ``x2``
 the inward normal, symbols written in ``D = -i d/dx`` so that solutions of
@@ -33,7 +34,7 @@ from .geometry import ElasticityTensor, MetricData
 from .polymat import PolyMatrix
 
 DET_RTOL = 1e-8       # relative threshold for "determinant is nonzero"
-# |beta / alpha| below which a pencil eigenvalue counts as infinite; the
+# |1 / xi2| below which a pencil eigenvalue counts as infinite; the
 # index-2 infinite eigenvalues of mixed orders leak out near sqrt(eps_mach)
 INFINITE_RTOL = 1e-6
 
@@ -364,15 +365,9 @@ def _entry_polymatrix(gen, point, xi1, degree) -> PolyMatrix:
     return PolyMatrix.from_samples(lambda z: gen(point, (xi1, z)), max(degree, 0))
 
 
-def _decaying(alpha, beta):
-    """Finite pencil eigenvalues ``alpha / beta`` in the upper half-plane."""
-    finite = np.abs(beta) > INFINITE_RTOL * np.abs(alpha)
-    return finite & ((alpha * beta.conj()).imag > 0)
-
-
 @dataclass(frozen=True)
 class DecayingBasis:
-    """Finite pencil eigenvalues ``roots``, the ``m`` decaying ones first, and
+    """Finite roots ``xi2`` of the pencil, the ``m`` decaying ones first, and
     the orthonormal ``basis`` of the decaying Cauchy data of ``L'(sign, D)``."""
 
     system: DNSystem
@@ -389,14 +384,14 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
     The symbols are homogeneous, so only ``s = sign(xi1)`` matters.  After a
     64-angle ellipticity scan, ``L'(s, xi2) = sum_i A_i xi2^i`` is linearised
     as the block-companion pencil on the Cauchy data
-    ``(u, D u, ..., D^(deg-1) u)`` at ``x2 = 0``.  Exactly ``m`` finite
-    eigenvalues must lie in each open half-plane.  An ordered complex QZ puts
-    those with positive imaginary part first, so the unitary ``Z[:, :m]``
-    spans the decaying Cauchy data whatever the root multiplicities or
-    Jordan structure.
+    ``(u, D u, ..., D^(deg-1) u)`` at ``x2 = 0``.  Its reciprocal eigenvalues
+    ``mu = 1 / xi2`` are those of ``P = lhs^-1 rhs``; an infinite ``xi2``
+    gives ``mu = 0``.  Exactly ``m`` finite roots must lie in each open
+    half-plane.  The decaying Cauchy data is the kernel of
+    ``K = prod_j (I - P / mu_j)`` over the ``m`` decaying ``mu_j``: the
+    right singular vectors of its ``m`` smallest singular values span it
+    orthonormally, whatever the root multiplicities or Jordan structure.
     """
-    from scipy.linalg import ordqz
-
     if xi1 == 0:
         raise ValueError("xi1 must be nonzero")
     report = ellipticity_check(system, point, n_angles=64)
@@ -415,15 +410,22 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
     lhs[-n:] = -coeffs[:deg].transpose(1, 0, 2).reshape(n, size)
     rhs = np.eye(size, dtype=complex)
     rhs[-n:, -n:] = coeffs[deg]
-    _, _, alpha, beta, _, z = ordqz(lhs, rhs, sort=_decaying, output="complex")
-    finite = np.abs(beta) > INFINITE_RTOL * np.abs(alpha)
-    # the sort key's half-plane test, so that Z[:, :m] is the selection
-    side = (alpha * beta.conj()).imag[finite]
-    above, below = np.count_nonzero(side > 0), np.count_nonzero(side < 0)
+    # det lhs = +-det A_0 = +-det L'(s, 0), and (s, 0) is one of the 64
+    # scanned angles, so the ellipticity verdict makes lhs invertible
+    pencil = np.linalg.solve(lhs, rhs)
+    mu = np.linalg.eigvals(pencil)
+    finite = np.abs(mu) > INFINITE_RTOL
+    decaying = finite & (mu.imag < 0)       # Im xi2 > 0
+    above, below = np.count_nonzero(decaying), np.count_nonzero(finite & (mu.imag > 0))
     if (above, below) != (m, m):
         raise EllipticityError(f"{system.name}: expected {m} roots in each half-plane, "
                                f"found {above} above and {below} below")
-    return DecayingBasis(system, point, s, alpha[finite] / beta[finite], z[:, :m])
+    kernel = np.eye(size, dtype=complex)
+    for mu_j in mu[decaying]:
+        kernel -= kernel @ pencil / mu_j
+    basis = np.linalg.svd(kernel)[2][-m:].conj().T
+    roots = 1.0 / np.concatenate([mu[decaying], mu[finite & ~decaying]])
+    return DecayingBasis(system, point, s, roots, basis)
 
 
 def characteristic_roots(system: DNSystem, point: MetricData,

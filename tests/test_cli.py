@@ -249,13 +249,12 @@ def test_cli_solve_and_remaining_commands(tmp_path, cfg_path):
 
 
 def test_cli_starts_without_scipy(tmp_path, cfg_path):
-    # only the window search (sweep-epsilon) and the SL test (check-sl)
-    # import scipy
+    # only the window search (sweep-epsilon) imports scipy
     out = str(tmp_path / "out.csv")
     code = ("import sys\n"
             "from shellsym.cli import main\n"
-            "for command in ('check-ellipticity', 'layer-modes', 'solve-reduced',\n"
-            "                'sensitivity', 'rescale-demo'):\n"
+            "for command in ('check-ellipticity', 'check-sl', 'layer-modes',\n"
+            "                'solve-reduced', 'sensitivity', 'rescale-demo'):\n"
             f"    assert main([command, '--config', {cfg_path!r}, '--out', {out!r}]) == 0\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -353,7 +352,7 @@ SL_16_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = frobenius\nepsilon_list = 1e-
 
 @pytest.mark.parametrize("config,command,digest", [
     (CRITERION_12_CFG, "check-sl",
-     "47b85387650d5580fa32954b5a8191b034cba51b1849f01af681d497bf437911"),
+     "823cf57a883a69cef0eb47dbf790685495243be2058a5026d8c7bc35a5e8b671"),
     (CRITERION_12_CFG, "layer-modes",
      "239f3b97e3c57e1354a539088ad409eb21b672c32ef4900d4a9688498232ca86"),
     (CRITERION_12_CFG, "check-ellipticity",
@@ -373,9 +372,9 @@ SL_16_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = frobenius\nepsilon_list = 1e-
     (CRITERION_12_CFG, "sweep-epsilon",
      "d1897933a511fda4a951d277832039fa335b701742abcd3be733379f080e7507"),
     (MIXED_SIGN_CFG.format("frobenius"), "check-sl",
-     "065aa5b46516b93c1d311057e427a870d263e2c3faaebf3e855bb93b3fcde003"),
+     "25beb966a714d54ebfeed4d86eea8a66cb5b9a2e7b9de653fc69c19a2f27b5d5"),
     (MIXED_SIGN_CFG.format("isotropic"), "check-sl",
-     "98e390342e522ce43fe79d568c75d15a3f566eb211083e67019ebba158d87e13"),
+     "c4d63f75280ce9b6eddd349097027aabdd08f5f17acf5765d48e81ca982661e5"),
     (MIXED_SIGN_CFG.format("frobenius"), "layer-modes",
      "b958bf91a065f50a05fa2517a56de8a8de15fe1fc184fef5c91955dfe6b1942f"),
     (MIXED_SIGN_CFG.format("isotropic"), "layer-modes",
@@ -387,15 +386,16 @@ SL_16_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = frobenius\nepsilon_list = 1e-
     (SENSITIVITY_1024_CFG, "sensitivity",
      "5142d2bc61ccc59cc7c40f10cc2d444588eaf4f9309bc15a5dc706ae005b0e4c"),
     (SL_16_CFG, "check-sl",
-     "1667f48219ce61c250440bba4225ac9175aa9c42f3e28819e2247598fa6f99da"),
+     "3d276537f285199cf3a0a5a3fe76196a0aa4d55a9a70f941ba3ba622f7043e6e"),
 ])
 def test_cli_golden_bytes(tmp_path, config, command, digest):
     # sha256 of the CSV bytes as written before the symbol layer was batched
-    # (check-sl: since the SL test moved to the unit cosphere, where abs_det
-    # is |det| of unit boundary rows on an orthonormal decaying basis; the
-    # reduced commands: before their rows came from one %-template; the
-    # mixed-sign check-sl and layer-modes cases: before check-sl shared one
-    # decaying basis per system and sign; the delta, sensitivity-1024 and
+    # (check-sl: since the decaying basis became the kernel of a product of
+    # the companion pencil's factors, where abs_det is |det| of unit boundary
+    # rows on an orthonormal decaying basis; the reduced commands: before
+    # their rows came from one %-template; the mixed-sign check-sl and
+    # layer-modes cases: before check-sl shared one decaying basis per
+    # system and sign; the delta, sensitivity-1024 and
     # 16-xi1 cases: before each distinct double was formatted once); a
     # refactor of the symbol layer or of the CSV writer must reproduce them
     # exactly

@@ -67,7 +67,6 @@ def test_sl_verdict_property(case, b_diag, b_tilt, membrane, bending, log_eps,
     m = system.half_order
     assert (np.sum(roots.imag > 0), np.sum(roots.imag < 0)) == (m, m)
     assert np.array_equal(rep.decaying_roots, roots[roots.imag > 0])
-    # the companion pencil is not equilibrated: Koiter's bending rows carry
-    # eps^2, and its roots' backward error grows like eps_mach / eps^2
-    tol = 1e-14 / 10.0 ** (2 * log_eps) if sys_name == "koiter" else 1e-11
-    assert max(_det_backward_error(system, pt, xi1, z) for z in roots) < tol
+    # Koiter's bending rows carry eps^2, yet its roots' backward error stays
+    # flat in eps
+    assert max(_det_backward_error(system, pt, xi1, z) for z in roots) < 1e-11
