@@ -22,7 +22,9 @@ second-order finite differences, both from one covariant gradient
 with ``|`` the covariant derivative of the surface.  The quadratic energy
 forms contract these with the membrane and bending rigidity tensors and sum
 over the grid nodes with the weight ``h^2 sqrt(det a)`` at every node, edge
-rows included.
+rows included.  A field keeps the strains of the last chart it was used on,
+so pairwise energy forms differentiate each field once per chart; this rests
+on fields and charts being immutable after construction.
 """
 
 from __future__ import annotations
@@ -302,7 +304,15 @@ def _full_tensor(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DisplacementField:
-    """Covariant components ``(u1, u2)`` and normal component ``u3`` on a grid."""
+    """Covariant components ``(u1, u2)`` and normal component ``u3`` on a grid.
+
+    The components are stored as read-only views, and the caller must not
+    write to the arrays it passed in afterwards: a field is immutable after
+    construction.  That is what lets it keep the strain vectors of the last
+    chart it was evaluated on, keyed by the identity of that
+    :class:`MetricField`, so that :func:`energy_forms` differentiates it once
+    per chart however many pairs it enters.
+    """
 
     u1: np.ndarray
     u2: np.ndarray
@@ -310,6 +320,11 @@ class DisplacementField:
     h: float
 
     def __post_init__(self):
+        for name in ("u1", "u2", "u3"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "_strain_cache", (None, None))   # (chart, vectors)
         if self.h <= 0:
             raise InvariantError("grid spacing must be positive")
         if not (self.u1.shape == self.u2.shape == self.u3.shape):
@@ -404,9 +419,17 @@ _UPPER_COEFF = np.where(_UPPER[0] == _UPPER[1], 0.25, 0.5)
 
 
 def _strain_vectors(u: DisplacementField, m: MetricField) -> list:
-    """``(g11, g22, 2*g12)`` rows of both strains of ``u``, a column per node."""
-    return [np.stack([g[0, 0], g[1, 1], 2.0 * g[0, 1]]).reshape(3, -1)
-            for g in _strains(u, m)]
+    """``(g11, g22, 2*g12)`` rows of both strains of ``u``, a column per node.
+
+    ``u`` keeps the vectors of the last chart it saw, holding that chart by
+    reference, so another chart can never hit them.
+    """
+    chart, vectors = u._strain_cache
+    if chart is not m:
+        vectors = [np.stack([g[0, 0], g[1, 1], 2.0 * g[0, 1]]).reshape(3, -1)
+                   for g in _strains(u, m)]
+        object.__setattr__(u, "_strain_cache", (m, vectors))
+    return vectors
 
 
 def _form(mat: np.ndarray, su: np.ndarray, sv: np.ndarray, weight: np.ndarray) -> float:
@@ -423,13 +446,13 @@ def energy_forms(u: DisplacementField, v: DisplacementField,
 
     A node sum with the weight ``h^2 sqrt(det a)`` at every grid node, edge
     rows included.  Both strains of a field come from its one covariant
-    gradient, taken once in total for ``v is u``.  The six upper-triangle
+    gradient, taken once per (field, chart): calls that reuse a field on the
+    same ``m``, such as ``(u, v)``, ``(v, u)`` and ``(u, u)``, reuse its
+    strains, since fields and charts do not change.  The six upper-triangle
     products ``g_i(u) g_j(v) + g_i(v) g_j(u)`` of each form are summed against
     the weights in one matrix-vector product, so exchanging ``u`` and ``v``
     returns bitwise-identical values.
     """
     weight = (m.area_element() * u.h ** 2).ravel()
-    su = _strain_vectors(u, m)
-    sv = su if v is u else _strain_vectors(v, m)
-    return tuple(_form(mat, a, b, weight)
-                 for mat, a, b in zip((e.membrane, e.bending), su, sv))
+    return tuple(_form(mat, a, b, weight) for mat, a, b in zip(
+        (e.membrane, e.bending), _strain_vectors(u, m), _strain_vectors(v, m)))

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -465,7 +467,7 @@ def test_energy_forms_and_strains_golden_bits(make_chart, shape, seed,
 
 def test_energy_forms_one_gradient_per_field(monkeypatch, rng):
     # both strains of a field come from one covariant gradient of (u1, u2),
-    # the only 3-D np.gradient input
+    # the only 3-D np.gradient input, taken once per (field, chart)
     m = sphere_cap_chart(radius=1.3, shape=SHAPE, h=0.02)
     e = ElasticityTensor.identity()
     u, v = (DisplacementField(*rng.normal(size=(3,) + SHAPE), 0.02) for _ in range(2))
@@ -478,7 +480,70 @@ def test_energy_forms_one_gradient_per_field(monkeypatch, rng):
 
     monkeypatch.setattr(np, "gradient", counting)
     energy_forms(u, v, m, e)
+    energy_forms(v, u, m, e)
+    energy_forms(u, u, m, e)
     assert ndims.count(3) == 2
     ndims.clear()
-    energy_forms(u, u, m, e)
-    assert ndims.count(3) == 1
+    twin = DisplacementField(u.u1.copy(), u.u2.copy(), u.u3.copy(), u.h)
+    energy_forms(u, twin, m, e)
+    assert ndims.count(3) == 1          # equal data is another field
+    ndims.clear()
+    energy_forms(u, v, sphere_cap_chart(radius=1.3, shape=SHAPE, h=0.02), e)
+    assert ndims.count(3) == 2          # an equal chart is another chart
+
+
+@pytest.mark.parametrize("make_chart", [
+    lambda b11: frozen_chart(b11, 0.2, 1.5, (48, 48), 1.0 / 48),
+    lambda b11: sphere_cap_chart(radius=b11 + 0.3, shape=(48, 48), h=1.0 / 48),
+], ids=["frozen", "sphere-cap"])
+def test_energy_gram_reused_fields_match_fresh_fields(rng, make_chart):
+    # reusing fields across calls and across charts of one grid gives the
+    # bits of a fresh field per call; a strain cache keyed by anything
+    # weaker than the chart object would serve the first chart's strains
+    e = ElasticityTensor.isotropic(0.8, 1.1)
+    arrays = rng.normal(size=(6, 3, 48, 48))
+    fields = [DisplacementField(*x, 1.0 / 48) for x in arrays]
+
+    def gram(m, pick):
+        return np.array([[energy_forms(pick(i), pick(j), m, e) for j in range(6)]
+                         for i in range(6)])
+
+    charts = [make_chart(1.0), make_chart(0.7), make_chart(1.0)]
+    reused = [gram(m, fields.__getitem__) for m in charts]
+    for m, got in zip(charts, reused):
+        fresh = gram(m, lambda i: DisplacementField(*arrays[i], 1.0 / 48))
+        assert got.shape == (6, 6, 2)
+        assert np.array_equal(got, fresh)
+    assert np.array_equal(reused[0], reused[2])
+    assert not np.array_equal(reused[0], reused[1])
+
+
+def test_displacement_field_is_read_only(rng):
+    arrays = rng.normal(size=(3,) + SHAPE)
+    u = DisplacementField(*arrays, H)
+    with pytest.raises(ValueError):
+        u.u1[0, 0] = 1.0
+    assert np.shares_memory(u.u1, arrays[0])    # a view, not a copy
+    assert arrays.flags.writeable               # the caller's array is untouched
+    made = (DisplacementField.zeros(SHAPE, H),
+            field(lambda y1, y2: y1, zero, one),
+            u.combine(2.0, u, -1.0))
+    for w in made:
+        assert not any(x.flags.writeable for x in (w.u1, w.u2, w.u3))
+    assert np.all(made[1].u3 == 1.0)
+    assert np.array_equal(made[2].u2, u.u2)
+
+
+def test_strain_cache_pins_no_chart(rng):
+    # freed by reference counting alone: the cache forms no reference cycle
+    e = ElasticityTensor.identity()
+    m = sphere_cap_chart(radius=1.3, shape=SHAPE, h=0.02)
+    u, v = (DisplacementField(*rng.normal(size=(3,) + SHAPE), 0.02) for _ in range(2))
+    gc.disable()
+    try:
+        energy_forms(u, v, m, e)
+        chart = weakref.ref(m)
+        del u, v, m
+        assert chart() is None
+    finally:
+        gc.enable()
