@@ -5,6 +5,8 @@ Subpackages:
 * :mod:`shellsym.geometry` -- chart data, strain measures, energy forms;
 * :mod:`shellsym.symbols`  -- Douglis-Nirenberg systems, ellipticity and
   Shapiro-Lopatinskii checks;
+* :mod:`shellsym.polymat`  -- polynomial coefficients of a symbol from one
+  call on the roots of unity;
 * :mod:`shellsym.layers`   -- fixed-edge boundary-layer modes and the
   boundary energy coefficients;
 * :mod:`shellsym.reduced`  -- spectral solver for the reduced problem

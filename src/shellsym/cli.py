@@ -182,24 +182,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical rendering; ``parse(serialize(c)) == c``."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            rendered = ",".join("%.17g" % v if isinstance(v, float) else str(v)
-                                for v in value)
-        elif value is None:
-            rendered = "none"
-        elif isinstance(value, float):
-            rendered = "%.17g" % value
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
-
-
 def _g17(*columns) -> list:
     """The ``format(x, ".17g")`` text of equal-length float columns, one list each.
 

@@ -230,9 +230,6 @@ CHART_GENERATORS = {
 # rigidity tensors
 # ---------------------------------------------------------------------------
 
-_PAIR_INDEX = {(0, 0): 0, (1, 1): 1, (0, 1): 2, (1, 0): 2}
-
-
 @dataclass(frozen=True)
 class ElasticityTensor:
     """Membrane and bending rigidity tensors.
@@ -284,18 +281,6 @@ class ElasticityTensor:
     @classmethod
     def from_matrices(cls, membrane, bending) -> "ElasticityTensor":
         return cls(np.asarray(membrane, float), np.asarray(bending, float))
-
-    def membrane_tensor(self) -> np.ndarray:
-        """Full four-index membrane tensor A[a, b, c, d]."""
-        return _full_tensor(self.membrane)
-
-
-def _full_tensor(m: np.ndarray) -> np.ndarray:
-    out = np.empty((2, 2, 2, 2))
-    for (a, b), i in _PAIR_INDEX.items():
-        for (c, d), j in _PAIR_INDEX.items():
-            out[a, b, c, d] = m[i, j]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,20 +15,22 @@ whose characteristic exponents are the roots of
 the layer factorizes as ``(G0c^T - G1^T d/dy2) A (G0 + G1 d/dy2)`` with ``A``
 the reduced membrane rigidity matrix; each exponent is a double root of its
 characteristic determinant, and the second solution is the Jordan profile
-``(y2*w + v) exp(lam*y2)``.  This module builds those modes, the matched
-layer correction that enforces the tangential boundary conditions, and the
-two boundary energy coefficients: ``theta`` for the membrane layer symbol
-``theta*|xi1|`` and ``zeta`` for the bending symbol ``zeta*|xi1|^3``.
+``(y2*w + v) exp(lam*y2)``: with ``P(z) = P0 + P1 z + P2 z^2`` the operator's
+symbol, :func:`jordan_residual` checks the Jordan chain ``P(lam) w = 0``,
+``P(lam) v + P'(lam) w = 0`` in closed form.  This module builds those
+modes, the matched layer correction that enforces the tangential boundary
+conditions, and the two boundary energy coefficients: ``theta`` for the
+membrane layer symbol ``theta*|xi1|`` and ``zeta`` for the bending symbol
+``zeta*|xi1|^3``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import ElasticityTensor, SurfaceEllipticityError
-from .polymat import ExpPolyMode, PolyMatrix, apply_layer_ode
 from .symbols import DegenerateModeError
 
 
@@ -85,32 +87,27 @@ def layer_eigenvector(lam: complex, xi1: float, b) -> np.ndarray:
 class LayerMode:
     """One characteristic layer mode of the rigidity system.
 
-    ``v`` is the generalized (Jordan) vector when one exists; the associated
-    profiles are ``w*exp(lam*y2)`` and ``(y2*w + v)*exp(lam*y2)``.
+    ``v`` is the generalized (Jordan) vector; the associated profiles are
+    ``w*exp(lam*y2)`` and ``(y2*w + v)*exp(lam*y2)``.
     """
 
     lam: complex
     w: np.ndarray
-    v: np.ndarray | None
+    v: np.ndarray
     xi1: float
     b: tuple
 
-    def jordan_profile(self) -> ExpPolyMode:
-        if self.v is None:
-            raise StructureError("mode carries no generalized vector")
-        return ExpPolyMode(self.lam, [self.v, self.w])
 
-
-def fourth_order_polymatrix(b, a_membrane: np.ndarray, xi1: float) -> PolyMatrix:
-    """``(G0c^T - G1^T z) A (G0 + G1 z)`` as a quadratic polynomial matrix."""
+def fourth_order_symbol(b, a_membrane: np.ndarray, xi1: float) -> np.ndarray:
+    """Coefficients ``(P0, P1, P2)`` of ``P(z) = (G0c^T - G1^T z) A (G0 + G1 z)``."""
     g0, g1 = layer_matrices(b, xi1)
     l0, l1 = g0.conj().T, -g1.T
     a = np.asarray(a_membrane, dtype=float)
-    return PolyMatrix(np.stack([
+    return np.stack([
         l0 @ a @ g0,
         l1 @ a @ g0 + l0 @ a @ g1,
         l1 @ a @ g1,
-    ]))
+    ])
 
 
 def generalized_eigenvector(lam: complex, w: np.ndarray,
@@ -170,13 +167,15 @@ def build_layer_modes(b, a_membrane: np.ndarray, xi1: float) -> tuple:
 
 
 def jordan_residual(mode: LayerMode, a_membrane: np.ndarray) -> float:
-    """Largest polynomial-coefficient norm of the fourth-order operator
-    applied to ``(y2*w + v) exp(lam*y2)``, relative to the data size."""
-    pm = fourth_order_polymatrix(mode.b, a_membrane, mode.xi1)
-    out = apply_layer_ode(pm, mode.jordan_profile())
-    scale = max(np.linalg.norm(np.asarray(pm.coeffs)), 1.0) \
+    """Larger norm of the Jordan-chain residuals ``P(lam) v + P'(lam) w`` and
+    ``P(lam) w`` of ``(y2*w + v) exp(lam*y2)``, relative to the data size."""
+    p0, p1, p2 = coeffs = fourth_order_symbol(mode.b, a_membrane, mode.xi1)
+    p_lam = (p2 * mode.lam + p1) * mode.lam + p0
+    dp_lam = 2 * p2 * mode.lam + p1
+    scale = max(np.linalg.norm(coeffs), 1.0) \
         * (np.linalg.norm(mode.w) + np.linalg.norm(mode.v))
-    return max(np.linalg.norm(c) for c in out.coeffs) / scale
+    return max(np.linalg.norm(p_lam @ mode.v + dp_lam @ mode.w),
+               np.linalg.norm(p_lam @ mode.w)) / scale
 
 
 def strain_residual_vector(mode: LayerMode) -> np.ndarray:
@@ -189,6 +188,26 @@ def strain_residual_vector(mode: LayerMode) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # decaying profiles and matching
 # ---------------------------------------------------------------------------
+
+@dataclass
+class ExpPolyMode:
+    """Vector-valued exponential polynomial ``sum_j y^j c_j  * exp(growth*y)``.
+
+    ``growth`` is the raw exponent multiplying the coordinate, so a mode that
+    decays into the domain has ``Re(growth) < 0``.
+    """
+
+    growth: complex
+    coeffs: list = field(default_factory=list)
+
+    def eval(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        out = sum(np.multiply.outer(y ** j, c) for j, c in enumerate(self.coeffs))
+        return out * np.exp(self.growth * y)[..., None]
+
+    def value_at_zero(self) -> np.ndarray:
+        return np.asarray(self.coeffs[0], dtype=complex)
+
 
 @dataclass(frozen=True)
 class DecayingProfile:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import ElasticityTensor, MetricData
-from .polymat import PolyMatrix
+from .polymat import poly_coefficients
 
 DET_RTOL = 1e-8       # relative threshold for "determinant is nonzero"
 # |1 / xi2| below which a pencil eigenvalue counts as infinite; the
@@ -338,31 +338,12 @@ def ellipticity_check(system: DNSystem, point: MetricData,
     return EllipticityReport(lo > DET_RTOL * hi, lo, hi, n_angles)
 
 
-def verify_homogeneity(system: DNSystem, point: MetricData,
-                       rng=None, n_samples: int = 20) -> float:
-    """Max relative error of the per-entry scaling ``L'(c xi) = c^(s+t) L'(xi)``."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    worst = 0.0
-    s, t = system.s_indices, system.t_indices
-    for _ in range(n_samples):
-        xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        c = rng.normal() + 1j * rng.normal()
-        left = system.symbol_gen(point, tuple(c * np.asarray(xi)))
-        base = system.symbol_gen(point, tuple(xi))
-        for k in range(system.n_equations):
-            for j in range(system.n_unknowns):
-                want = c ** (s[k] + t[j]) * base[k, j]
-                err = abs(left[k, j] - want) / max(abs(want), 1.0)
-                worst = max(worst, err)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # decaying solutions, characteristic roots, Shapiro-Lopatinskii check
 # ---------------------------------------------------------------------------
 
-def _entry_polymatrix(gen, point, xi1, degree) -> PolyMatrix:
-    return PolyMatrix.from_samples(lambda z: gen(point, (xi1, z)), max(degree, 0))
+def _entry_coefficients(gen, point, xi1, degree) -> np.ndarray:
+    return poly_coefficients(lambda z: gen(point, (xi1, z)), max(degree, 0))
 
 
 @dataclass(frozen=True)
@@ -402,7 +383,7 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
 
     m, n, deg = system.half_order, system.n_unknowns, system.max_entry_degree
     s = float(np.sign(xi1))
-    coeffs = _entry_polymatrix(system.symbol_gen, point, s, deg).coeffs
+    coeffs = _entry_coefficients(system.symbol_gen, point, s, deg)
     size = n * deg
     # lhs Y = xi2 rhs Y for Y_i = D^i u: a block shift, and in the last block
     # row A_deg D^deg u = -sum_(i<deg) A_i D^i u
@@ -460,7 +441,7 @@ def sl_verdict(decaying: DecayingBasis, bc: BoundaryConditionSet, xi1: float,
         raise ValueError(f"xi1={xi1} does not have the sign of the basis ({s:+g})")
 
     bdeg = max(max(bc.r_indices) + max(system.t_indices), 0)
-    bcoeffs = _entry_polymatrix(bc.symbol_gen, point, s, bdeg).coeffs
+    bcoeffs = _entry_coefficients(bc.symbol_gen, point, s, bdeg)
     if np.abs(bcoeffs[deg:]).max(initial=0.0) > 1e-12 * np.abs(bcoeffs).max():
         raise ValueError(f"{bc.name}: boundary operators must have order < {deg}")
     cauchy = np.zeros((m, deg, n), dtype=complex)
@@ -502,5 +483,5 @@ def rigidity_strain_residual(witness: np.ndarray, point: MetricData,
     at ``x2 = 0``, where it is ``S_0 u + S_1 D u``.
     """
     data = np.asarray(witness).reshape(-1, 3)
-    s0, s1 = _entry_polymatrix(strain_symbol, point, xi1, 1).coeffs
+    s0, s1 = _entry_coefficients(strain_symbol, point, xi1, 1)
     return float(np.linalg.norm(s0 @ data[0] + s1 @ data[1]) / np.linalg.norm(data))

@@ -21,7 +21,6 @@ from shellsym.cli import (
     _g17,
     main,
     parse_config,
-    serialize_config,
 )
 
 BASE_CFG = """
@@ -49,7 +48,7 @@ def read(path):
         return fh.read()
 
 
-def test_config_round_trip():
+def test_config_parses_every_field_type():
     every_type = BASE_CFG + """
 chart = sphere-cap
 chart_params = 2.5
@@ -60,16 +59,13 @@ elasticity_membrane = 2,0.5,0,2,0,1
 elasticity_bending = 1,0,0.25,1,0,0.5
 f_profile = delta:4
 """
-    for text in (BASE_CFG, every_type, every_type + "theta = none\nzeta = 1.5\n"):
-        cfg = parse_config(text)
-        canon = serialize_config(cfg)
-        assert parse_config(canon) == cfg
-        assert serialize_config(parse_config(canon)) == canon
     cfg = parse_config(every_type)
     assert (cfg.chart_params, cfg.theta, cfg.zeta) == ((2.5,), 0.75, None)
     assert cfg.elasticity_bending == (1.0, 0.0, 0.25, 1.0, 0.0, 0.5)
     assert [type(k) for k in cfg.kernel_modes] == [int, int]
     assert type(cfg.n_modes) is int and type(cfg.d) is float
+    cfg = parse_config(every_type + "theta = none\nzeta = 1.5\n")
+    assert (cfg.theta, cfg.zeta) == (None, 1.5)
 
 
 def test_config_rejects_unknown_key():

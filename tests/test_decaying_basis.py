@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import ordqz
 
 from shellsym.geometry import ElasticityTensor, frozen_point
-from shellsym.polymat import PolyMatrix
+from shellsym.polymat import poly_coefficients
 from shellsym.symbols import INFINITE_RTOL, builtin_system, decaying_solution_basis
 
 SYSTEMS = ("rigidity", "membrane_tension", "membrane", "koiter")
@@ -21,7 +21,7 @@ def _reference_basis(system, pt, s):
     # largest entry, which leaves the roots and the solutions as they are;
     # QZ then orders the finite upper half-plane eigenvalues first
     n, deg, m = system.n_unknowns, system.max_entry_degree, system.half_order
-    coeffs = PolyMatrix.from_samples(lambda z: system.symbol_gen(pt, (s, z)), deg).coeffs
+    coeffs = poly_coefficients(lambda z: system.symbol_gen(pt, (s, z)), deg)
     top = np.abs(coeffs).max(axis=(0, 2))
     coeffs = coeffs / np.exp2(np.round(np.log2(top)))[:, None]
     size = n * deg

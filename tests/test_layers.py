@@ -10,7 +10,7 @@ from shellsym.layers import (
     build_layer_modes,
     decaying_profile,
     energy_symbols,
-    fourth_order_polymatrix,
+    fourth_order_symbol,
     frequency_cutoff,
     generalized_eigenvector,
     jordan_residual,
@@ -26,7 +26,7 @@ from shellsym.layers import (
 )
 from shellsym.symbols import builtin_system, characteristic_roots
 
-from conftest import random_elliptic_b, random_spd_matrix
+from conftest import jordan_profile_residual, random_elliptic_b, random_spd_matrix
 
 B_ROUND = (1.0, 0.0, 1.0)
 A_ID = np.eye(3)
@@ -163,11 +163,15 @@ def test_jordan_profile_polynomial_coefficients_vanish(rng):
     b = random_elliptic_b(rng)
     a = random_spd_matrix(rng)
     mode_m, _ = build_layer_modes(b, a, 2.0)
-    pm = fourth_order_polymatrix(b, a, 2.0)
-    from shellsym.polymat import apply_layer_ode
-    out = apply_layer_ode(pm, mode_m.jordan_profile())
-    for c in out.coeffs:
-        assert np.linalg.norm(c) < 1e-9
+    p_coeffs = fourth_order_symbol(b, a, 2.0)
+    # P(z) is the product of the adjoint and the first-order factor
+    g0, g1 = layer_matrices(b, 2.0)
+    z = 0.7 - 1.3j
+    p_z = (p_coeffs[2] * z + p_coeffs[1]) * z + p_coeffs[0]
+    product = (g0.conj().T - z * g1.T) @ a @ (g0 + z * g1)
+    assert np.linalg.norm(p_z - product) < 1e-12 * np.linalg.norm(product)
+    assert jordan_profile_residual(mode_m, p_coeffs) < 1e-9
+    assert jordan_residual(mode_m, a) < 1e-9
 
 
 def test_semisimple_exponent_is_reported():
