@@ -31,10 +31,7 @@ from .layers import (
     bending_layer_energy,
     bending_symbol_coefficient,
     build_layer_modes,
-    decaying_profile,
-    energy_symbols,
     frequency_cutoff,
-    generalized_eigenvector,
     layer_eigenvector,
     layer_energy_coefficient,
     matching_constants,

@@ -278,12 +278,14 @@ def cmd_check_sl(cfg: ExperimentConfig) -> None:
 def cmd_layer_modes(cfg: ExperimentConfig) -> None:
     elastic = cfg.elasticity_tensor()
     b = cfg.b_coeffs
+    # theta and zeta are constants of (b, A): one value for every row
+    theta = layers.layer_energy_coefficient(b, elastic.membrane)
+    zeta = layers.bending_symbol_coefficient(b, elastic.bending)
     values = []
     for xi1 in cfg.xi1_list:
         lam_p, lam_m = layers.rigidity_roots(*b, xi1)
         values.append((xi1, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag,
-                       layers.layer_energy_coefficient(b, elastic.membrane, xi1),
-                       layers.bending_symbol_coefficient(b, elastic.bending, xi1)))
+                       theta, zeta))
     rows = ["%s,%s,%s,%s,%s,%s,%s" % row for row in zip(*_g17(*zip(*values)))]
     write_csv(cfg.output_path,
               "xi1,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,theta,zeta",
@@ -291,12 +293,14 @@ def cmd_layer_modes(cfg: ExperimentConfig) -> None:
 
 
 def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
+    # one at a time: at an umbilic zeta exists while theta does not
     theta, zeta = cfg.theta, cfg.zeta
-    if theta is None or zeta is None:
-        layer_theta, layer_zeta = layers.energy_symbols(cfg.b_coeffs,
-                                                        cfg.elasticity_tensor())
-        theta = layer_theta if theta is None else theta
-        zeta = layer_zeta if zeta is None else zeta
+    if theta is None:
+        theta = layers.layer_energy_coefficient(cfg.b_coeffs,
+                                                cfg.elasticity_tensor().membrane)
+    if zeta is None:
+        zeta = layers.bending_symbol_coefficient(cfg.b_coeffs,
+                                                 cfg.elasticity_tensor().bending)
     return reduced.build_default_operator(theta, zeta, cfg.d, cfg.n_modes, eps)
 
 

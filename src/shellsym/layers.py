@@ -15,22 +15,42 @@ whose characteristic exponents are the roots of
 the layer factorizes as ``(G0c^T - G1^T d/dy2) A (G0 + G1 d/dy2)`` with ``A``
 the reduced membrane rigidity matrix; each exponent is a double root of its
 characteristic determinant, and the second solution is the Jordan profile
-``(y2*w + v) exp(lam*y2)``: with ``P(z) = P0 + P1 z + P2 z^2`` the operator's
-symbol, :func:`jordan_residual` checks the Jordan chain ``P(lam) w = 0``,
-``P(lam) v + P'(lam) w = 0`` in closed form.  This module builds those
-modes, the matched layer correction that enforces the tangential boundary
-conditions, and the two boundary energy coefficients: ``theta`` for the
-membrane layer symbol ``theta*|xi1|`` and ``zeta`` for the bending symbol
-``zeta*|xi1|^3``.
+``(y2*w + v) exp(lam*y2)``.  Every link of that Jordan chain is closed-form:
+
+* ``w = (i*lam/xi1 * b11/b22, 1, lam/b22)`` spans ``ker(G0 + lam*G1)``;
+* ``u0 ~ (-i*lam/xi1, i*xi1/lam, 1)`` spans ``ker(G0c^T - lam*G1^T)``: rows 1
+  and 2 fix it, and row 3 is the characteristic equation;
+* the profile has the constant strain ``r = (G0 + lam*G1) v + G1 w`` and
+  solves the operator exactly when ``A r`` lies along ``u0``; the Fredholm
+  alternative under the bilinear pairing then gives ``r = tau A^{-1} u0`` with
+  ``tau = u0^T G1 w / u0^T A^{-1} u0``;
+* rows 1 and 2 of ``(G0 + lam*G1) v = r - G1 w`` give
+  ``v = (i*rho1/xi1, rho2/lam, 0)`` with ``rho = r - G1 w``; its component
+  along ``w`` is then removed.
+
+With ``P(z) = P0 + P1 z + P2 z^2`` the operator's symbol,
+:func:`jordan_residual` checks the chain ``P(lam) w = 0``,
+``P(lam) v + P'(lam) w = 0``.  This module builds those modes, the matched
+layer correction that enforces the tangential boundary conditions, and the
+two boundary energy coefficients: ``theta`` for the membrane layer symbol
+``theta*|xi1|``, proportional to ``<A r, r> = |tau|^2 u0^H A^{-1} u0``, and
+``zeta`` for the bending symbol ``zeta*|xi1|^3``.
+
+At an umbilic point (``b12 = 0``, ``b11 = b22``) with the ``frobenius`` or
+``isotropic`` rigidity the pairing ``u0^T A^{-1} u0`` vanishes: the double
+exponent is semisimple, no Jordan profile exists, and :class:`StructureError`
+is raised.  Near such a point the pairing falls like the distance squared,
+so ``theta``, which carries ``|tau|^2``, grows like its inverse square, the
+fourth power of the inverse distance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ElasticityTensor, SurfaceEllipticityError
+from .geometry import SurfaceEllipticityError
 from .symbols import DegenerateModeError
 
 
@@ -110,53 +130,40 @@ def fourth_order_symbol(b, a_membrane: np.ndarray, xi1: float) -> np.ndarray:
     ])
 
 
-def generalized_eigenvector(lam: complex, w: np.ndarray,
-                            a_membrane: np.ndarray, xi1: float, b) -> tuple:
-    """Jordan vector ``v`` of the fourth-order layer operator, with ``(tau, u0)``.
+def _jordan_chain(lam: complex, w: np.ndarray, a_membrane: np.ndarray,
+                  xi1: float, b) -> tuple:
+    """Closed-form Jordan chain ``(u0, tau, r, v)`` of the exponent ``lam``.
 
-    ``u0`` is the unit kernel vector of ``G0c^T - lam*G1^T`` and ``tau`` the
-    solvability scalar ``<G1 w, u0> / <A^{-1} u0, u0>`` of the Fredholm
-    alternative, taken with the bilinear pairing ``<x, y> = sum x_i y_i``
-    (the kernel of the transposed pencil equals that of the adjoint factor,
-    so this pairing is the one under which the alternative closes).  The
-    returned ``v`` solves ``(G0 + lam*G1) v + G1 w = A^{-1} (tau*u0)`` and is
-    gauged to have no component along the eigenvector ``w``.
+    ``u0`` is the unit kernel vector of ``G0c^T - lam*G1^T``, ``tau`` the
+    solvability scalar under the bilinear pairing, ``r = tau A^{-1} u0`` the
+    constant strain ``(G0 + lam*G1) v + G1 w`` of the Jordan profile, and
+    ``v`` the Jordan vector with no component along ``w``.
     """
-    g0, g1 = layer_matrices(b, xi1)
-    a = np.asarray(a_membrane, dtype=float)
-    big_m = g0 + lam * g1
-    big_l = g0.conj().T - lam * g1.T
-
-    _, sv, vh = np.linalg.svd(big_l)
-    if sv[-1] > 1e-8 * sv[0]:
-        raise StructureError(f"lam={lam} is not a characteristic exponent")
-    if sv[-2] < 1e-8 * sv[0]:
-        raise StructureError("adjoint kernel is not one-dimensional")
-    u0 = vh[-1].conj()
-
-    a_inv_u0 = np.linalg.solve(a, u0)
+    u0 = np.array([-1j * lam / xi1, 1j * xi1 / lam, 1.0])
+    u0 /= np.linalg.norm(u0)
+    a_inv_u0 = np.linalg.solve(a_membrane, u0)
     denom = complex(u0 @ a_inv_u0)                      # bilinear pairing
-    if abs(denom) < 1e-10:
+    # |u0^T A^-1 u0| / u0^H A^-1 u0 lies in [0, 1] whatever the scale of A
+    if abs(denom) < 1e-10 * np.vdot(u0, a_inv_u0).real:
         raise StructureError(
             "double exponent is semisimple for this rigidity tensor; "
             "no Jordan profile exists "
             f"(b={tuple(b)}, xi1={xi1})")
-    tau = complex(u0 @ (g1 @ w)) / denom
-    rhs = tau * a_inv_u0 - g1 @ w
-    v, *_ = np.linalg.lstsq(big_m, rhs, rcond=None)
-    if np.linalg.norm(big_m @ v - rhs) > 1e-8 * (np.linalg.norm(rhs) + 1.0):
-        raise DegenerateModeError(
-            f"generalized-eigenvector system inconsistent at lam={lam}")
-    v = v - (np.vdot(w, v) / np.vdot(w, w)) * w
-    return v, tau, u0
+    g1_w = np.array([0.0, w[1], w[0]])                  # G1 w
+    tau = complex(u0 @ g1_w) / denom
+    r = tau * a_inv_u0
+    rho = r - g1_w
+    # rows 1 and 2 of (G0 + lam*G1) v = rho with v3 = 0; row 3 then holds
+    v = np.array([1j * rho[0] / xi1, rho[1] / lam, 0.0])
+    v -= (np.vdot(w, v) / np.vdot(w, w)) * w
+    return u0, tau, r, v
 
 
 def _layer_mode(lam: complex, b: tuple, a_membrane: np.ndarray,
                 xi1: float) -> LayerMode:
     """The :class:`LayerMode` of exponent ``lam`` with its Jordan vector."""
     w = layer_eigenvector(lam, xi1, b)
-    v, _, _ = generalized_eigenvector(lam, w, a_membrane, xi1, b)
-    return LayerMode(lam, w, v, xi1, b)
+    return LayerMode(lam, w, _jordan_chain(lam, w, a_membrane, xi1, b)[3], xi1, b)
 
 
 def build_layer_modes(b, a_membrane: np.ndarray, xi1: float) -> tuple:
@@ -178,74 +185,13 @@ def jordan_residual(mode: LayerMode, a_membrane: np.ndarray) -> float:
                np.linalg.norm(p_lam @ mode.w)) / scale
 
 
-def strain_residual_vector(mode: LayerMode) -> np.ndarray:
-    """First-order strain of the Jordan profile: the constant vector
-    ``(G0 + lam*G1) v + G1 w`` driving the layer energy."""
-    g0, g1 = layer_matrices(mode.b, mode.xi1)
-    return (g0 + mode.lam * g1) @ mode.v + g1 @ mode.w
-
-
 # ---------------------------------------------------------------------------
-# decaying profiles and matching
+# matching
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ExpPolyMode:
-    """Vector-valued exponential polynomial ``sum_j y^j c_j  * exp(growth*y)``.
-
-    ``growth`` is the raw exponent multiplying the coordinate, so a mode that
-    decays into the domain has ``Re(growth) < 0``.
-    """
-
-    growth: complex
-    coeffs: list = field(default_factory=list)
-
-    def eval(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = sum(np.multiply.outer(y ** j, c) for j, c in enumerate(self.coeffs))
-        return out * np.exp(self.growth * y)[..., None]
-
-    def value_at_zero(self) -> np.ndarray:
-        return np.asarray(self.coeffs[0], dtype=complex)
-
-
-@dataclass(frozen=True)
-class DecayingProfile:
-    """Two-exponential near-edge profile of a zero-strain displacement.
-
-    The profile with tangential-normal trace removed at the edge and third
-    component ``w3_hat`` is ``C * (w_plus e^{lam_p y2} - w_minus e^{lam_m y2})``
-    with ``C = b11*b22 / (2 |xi1| sqrt(b11*b22 - b12^2)) * w3_hat``.
-    """
-
-    amplitude: complex
-    modes: tuple          # pair of ExpPolyMode
-
-    def eval(self, y2) -> np.ndarray:
-        return sum(m.eval(y2) for m in self.modes)
-
-    def value_at_zero(self) -> np.ndarray:
-        return sum(m.value_at_zero() for m in self.modes)
-
 
 def _edge_amplitude(b11: float, b12: float, b22: float, xi1: float) -> float:
     """Layer amplitude per unit edge trace ``b11*b22 / (2|xi1| sqrt(b11*b22 - b12^2))``."""
     return b11 * b22 / (2.0 * abs(xi1) * np.sqrt(b11 * b22 - b12 ** 2))
-
-
-def decaying_profile(w3_trace_hat: complex, xi1: float, b) -> DecayingProfile:
-    """Near-edge mode profile reconstructed from its third-component trace."""
-    b11, b12, b22 = _b_triple(b)
-    if xi1 == 0:
-        raise ValueError("xi1 = 0: low frequencies are handled by the cutoff")
-    lam_p, lam_m = rigidity_roots(b11, b12, b22, xi1)
-    w_p = layer_eigenvector(lam_p, xi1, b)
-    w_m = layer_eigenvector(lam_m, xi1, b)
-    amp = _edge_amplitude(b11, b12, b22, xi1) * w3_trace_hat
-    return DecayingProfile(amp, (
-        ExpPolyMode(lam_p, [amp * w_p]),
-        ExpPolyMode(lam_m, [-amp * w_m]),
-    ))
 
 
 @dataclass(frozen=True)
@@ -268,15 +214,10 @@ class MatchingResult:
     mode_minus: LayerMode
     mode_plus: LayerMode
 
-    def modified_profile(self) -> list:
-        """Exp-poly modes of the matched profile (components 1, 2 vanish at 0)."""
-        w_p = self.mode_plus.w
-        w_m, v_m = self.mode_minus.w, self.mode_minus.v
-        return [
-            ExpPolyMode(self.mode_plus.lam, [self.c1 * w_p]),
-            ExpPolyMode(self.mode_minus.lam,
-                        [self.c2 * w_m + self.c4 * v_m, self.c4 * w_m]),
-        ]
+    def edge_trace(self) -> np.ndarray:
+        """The matched profile at ``y2 = 0``; components 1 and 2 vanish."""
+        return self.c1 * self.mode_plus.w + self.c2 * self.mode_minus.w \
+            + self.c4 * self.mode_minus.v
 
 
 def matching_constants(xi1: float, b, a_membrane: np.ndarray,
@@ -328,8 +269,8 @@ def layer_energy_coefficient(b, a_membrane: np.ndarray,
 
     Evaluates, in stretched layer coordinates ``s = |xi1| y2``, the exact
     exponential integral of the rigidity-contracted strain of the matched
-    correction: with ``r = (G0 + lam_m G1) v_m + G1 w_m`` and
-    ``mu = lam_m/|xi1|``,
+    correction: with ``r = (G0 + lam_m G1) v_m + G1 w_m = tau A^{-1} u0``
+    the strain of the Jordan chain and ``mu = lam_m/|xi1|``,
 
         theta = (b11*b22 / (2 sqrt(b11*b22 - b12^2)))^2
                 * <A r, r> / (2 |Re mu|).
@@ -339,9 +280,9 @@ def layer_energy_coefficient(b, a_membrane: np.ndarray,
     """
     b11, b12, b22 = b = _b_triple(b)
     _, lam_m = rigidity_roots(*b, xi1)
-    mode_m = _layer_mode(lam_m, b, a_membrane, xi1)
-    r = strain_residual_vector(mode_m)
-    mu = mode_m.lam / abs(xi1)
+    w = layer_eigenvector(lam_m, xi1, b)
+    _, _, r, _ = _jordan_chain(lam_m, w, a_membrane, xi1, b)
+    mu = lam_m / abs(xi1)
     pref = (b11 * b22 / (2.0 * np.sqrt(b11 * b22 - b12 ** 2))) ** 2
     theta = pref * float(np.vdot(r, np.asarray(a_membrane) @ r).real) \
         / (2.0 * abs(mu.real))
@@ -360,26 +301,6 @@ def membrane_layer_energy(xi1: float, w3_hat: complex, b,
     """
     theta = layer_energy_coefficient(b, a_membrane)
     return theta * abs(xi1) * abs(w3_hat) ** 2
-
-
-def layer_correction_energy_quadrature(xi1: float, w3_hat: complex, b,
-                                       a_membrane: np.ndarray) -> float:
-    """Direct quadrature of the matched correction's membrane energy.
-
-    The correction normalized by the edge trace of the third component has
-    the constant strain vector ``c1 * r`` and decays like
-    ``exp(lam_m y2)``; its energy is ``|c1|^2 <A r, r> / (2 |Re lam_m|)``
-    and falls off like ``|xi1|^{-3}`` at fixed trace: the layer motion is
-    near-rigid, which is the amplification mechanism.
-    """
-    b = _b_triple(b)
-    _, lam_m = rigidity_roots(*b, xi1)
-    mode_m = _layer_mode(lam_m, b, a_membrane, xi1)
-    r = strain_residual_vector(mode_m)
-    c1 = _edge_amplitude(*b, xi1) * w3_hat
-    quad = float(np.vdot(r, np.asarray(a_membrane) @ r).real) \
-        / (2.0 * abs(mode_m.lam.real))
-    return abs(c1) ** 2 * quad
 
 
 def bending_symbol_coefficient(b, b_bending: np.ndarray,
@@ -413,16 +334,6 @@ def bending_layer_energy(xi1: float, u3_hat: complex, b,
     """
     zeta = bending_symbol_coefficient(b, b_bending)
     return zeta * abs(xi1) ** 3 * abs(u3_hat) ** 2
-
-
-def energy_symbols(b, elasticity: ElasticityTensor) -> tuple:
-    """The boundary energy coefficients ``(theta, zeta)`` for curvature ``b``.
-
-    ``theta`` weighs the order-1/2 membrane symbol ``theta*|xi1|`` and
-    ``zeta`` the order-3/2 bending symbol ``zeta*|xi1|^3``.
-    """
-    return (layer_energy_coefficient(b, elasticity.membrane),
-            bending_symbol_coefficient(b, elasticity.bending))
 
 
 # ---------------------------------------------------------------------------

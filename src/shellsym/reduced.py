@@ -218,7 +218,8 @@ def build_default_operator(theta: float, zeta: float, d: float,
     """Default model operator from the boundary energy coefficients.
 
     ``theta`` and ``zeta`` are the membrane and bending coefficients of the
-    layer analysis (``layers.energy_symbols``).  ``d > 0`` is the
+    layer analysis (``layers.layer_energy_coefficient`` and
+    ``layers.bending_symbol_coefficient``).  ``d > 0`` is the
     transmission decay rate: the harmonic extension across the domain is
     modeled as ``exp(-d |k|)``, and it enters squared because the smoothing
     operator is the two-sided composition with the layer form.  ``q(0)`` is

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from shellsym.layers import layer_matrices
+
 
 @pytest.fixture
 def rng():
@@ -39,3 +41,25 @@ def jordan_profile_residual(mode, p_coeffs, ys=(0.0, 0.5, 1.0, 2.0)):
         d2f = lam ** 2 * f + 2 * lam * w * e
         worst = max(worst, np.linalg.norm(p0 @ f + p1 @ df + p2 @ d2f))
     return worst
+
+
+def jordan_chain_oracle(lam, w, a, xi1, b):
+    """``(u0, tau, r, v)`` of the Jordan profile by SVD and least squares.
+
+    ``u0`` is the right singular vector of ``G0c^T - lam*G1^T`` for its
+    smallest singular value, ``tau = u0^T G1 w / u0^T A^{-1} u0``, ``v`` the
+    least-squares solution of ``(G0 + lam*G1) v = tau A^{-1} u0 - G1 w``
+    without its component along ``w``, and ``r = (G0 + lam*G1) v + G1 w``.
+    """
+    g0, g1 = layer_matrices(b, xi1)
+    big_m = g0 + lam * g1
+    _, sv, vh = np.linalg.svd(g0.conj().T - lam * g1.T)
+    assert sv[-1] < 1e-8 * sv[0] < sv[-2], "adjoint kernel is not one-dimensional"
+    u0 = vh[-1].conj()
+    a_inv_u0 = np.linalg.solve(a, u0)
+    tau = (u0 @ (g1 @ w)) / (u0 @ a_inv_u0)
+    rhs = tau * a_inv_u0 - g1 @ w
+    v, *_ = np.linalg.lstsq(big_m, rhs, rcond=None)
+    assert np.linalg.norm(big_m @ v - rhs) < 1e-8 * (np.linalg.norm(rhs) + 1.0)
+    v = v - (np.vdot(w, v) / np.vdot(w, w)) * w
+    return u0, tau, big_m @ v + g1 @ w, v

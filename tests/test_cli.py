@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellsym import reduced, symbols
+from shellsym import layers, reduced, symbols
+from shellsym.geometry import ElasticityTensor
 from shellsym.cli import (
     COMMANDS,
     ConfigError,
@@ -271,6 +272,75 @@ def test_cli_default_theta_zeta_from_layer(tmp_path):
     assert float(row[-1]) == pytest.approx(3.0)   # zeta
 
 
+def test_cli_operator_computes_only_the_unset_coefficient(tmp_path, monkeypatch):
+    # theta and zeta come from the two layer coefficient functions, each one
+    # only when the configuration leaves it unset
+    b, elastic = (1.3, 0.4, 0.8), ElasticityTensor.isotropic()
+    theta = layers.layer_energy_coefficient(b, elastic.membrane)
+    zeta = layers.bending_symbol_coefficient(b, elastic.bending)
+    seen, calls = [], Counter()
+    build = reduced.build_default_operator
+
+    def build_seen(theta, zeta, *args):
+        seen.append((theta, zeta))
+        return build(theta, zeta, *args)
+
+    def counted(fn):
+        def coefficient(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return coefficient
+
+    monkeypatch.setattr(reduced, "build_default_operator", build_seen)
+    for name in ("layer_energy_coefficient", "bending_symbol_coefficient"):
+        monkeypatch.setattr(layers, name, counted(getattr(layers, name)))
+    cfg = tmp_path / "op.cfg"
+    out = str(tmp_path / "v.csv")
+    for extra, want, computed in (
+            ("", (theta, zeta), {"layer_energy_coefficient": 1,
+                                 "bending_symbol_coefficient": 1}),
+            ("theta = 0.5\n", (0.5, zeta), {"bending_symbol_coefficient": 1}),
+            ("zeta = 2\n", (theta, 2.0), {"layer_energy_coefficient": 1})):
+        cfg.write_text("b_coeffs = 1.3,0.4,0.8\nelasticity = isotropic\n"
+                       "epsilon_list = 1e-3\nN = 32\n" + extra)
+        assert main(["solve-reduced", "--config", str(cfg), "--out", out]) == 0
+        assert (seen, calls) == ([want], computed)
+        seen.clear()
+        calls.clear()
+
+
+UMBILIC_CFG = "b_coeffs = 1,0,1\nelasticity = {}\nepsilon_list = 1e-2,1e-3\nN = 64\n"
+
+
+@pytest.mark.parametrize("elasticity", ["frobenius", "isotropic"])
+def test_umbilic_fails_only_where_theta_is_needed(tmp_path, capsys, elasticity):
+    # at the umbilic the double exponent is semisimple and theta has no
+    # Jordan profile; a command given theta needs only zeta, which exists
+    cfg = tmp_path / "umbilic.cfg"
+    out = str(tmp_path / "x.csv")
+    cfg.write_text(UMBILIC_CFG.format(elasticity))
+    for command in ("layer-modes", "sweep-epsilon"):
+        assert main([command, "--config", str(cfg), "--out", out]) == 3
+        assert "double exponent is semisimple" in capsys.readouterr().err
+    cfg.write_text(UMBILIC_CFG.format(elasticity) + "theta = 1\n")
+    assert main(["sweep-epsilon", "--config", str(cfg), "--out", out]) == 0
+
+
+def test_layer_modes_rigidity_in_pascal(tmp_path):
+    # a steel-like membrane rigidity (1e11 Pa) is no umbilic: theta is the
+    # unit-rigidity value scaled by 1e11
+    cfg = tmp_path / "steel.cfg"
+    cfg.write_text("b_coeffs = 1.3,0.4,0.8\nelasticity = explicit\n"
+                   "elasticity_membrane = 1e11,0,0,1e11,0,5e10\n"
+                   "elasticity_bending = 1,0,0,1,0,0.5\nxi1_list = 1,-2\n")
+    out = str(tmp_path / "modes.csv")
+    assert main(["layer-modes", "--config", str(cfg), "--out", out]) == 0
+    theta = 1e11 * layers.layer_energy_coefficient((1.3, 0.4, 0.8),
+                                                   np.diag([1.0, 1.0, 0.5]))
+    for row in read(out).decode().strip().splitlines()[2:]:
+        assert float(row.split(",")[-2]) == pytest.approx(theta, rel=1e-12)
+
+
 def test_sweep_samples_symbols_once(tmp_path, monkeypatch):
     # s, q and the order-3 weights are eps-independent: one sweep samples
     # them on the 2N+1 modes once, whatever the number of eps
@@ -350,37 +420,37 @@ SL_16_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = frobenius\nepsilon_list = 1e-
     (CRITERION_12_CFG, "check-sl",
      "823cf57a883a69cef0eb47dbf790685495243be2058a5026d8c7bc35a5e8b671"),
     (CRITERION_12_CFG, "layer-modes",
-     "239f3b97e3c57e1354a539088ad409eb21b672c32ef4900d4a9688498232ca86"),
+     "9546434e105f532f3d522c83180399427698b809f92c93f224fb916e8d51e8d3"),
     (CRITERION_12_CFG, "check-ellipticity",
      "fe77ea3e223b1d7f203a0669660029b78ac221813f679b09a41cc57c3e98b232"),
     (SPHERE_CAP_CFG, "check-ellipticity",
      "f18367990b7a51f62e3c0a65abc2a274f364359faab833b7d6398c4929881a53"),
     (FLAT_4096_CFG, "solve-reduced",
-     "ced86e187b3d5908063f68acf51ec5c8f41d91970c26dee499637913a56461ee"),
+     "ebb940277a3bb6ceb7d7600b4a4ccb34b73623952932ab38821020ad11a54d2f"),
     (FLAT_4096_CFG, "sensitivity",
-     "3a71b9f2e75add5e591e28096f091200ba8e966f127123597ba1658a4aedfd0b"),
+     "838240f4bddbbbba0bcd674673eb5421edda10acf86e0dfde38e3e72be9d35dd"),
     (SWEEP_1024_CFG, "sweep-epsilon",
-     "f48e90eeab752bf5c4255fc8f6296d9a3e7c7781913cbd628453522422e5505e"),
+     "98a0490b4e7a34656e4b8c739004c2371a845ebd06d28f1e3b7ee9ce4cfb6f87"),
     (CRITERION_12_CFG + "kernel_modes = 3,7\n", "rescale-demo",
-     "d8ae8bd98e0f889e075ef011eb39d1c217052b86c3ceebc93d2e942df819d870"),
+     "0c6a64f3f81eeacc865f146e969fe9344657e097f9d711c72f14973a4a0acfbf"),
     (CRITERION_12_CFG, "solve-reduced",
-     "00d5aa0c3363735785dd6e43243e31581dc4f000dde0463dd33022ac021c990e"),
+     "59accda7822bd1ae347b242b59f3741c66265b5059b3ccb8aef3dc54c92abf2d"),
     (CRITERION_12_CFG, "sweep-epsilon",
-     "d1897933a511fda4a951d277832039fa335b701742abcd3be733379f080e7507"),
+     "43b38fbcaf82f5aadf522ed70b5803667ac6ec5b65f1e88730ff8204b5300cdb"),
     (MIXED_SIGN_CFG.format("frobenius"), "check-sl",
      "25beb966a714d54ebfeed4d86eea8a66cb5b9a2e7b9de653fc69c19a2f27b5d5"),
     (MIXED_SIGN_CFG.format("isotropic"), "check-sl",
      "c4d63f75280ce9b6eddd349097027aabdd08f5f17acf5765d48e81ca982661e5"),
     (MIXED_SIGN_CFG.format("frobenius"), "layer-modes",
-     "b958bf91a065f50a05fa2517a56de8a8de15fe1fc184fef5c91955dfe6b1942f"),
+     "8a9fdbed2f3833db4d863418ff2ec8903c14d565def0405a0c9e0eca5ad13a61"),
     (MIXED_SIGN_CFG.format("isotropic"), "layer-modes",
-     "665cb9bac145d99667642901f45a168042d6a478823233ca742b820dee2814f1"),
+     "1814d5a9693244abafa2b9698b3891dcfc44e00aacfb62461a9a2d43d51ff51b"),
     (HYPERBOLIC_CFG, "check-ellipticity",
      "86bd2ebd1a3e6bce61d8753cabe603b01a2644bded492f40d28b928141433ae2"),
     (DELTA_512_CFG, "solve-reduced",
      "f719db18ca3f79726f97907db47743cf4c9ec549987c10015ebba7fba16d785e"),
     (SENSITIVITY_1024_CFG, "sensitivity",
-     "5142d2bc61ccc59cc7c40f10cc2d444588eaf4f9309bc15a5dc706ae005b0e4c"),
+     "c72dbb18f11f8e08f707761991d5d33030c0b04462211d5bf633658d08cd9b22"),
     (SL_16_CFG, "check-sl",
      "3d276537f285199cf3a0a5a3fe76196a0aa4d55a9a70f941ba3ba622f7043e6e"),
 ])
@@ -392,8 +462,10 @@ def test_cli_golden_bytes(tmp_path, config, command, digest):
     # their rows came from one %-template; the mixed-sign check-sl and
     # layer-modes cases: before check-sl shared one decaying basis per
     # system and sign; the delta, sensitivity-1024 and
-    # 16-xi1 cases: before each distinct double was formatted once); a
-    # refactor of the symbol layer or of the CSV writer must reproduce them
+    # 16-xi1 cases: before each distinct double was formatted once; the
+    # cases whose bytes depend on theta: since theta came from the closed-form
+    # Jordan chain and layer-modes computed theta and zeta once per command);
+    # a refactor of the symbol layer or of the CSV writer must reproduce them
     # exactly
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(config)

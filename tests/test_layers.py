@@ -5,28 +5,29 @@ from scipy.integrate import quad
 from shellsym.geometry import ElasticityTensor, SurfaceEllipticityError, frozen_point
 from shellsym.layers import (
     StructureError,
+    _jordan_chain,
     bending_layer_energy,
     bending_symbol_coefficient,
     build_layer_modes,
-    decaying_profile,
-    energy_symbols,
     fourth_order_symbol,
     frequency_cutoff,
-    generalized_eigenvector,
     jordan_residual,
-    layer_correction_energy_quadrature,
     layer_eigenvector,
     layer_energy_coefficient,
     layer_matrices,
     matching_constants,
     membrane_layer_energy,
     rigidity_roots,
-    strain_residual_vector,
     sublayer_scaling_check,
 )
 from shellsym.symbols import builtin_system, characteristic_roots
 
-from conftest import jordan_profile_residual, random_elliptic_b, random_spd_matrix
+from conftest import (
+    jordan_chain_oracle,
+    jordan_profile_residual,
+    random_elliptic_b,
+    random_spd_matrix,
+)
 
 B_ROUND = (1.0, 0.0, 1.0)
 A_ID = np.eye(3)
@@ -138,7 +139,7 @@ def test_adjoint_kernel_pairing_positive(rng):
         a = random_spd_matrix(rng)
         lam_p, lam_m = rigidity_roots(*b, 1.0)
         w = layer_eigenvector(lam_m, 1.0, b)
-        _, _, u0 = generalized_eigenvector(lam_m, w, a, 1.0, b)
+        u0, _, _, _ = _jordan_chain(lam_m, w, a, 1.0, b)
         val = np.vdot(u0, np.linalg.solve(a, u0))
         assert val.real > 0 and abs(val.imag) < 1e-12
 
@@ -148,10 +149,10 @@ def test_generalized_vector_gauge_and_tau(rng):
     a = random_spd_matrix(rng)
     lam_p, lam_m = rigidity_roots(*b, 1.0)
     w = layer_eigenvector(lam_m, 1.0, b)
-    v, tau, u0 = generalized_eigenvector(lam_m, w, a, 1.0, b)
+    u0, tau, _, v = _jordan_chain(lam_m, w, a, 1.0, b)
     # no eigenvector component, and re-solving reproduces the same vector
     assert abs(np.vdot(w, v)) < 1e-10 * np.linalg.norm(v)
-    v2, _, _ = generalized_eigenvector(lam_m, w, a, 1.0, b)
+    _, _, _, v2 = _jordan_chain(lam_m, w, a, 1.0, b)
     assert np.allclose(v, v2, atol=1e-12)
     # the strain residual lies along A^{-1} u0 with the solvability scalar tau
     g0, g1 = layer_matrices(b, 1.0)
@@ -176,40 +177,48 @@ def test_jordan_profile_polynomial_coefficients_vanish(rng):
 
 def test_semisimple_exponent_is_reported():
     # at the round point with the Frobenius rigidity the double exponent is
-    # semisimple: the Fredholm denominator vanishes and no Jordan profile exists
-    a = ElasticityTensor.frobenius_identity().membrane
+    # semisimple: the Fredholm denominator vanishes and no Jordan profile
+    # exists; so with the isotropic one, at every scale of the rigidity
     lam_p, lam_m = rigidity_roots(*B_ROUND, 1.0)
     w = layer_eigenvector(lam_m, 1.0, B_ROUND)
-    with pytest.raises(StructureError):
-        generalized_eigenvector(lam_m, w, a, 1.0, B_ROUND)
+    for tensor in (ElasticityTensor.frobenius_identity(), ElasticityTensor.isotropic()):
+        for s in (1e-12, 1.0, 1e12):
+            with pytest.raises(StructureError, match="double exponent is semisimple"):
+                _jordan_chain(lam_m, w, s * tensor.membrane, 1.0, B_ROUND)
+
+
+def test_closed_form_chain_matches_svd_oracle(rng):
+    # v, r and theta from the closed-form chain against the SVD + least-squares
+    # route, at random curvatures, rigidities and both signs of xi1
+    for _ in range(30):
+        b = random_elliptic_b(rng)
+        a = random_spd_matrix(rng)
+        xi1 = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 8.0)
+        _, lam_m = rigidity_roots(*b, xi1)
+        w = layer_eigenvector(lam_m, xi1, b)
+        _, _, r, v = _jordan_chain(lam_m, w, a, xi1, b)
+        _, _, r_ref, v_ref = jordan_chain_oracle(lam_m, w, a, xi1, b)
+        assert np.linalg.norm(v - v_ref) < 1e-12 * np.linalg.norm(v_ref)
+        assert np.linalg.norm(r - r_ref) < 1e-12 * np.linalg.norm(r_ref)
+        b11, b12, b22 = b
+        pref = (b11 * b22 / (2.0 * np.sqrt(b11 * b22 - b12 ** 2))) ** 2
+        theta_ref = pref * np.vdot(r_ref, a @ r_ref).real \
+            / (2.0 * abs(lam_m.real) / abs(xi1))
+        assert abs(layer_energy_coefficient(b, a, xi1) - theta_ref) < 1e-12 * theta_ref
+
+
+def test_theta_scales_with_rigidity():
+    # theta is linear in A: the semisimple test is free of A's scale, so a
+    # rigidity in Pa (1e11) is no umbilic
+    b, a = (1.3, 0.4, 0.8), np.diag([1.0, 1.0, 0.5])
+    theta = layer_energy_coefficient(b, a)
+    for s in 10.0 ** np.arange(-12, 13, 2):
+        assert abs(layer_energy_coefficient(b, s * a) - s * theta) < 1e-12 * s * theta
 
 
 # ---------------------------------------------------------------------------
-# decaying profile and matching
+# matching
 # ---------------------------------------------------------------------------
-
-def test_decaying_profile_round_point():
-    prof = decaying_profile(1.0, 1.0, B_ROUND)
-    assert prof.amplitude == pytest.approx(0.5)
-    at0 = prof.value_at_zero()
-    assert abs(at0[1]) < 1e-14          # second component vanishes at the edge
-    assert at0[2] == pytest.approx(1.0)  # trace consistency
-
-
-def test_decaying_profile_trace_consistency(rng):
-    for b in random_elliptic_b(rng, 8):
-        w3 = complex(rng.normal(), rng.normal())
-        prof = decaying_profile(w3, 2.5, b)
-        assert prof.value_at_zero()[2] == pytest.approx(w3, rel=1e-12)
-        assert abs(prof.value_at_zero()[1]) < 1e-12 * abs(w3)
-
-
-def test_decaying_profile_linearity_and_zero():
-    prof = decaying_profile(0.0, 1.0, B_ROUND)
-    assert np.allclose(prof.eval([0.0, 0.3, 1.0]), 0.0)
-    with pytest.raises(ValueError):
-        decaying_profile(1.0, 0.0, B_ROUND)
-
 
 def test_matching_edge_conditions(rng):
     for b in random_elliptic_b(rng, 8):
@@ -217,7 +226,7 @@ def test_matching_edge_conditions(rng):
         for xi1 in (1.0, 4.0):
             mr = matching_constants(xi1, b, a)
             assert mr.c3 == 0.0
-            at0 = sum(m.value_at_zero() for m in mr.modified_profile())
+            at0 = mr.edge_trace()
             assert abs(at0[0]) < 1e-10
             assert abs(at0[1]) < 1e-10
 
@@ -237,11 +246,17 @@ def test_matching_out_of_layer_limit(rng):
     a = random_spd_matrix(rng)
     xi1 = 5.0
     mr = matching_constants(xi1, b, a)
-    prof = decaying_profile(1.0, xi1, b)
+    mode_m, mode_p = mr.mode_minus, mr.mode_plus
     y = 20.0 / xi1
-    modified = sum(m.eval([y])[0] for m in mr.modified_profile())
-    plain = prof.eval([y])[0]
-    lam_m = mr.mode_minus.lam
+    e_p, e_m = np.exp(mode_p.lam * y), np.exp(mode_m.lam * y)
+    modified = mr.c1 * mode_p.w * e_p \
+        + (mr.c2 * mode_m.w + mr.c4 * (y * mode_m.w + mode_m.v)) * e_m
+    # the unmatched two-exponential profile with third edge trace w3 = 1 and
+    # second edge trace 0
+    plain = mr.c1 * (mode_p.w * e_p - mode_m.w * e_m)
+    trace = mr.c1 * (mode_p.w - mode_m.w)
+    assert abs(trace[1]) < 1e-14 and trace[2] == pytest.approx(1.0, rel=1e-12)
+    lam_m = mode_m.lam
     envelope = np.exp(lam_m.real * y) * (1.0 + y) * 10.0
     assert np.linalg.norm(modified - plain) < envelope
     scale = np.linalg.norm(plain)
@@ -315,7 +330,8 @@ def test_theta_quadrature_oracle(rng):
     b = random_elliptic_b(rng)
     a = random_spd_matrix(rng)
     mode_m, _ = build_layer_modes(b, a, 1.0)
-    r = strain_residual_vector(mode_m)
+    g0, g1 = layer_matrices(b, 1.0)
+    r = (g0 + mode_m.lam * g1) @ mode_m.v + g1 @ mode_m.w
     mu = mode_m.lam / 1.0
     b11, b12, b22 = b
     pref = (b11 * b22 / (2.0 * np.sqrt(b11 * b22 - b12 ** 2))) ** 2
@@ -331,17 +347,6 @@ def test_membrane_layer_energy_slope_one(rng):
     es = np.array([membrane_layer_energy(x, 1.0, b, a) for x in xs])
     slope = np.polyfit(np.log(xs), np.log(es), 1)[0]
     assert slope == pytest.approx(1.0, abs=1e-10)
-
-
-def test_correction_energy_decays_like_inverse_cube(rng):
-    # at fixed edge trace the matched correction is near-rigid: its direct
-    # membrane energy falls off like |xi1|^-3
-    b = random_elliptic_b(rng)
-    a = random_spd_matrix(rng)
-    xs = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
-    es = np.array([layer_correction_energy_quadrature(x, 1.0, b, a) for x in xs])
-    slope = np.polyfit(np.log(xs), np.log(es), 1)[0]
-    assert slope == pytest.approx(-3.0, abs=1e-10)
 
 
 def test_bending_energy_slope_three(rng):
@@ -368,18 +373,6 @@ def test_zeta_positive_and_round_value(rng):
         b = random_elliptic_b(rng)
         bb = random_spd_matrix(rng)
         assert bending_symbol_coefficient(b, bb) > 0.0
-
-
-def test_energy_symbols_values(rng):
-    e = ElasticityTensor.identity()
-    assert energy_symbols(B_ROUND, e) == (
-        layer_energy_coefficient(B_ROUND, e.membrane),
-        bending_symbol_coefficient(B_ROUND, e.bending))
-    for b in random_elliptic_b(rng, 3):
-        e = ElasticityTensor.from_matrices(random_spd_matrix(rng),
-                                           random_spd_matrix(rng))
-        assert energy_symbols(b, e) == (layer_energy_coefficient(b, e.membrane),
-                                        bending_symbol_coefficient(b, e.bending))
 
 
 # ---------------------------------------------------------------------------
