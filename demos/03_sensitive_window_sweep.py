@@ -62,7 +62,7 @@ print("band-limited load: log-norms", [round(x, 6) for _, x in flat_table.rows],
 
 print("\n== non-inhibited rescaling (kernel mode k = 3) ==")
 opk = with_kernel(op, [3])
-limit, rrows = noninhibited_rescale(opk, flat_load(N), [1e-1, 1e-2, 1e-3], [3])
+limit, rrows = noninhibited_rescale(opk, flat_load(N), [1e-1, 1e-2, 1e-3])
 print("limit on the kernel: w(3) =", limit.coeff(3).real, "= 1/q(3) =",
       1.0 / float(op.q_symbol(3.0)))
 for row in rrows:

@@ -362,8 +362,7 @@ def cmd_rescale_demo(cfg: ExperimentConfig) -> None:
     op = reduced.with_kernel(_operator(cfg, cfg.epsilon_list[0]),
                              cfg.kernel_modes)
     load = _load(cfg)
-    _, rows_data = reduced.noninhibited_rescale(op, load, cfg.epsilon_list,
-                                                cfg.kernel_modes)
+    _, rows_data = reduced.noninhibited_rescale(op, load, cfg.epsilon_list)
     text = _g17([r.eps for r in rows_data], [r.kernel_error for r in rows_data],
                 [r.off_kernel_max for r in rows_data])
     rows = ["%s,%s,%s" % row for row in zip(*text)]

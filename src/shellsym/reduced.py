@@ -18,19 +18,22 @@ The default model symbols are
 
 with ``theta, zeta`` the boundary energy coefficients and ``d`` the
 transmission decay rate; :func:`build_default_operator` takes all three,
-with ``N`` and ``eps``, as required arguments, and ``Q_FLOOR = 1e-2``.  The
-module exposes the phenomena that make the limit problem sensitive: the
-balance window ``|k| ~ log(1/eps)``, strong convergence in the ``A``-norm
-for every load, exponential amplification of single-mode load
-perturbations at ``eps = 0``, divergence of truncated limit solutions in
-every polynomially weighted norm, and the rescaled limit in the
-non-inhibited (kernel) case.
+with ``N`` and ``eps``, as required arguments, and ``Q_FLOOR = 1e-2``.  A
+:class:`ReducedOperator` is these parameters and the eps-independent
+samples of the symbols on ``k = -N..N``, taken once; the crossover
+``s(k) = eps^2 q(k)`` is found from the closed-form log gap, so it resolves
+at every ``eps > 0``.  The module exposes the phenomena that make the limit
+problem sensitive: the balance window ``|k| ~ log(1/eps)``, strong
+convergence in the ``A``-norm for every load, exponential amplification of
+single-mode load perturbations at ``eps = 0``, divergence of truncated
+limit solutions in every polynomially weighted norm, and the rescaled limit
+in the non-inhibited (kernel) case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -144,73 +147,66 @@ def flat_load(n_modes: int) -> SpectralField:
 # reduced operator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedOperator:
-    """Diagonal-in-frequency model of ``A + eps^2 B``.
+    """Diagonal-in-frequency model of ``A + eps^2 B`` on the modes ``k = -N..N``.
 
-    ``s_symbol`` and ``q_symbol`` are vectorized even functions of the mode
-    number.
+    ``kernel`` holds the ``|k|`` on which the smoothing symbol is zeroed
+    (the non-inhibited model of :func:`with_kernel`).  The eps-independent
+    samples ``s``, ``q`` and the order-3 weights ``(1 + k^2)^(3/2)``,
+    ``(1 + k^2)^(-3/2)`` are taken on construction from :meth:`s_symbol`
+    and :meth:`q_symbol`; :meth:`with_eps` hands the same arrays over, so
+    an eps sweep samples them once.
     """
 
-    s_symbol: Callable
-    q_symbol: Callable
+    theta: float
+    zeta: float
+    d: float
+    n_modes: int
     eps: float
-    n_modes: int = 128
+    kernel: tuple = ()
+    s: np.ndarray = field(default=None, repr=False)
+    q: np.ndarray = field(default=None, repr=False)
+    order3: np.ndarray = field(default=None, repr=False)
+    order3_inverse: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.d <= 0:
+            raise ValueError("transmission decay rate d must be positive")
+        if self.theta <= 0 or self.zeta <= 0:
+            raise ValueError("theta and zeta must be positive")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
+        k = self.wavenumbers
+        if self.s is None:     # on construction and after with_kernel
+            object.__setattr__(self, "s", self.s_symbol(k))
+        if self.q is None:
+            weight = 1.0 + k.astype(float) ** 2
+            object.__setattr__(self, "q", self.q_symbol(k))
+            object.__setattr__(self, "order3", weight ** 1.5)
+            object.__setattr__(self, "order3_inverse", weight ** -1.5)
+
+    @property
+    def wavenumbers(self) -> np.ndarray:
+        return np.arange(-self.n_modes, self.n_modes + 1)
 
     def with_eps(self, eps: float) -> "ReducedOperator":
-        """The same symbols at another ``eps``, sharing the mode grids."""
-        op = replace(self, eps=eps)
-        op.__dict__["_grids"] = self._grids
-        return op
+        """The same operator at another ``eps``, sharing the samples."""
+        return replace(self, eps=eps)
 
-    @cached_property
-    def _grids(self) -> dict:
-        # n -> ModeGrid; shared by with_eps copies, which keep both symbols
-        return {}
+    def s_symbol(self, k) -> np.ndarray:
+        """``theta (1 + k^2)^(1/2) exp(-2 d |k|)``, zero on the kernel set."""
+        k = np.abs(np.asarray(k, dtype=float))
+        s = self.theta * np.sqrt(1.0 + k ** 2) * np.exp(-2.0 * self.d * k)
+        return np.where(np.isin(k, self.kernel), 0.0, s)
 
-    def grid(self, n_modes: int | None = None) -> "ModeGrid":
-        """The eps-independent samples on ``k = -n..n`` (default ``n = N``).
-
-        Made once per ``n`` for this operator and every ``with_eps`` copy of
-        it, so an eps sweep samples ``s`` and ``q`` once.
-        """
-        n = self.n_modes if n_modes is None else n_modes
-        if n not in self._grids:
-            self._grids[n] = ModeGrid(self, n)
-        return self._grids[n]
-
-    def symbol_values(self, k) -> tuple:
-        k = np.asarray(k, dtype=float)
-        return (np.asarray(self.s_symbol(k), dtype=float),
-                np.asarray(self.q_symbol(k), dtype=float))
+    def q_symbol(self, k) -> np.ndarray:
+        """``zeta |k|^3``, floored at ``zeta * Q_FLOOR`` at ``k = 0``."""
+        k = np.abs(np.asarray(k, dtype=float))
+        return np.where(k == 0, self.zeta * Q_FLOOR, self.zeta * k ** 3)
 
     def total_symbol(self, k) -> np.ndarray:
-        s, q = self.symbol_values(k)
-        return s + self.eps ** 2 * q
-
-
-class ModeGrid:
-    """Samples of an operator's symbols on the modes ``k = -n..n``.
-
-    ``s`` and ``q`` are taken on construction; the order-3 weights
-    ``(1 + k^2)^(3/2)`` and ``(1 + k^2)^(-3/2)`` on first use.
-    """
-
-    def __init__(self, op: ReducedOperator, n_modes: int):
-        self.k = np.arange(-n_modes, n_modes + 1)
-        self.s, self.q = op.symbol_values(self.k)
-
-    @cached_property
-    def order3(self) -> np.ndarray:
-        return (1.0 + self.k.astype(float) ** 2) ** 1.5
-
-    @cached_property
-    def order3_inverse(self) -> np.ndarray:
-        return (1.0 + self.k.astype(float) ** 2) ** -1.5
+        return self.s_symbol(k) + self.eps ** 2 * self.q_symbol(k)
 
 
 def build_default_operator(theta: float, zeta: float, d: float,
@@ -225,42 +221,34 @@ def build_default_operator(theta: float, zeta: float, d: float,
     operator is the two-sided composition with the layer form.  ``q(0)`` is
     ``zeta * Q_FLOOR``.
     """
-    if d <= 0:
-        raise ValueError("transmission decay rate d must be positive")
-    if theta <= 0 or zeta <= 0:
-        raise ValueError("theta and zeta must be positive")
-
-    def s_symbol(k, _t=theta, _d=d):
-        k = np.abs(np.asarray(k, dtype=float))
-        return _t * np.sqrt(1.0 + k ** 2) * np.exp(-2.0 * _d * k)
-
-    def q_symbol(k, _z=zeta):
-        k = np.abs(np.asarray(k, dtype=float))
-        out = _z * k ** 3
-        return np.where(k == 0, _z * Q_FLOOR, out)
-
-    return ReducedOperator(s_symbol, q_symbol, eps, n_modes)
+    return ReducedOperator(theta, zeta, d, n_modes, eps)
 
 
 def with_kernel(op: ReducedOperator, kernel_modes: Sequence[int]) -> ReducedOperator:
     """Zero the smoothing symbol on ``|k|`` in ``kernel_modes`` (non-inhibited model)."""
-    kset = sorted({abs(int(k)) for k in kernel_modes})
+    kset = tuple(sorted({abs(int(k)) for k in kernel_modes}))
     if not kset:
         raise ValueError("kernel set must be nonempty")
-    base = op.s_symbol
-
-    def s_symbol(k, _base=base, _kset=tuple(kset)):
-        k = np.asarray(k, dtype=float)
-        out = np.asarray(_base(k), dtype=float).copy()
-        mask = np.isin(np.abs(k), _kset)
-        return np.where(mask, 0.0, out)
-
-    return replace(op, s_symbol=s_symbol)
+    return replace(op, kernel=kset, s=None)
 
 
 # ---------------------------------------------------------------------------
 # solves and probes
 # ---------------------------------------------------------------------------
+
+def _same_modes(op: ReducedOperator, load: SpectralField) -> None:
+    if load.n_modes != op.n_modes:
+        raise ValueError(f"load has N={load.n_modes} modes, the operator "
+                         f"N={op.n_modes}")
+
+
+def _positive(values: np.ndarray, k) -> np.ndarray:
+    """``values``; :class:`KernelModeError` listing the modes ``k`` where they vanish."""
+    dead = k[values <= 0.0]
+    if dead.size:
+        raise KernelModeError(dead.tolist())
+    return values
+
 
 def solve(op: ReducedOperator, load: SpectralField) -> SpectralField:
     """Diagonal solve ``v_k = F_k / (s(k) + eps^2 q(k))``.
@@ -268,58 +256,58 @@ def solve(op: ReducedOperator, load: SpectralField) -> SpectralField:
     Exact for the frozen-coefficient model.  At ``eps = 0`` a vanishing
     symbol value raises :class:`KernelModeError` listing the dead modes.
     """
-    g = op.grid(load.n_modes)
-    return SpectralField(load.coeffs / _nonzero_symbol(op, g.k, g.s, g.q))
+    _same_modes(op, load)
+    return SpectralField(load.coeffs
+                         / _positive(op.s + op.eps ** 2 * op.q, op.wavenumbers))
 
 
-def _nonzero_symbol(op: ReducedOperator, k, s, q) -> np.ndarray:
-    """``s + eps^2 q`` at the modes ``k``; :class:`KernelModeError` where it vanishes."""
-    denom = s + op.eps ** 2 * q
-    dead = k[denom <= 0.0]
-    if dead.size:
-        raise KernelModeError(dead.tolist())
-    return denom
-
-
-def coercivity_constant(op: ReducedOperator, n_modes: int | None = None) -> float:
+def coercivity_constant(op: ReducedOperator) -> float:
     """``min_k (s + eps^2 q)(k) / (1 + k^2)^(3/2)`` over the resolved modes.
 
     For ``eps > 0`` this stays above ``c * eps^2`` with ``c`` set by the
     order-3 lower bound; it is the discrete coercivity constant of the
     quadratic form.
     """
-    g = op.grid(n_modes)
-    return float(((g.s + op.eps ** 2 * g.q) / g.order3).min())
+    return float(((op.s + op.eps ** 2 * op.q) / op.order3).min())
 
 
 def frequency_window(op: ReducedOperator) -> float:
     """Continuous crossover ``k*`` solving ``s(k) = eps^2 q(k)``.
 
-    The balance frequency of the smoothing and bending parts; for the
-    default model it grows like ``log(1/eps) / d`` (with a slowly decaying
-    logarithmic correction).  Raises :class:`WindowResolutionError` when no
-    crossover exists below the cutoff.
-    """
-    from scipy.optimize import brentq
+    The balance frequency of the smoothing and bending parts; it grows like
+    ``log(1/eps) / d`` (with a slowly decaying logarithmic correction).  The
+    root is that of the closed-form log gap
 
+        log theta - log zeta - 2 log eps + log1p(k^2) / 2 - 2 d k - 3 log k,
+
+    which is strictly decreasing on ``k > 0`` and has no term that under- or
+    overflows at any ``eps > 0``.  Bisection on ``(1e-6, N)`` narrows it to
+    adjacent doubles.  The kernel set, which zeroes ``s`` at integer modes
+    only, is ignored.  Returns 0.0 when the bending part dominates already
+    at ``k = 1e-6``; raises :class:`WindowResolutionError` when no crossover
+    exists below the cutoff.
+    """
     if op.eps <= 0:
         raise ValueError("frequency window needs eps > 0")
-
-    tiny = np.finfo(float).tiny
+    level = math.log(op.theta) - math.log(op.zeta) - 2.0 * math.log(op.eps)
 
     def gap(k):
-        s, q = op.symbol_values(np.array([k]))
-        with np.errstate(divide="ignore"):   # eps^2 q underflows to 0 below eps ~ 1e-162
-            return float(np.log(max(s[0], tiny)) - np.log(op.eps ** 2 * q[0]))
+        return level + 0.5 * math.log1p(k * k) - 2.0 * op.d * k - 3.0 * math.log(k)
 
-    lo = 1e-6
+    lo, hi = 1e-6, float(op.n_modes)
     if gap(lo) <= 0:
         return 0.0
-    hi = float(op.n_modes)
     if gap(hi) >= 0:
         raise WindowResolutionError(
             f"no crossover below N={op.n_modes}; increase the cutoff")
-    return float(brentq(gap, lo, hi, xtol=1e-10))
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if gap(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def solution_argmax(v: SpectralField) -> int:
@@ -346,10 +334,8 @@ def va_norm_convergence(op: ReducedOperator, eps_list: Sequence[float],
     drives the limit argument.  Requires a strictly positive smoothing
     symbol (inhibited case): the limit ``v_0`` is the eps = 0 diagonal solve.
     """
-    g = op.grid(load.n_modes)
-    k, s, q, weight = g.k, g.s, g.q, g.order3_inverse
-    if np.any(s <= 0):
-        raise KernelModeError(k[s <= 0].tolist())
+    _same_modes(op, load)
+    s, q, weight = _positive(op.s, op.wavenumbers), op.q, op.order3_inverse
     rows = []
     for eps in eps_list:
         denom = s + eps ** 2 * q
@@ -377,9 +363,8 @@ def sensitivity_probe(op: ReducedOperator, k_probe):
     k = np.asarray(k_probe)
     if np.any(np.abs(k) > op.n_modes):
         raise ValueError("probe mode beyond cutoff")
-    g = op.grid()
     i = k + op.n_modes
-    amp = 1.0 / _nonzero_symbol(op, k, g.s[i], g.q[i])
+    amp = 1.0 / _positive(op.s[i] + op.eps ** 2 * op.q[i], k)
     return float(amp) if amp.ndim == 0 else amp
 
 
@@ -422,10 +407,9 @@ def no_distribution_limit_probe(op: ReducedOperator, load: SpectralField,
     All truncations are read from one running log-sum over the modes
     ordered by ``|k|``: one O(N log N) pass, whatever their number.
     """
-    g = op.grid(load.n_modes)
-    k, s = g.k, g.s
-    if np.any(s <= 0):
-        raise KernelModeError(k[s <= 0].tolist())
+    _same_modes(op, load)
+    k = op.wavenumbers
+    s = _positive(op.s, k)
     if truncations is None:
         truncations = list(range(5, load.n_modes + 1, 5))
     support = np.abs(k[np.abs(load.coeffs) > 0])
@@ -455,25 +439,20 @@ class RescaleRow:
 
 
 def noninhibited_rescale(op: ReducedOperator, load: SpectralField,
-                         eps_list: Sequence[float],
-                         kernel_modes: Sequence[int]) -> tuple:
+                         eps_list: Sequence[float]) -> tuple:
     """Rescaled solutions ``w_eps = eps^2 v_eps`` for a kernel-bearing operator.
 
-    On the kernel set the rescaled solution equals ``F(k)/q(k)`` for every
-    ``eps``; off the kernel it decays like ``eps^2 / s(k)`` mode-wise.  The
-    limit field (``F/q`` on the kernel, zero off it) is returned along with
-    one row per ``eps``.
+    The kernel set is the operator's (:func:`with_kernel`).  On it the
+    rescaled solution equals ``F(k)/q(k)`` for every ``eps``; off the kernel
+    it decays like ``eps^2 / s(k)`` mode-wise.  The limit field (``F/q`` on
+    the kernel, zero off it) is returned along with one row per ``eps``.
     """
-    kset = sorted({abs(int(k)) for k in kernel_modes})
-    if not kset:
+    if not op.kernel:
         raise ValueError("kernel set is empty; use va_norm_convergence")
-    g = op.grid(load.n_modes)
-    k, s, q = g.k, g.s, g.q
-    on_kernel = np.isin(np.abs(k), kset)
-    if np.any(s[on_kernel] > 0):
-        raise ValueError("operator smoothing symbol must vanish on the kernel set")
-    if np.any(s[~on_kernel] <= 0):
-        raise KernelModeError(k[(~on_kernel) & (s <= 0)].tolist())
+    _same_modes(op, load)
+    k, s, q = op.wavenumbers, op.s, op.q
+    on_kernel = np.isin(np.abs(k), op.kernel)
+    _positive(s[~on_kernel], k[~on_kernel])
 
     limit = np.where(on_kernel, load.coeffs / q, 0.0)
     rows = []

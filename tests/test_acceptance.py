@@ -214,7 +214,7 @@ def criterion_07_va_convergence():
     dists = [r.va_distance for r in rows]
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
     k = load.wavenumbers
-    s, q = op.symbol_values(k)
+    s, q = op.s_symbol(k), op.q_symbol(k)
     weighted = (1.0 + k.astype(float) ** 2) ** -1.5 * np.abs(load.coeffs) ** 2
     bracketed = True
     for eps, dist in zip(eps_list, dists):
@@ -295,12 +295,12 @@ def criterion_10_noninhibited_rescale():
                                   eps=1e-2)
     op = with_kernel(base, [3])
     load = flat_load(64)
-    limit, rows = noninhibited_rescale(op, load, [1e-2, 1e-4], [3])
+    limit, rows = noninhibited_rescale(op, load, [1e-2, 1e-4])
     q3 = float(op.q_symbol(3.0))
     kernel_ok = (limit.coeff(3) == 1.0 / q3
                  and all(r.kernel_error < 1e-14 for r in rows))
     k = load.wavenumbers
-    s, _ = op.symbol_values(k)
+    s = op.s_symbol(k)
     off = np.abs(k) != 3
     bound_ok = all(np.all(np.abs(r.solution.coeffs[off])
                           <= r.eps ** 2 / s[off] * (1 + 1e-12)) for r in rows)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import os
@@ -5,7 +6,6 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -222,8 +222,10 @@ def test_cli_exit_codes(tmp_path, cfg_path):
 
 
 def test_sweep_underflowing_eps_reports_only_the_failure(tmp_path, capsys):
-    # eps^2 q underflows to 0 at eps = 1e-200: the window search fails, and
-    # stderr carries that failure alone, without a numpy warning
+    # eps^2 q underflows to 0 at eps = 1e-200, yet the closed-form window
+    # resolves (k* = 454.398); s(k) underflows to 0 for |k| >= 373 at d = 1,
+    # so the A-norm table fails, and stderr carries that failure alone,
+    # without a numpy warning
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("d = 1\nN = 4096\nepsilon_list = 1e-200,1e-3\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -246,18 +248,33 @@ def test_cli_solve_and_remaining_commands(tmp_path, cfg_path):
 
 
 def test_cli_starts_without_scipy(tmp_path, cfg_path):
-    # only the window search (sweep-epsilon) imports scipy
+    # scipy is a test dependency only: no command imports it
     out = str(tmp_path / "out.csv")
     code = ("import sys\n"
-            "from shellsym.cli import main\n"
-            "for command in ('check-ellipticity', 'check-sl', 'layer-modes',\n"
-            "                'solve-reduced', 'sensitivity', 'rescale-demo'):\n"
+            "from shellsym.cli import COMMANDS, main\n"
+            "assert len(COMMANDS) == 7\n"
+            "for command in COMMANDS:\n"
             f"    assert main([command, '--config', {cfg_path!r}, '--out', {out!r}]) == 0\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_package_source_imports_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src" / "shellsym"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 7
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), path.name
 
 
 def test_cli_default_theta_zeta_from_layer(tmp_path):
@@ -348,19 +365,15 @@ def test_sweep_samples_symbols_once(tmp_path, monkeypatch):
     calls = {"s": 0, "q": 0}
 
     def counted(name, fn):
-        def symbol(k):
+        def symbol(op, k):
             calls[name] += np.size(k) == 2 * n + 1
-            return fn(k)
+            return fn(op, k)
         return symbol
 
-    build = reduced.build_default_operator
-
-    def build_counted(*args, **kwargs):
-        op = build(*args, **kwargs)
-        return replace(op, s_symbol=counted("s", op.s_symbol),
-                       q_symbol=counted("q", op.q_symbol))
-
-    monkeypatch.setattr(reduced, "build_default_operator", build_counted)
+    for name in ("s", "q"):
+        method = f"{name}_symbol"
+        monkeypatch.setattr(reduced.ReducedOperator, method,
+                            counted(name, getattr(reduced.ReducedOperator, method)))
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_1024_CFG)
     out = str(tmp_path / "sweep.csv")
@@ -430,13 +443,13 @@ SL_16_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = frobenius\nepsilon_list = 1e-
     (FLAT_4096_CFG, "sensitivity",
      "838240f4bddbbbba0bcd674673eb5421edda10acf86e0dfde38e3e72be9d35dd"),
     (SWEEP_1024_CFG, "sweep-epsilon",
-     "98a0490b4e7a34656e4b8c739004c2371a845ebd06d28f1e3b7ee9ce4cfb6f87"),
+     "cce9806693a30fdb12afc113f9709b06e3abce1dc0a8c03b3d9c3d97ba36c748"),
     (CRITERION_12_CFG + "kernel_modes = 3,7\n", "rescale-demo",
      "0c6a64f3f81eeacc865f146e969fe9344657e097f9d711c72f14973a4a0acfbf"),
     (CRITERION_12_CFG, "solve-reduced",
      "59accda7822bd1ae347b242b59f3741c66265b5059b3ccb8aef3dc54c92abf2d"),
     (CRITERION_12_CFG, "sweep-epsilon",
-     "43b38fbcaf82f5aadf522ed70b5803667ac6ec5b65f1e88730ff8204b5300cdb"),
+     "9c840246cb8d6c972b2beeb59fa673ccad1efa1b1de29a518e872723cb13dbbb"),
     (MIXED_SIGN_CFG.format("frobenius"), "check-sl",
      "25beb966a714d54ebfeed4d86eea8a66cb5b9a2e7b9de653fc69c19a2f27b5d5"),
     (MIXED_SIGN_CFG.format("isotropic"), "check-sl",
@@ -464,7 +477,9 @@ def test_cli_golden_bytes(tmp_path, config, command, digest):
     # system and sign; the delta, sensitivity-1024 and
     # 16-xi1 cases: before each distinct double was formatted once; the
     # cases whose bytes depend on theta: since theta came from the closed-form
-    # Jordan chain and layer-modes computed theta and zeta once per command);
+    # Jordan chain and layer-modes computed theta and zeta once per command;
+    # the sweep-epsilon cases: since k_star came from bisecting the
+    # closed-form log gap to adjacent doubles);
     # a refactor of the symbol layer or of the CSV writer must reproduce them
     # exactly
     cfg = tmp_path / "golden.cfg"

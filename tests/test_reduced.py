@@ -1,3 +1,4 @@
+import decimal
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,22 @@ def test_order3_envelope():
         ratio = op.q_symbol(k) / (1.0 + k ** 2) ** 1.5
         assert ratio.min() >= 0.3 * zeta * (1.0 - 1e-12)
         assert ratio.max() <= 1.1 * zeta * (1.0 + 1e-12)
+
+
+def test_operator_copies_share_samples():
+    # with_eps hands every eps-independent sample over; with_kernel resamples
+    # s alone, zero on the kernel set
+    op = default_op(1e-2, n=16)
+    opk = with_kernel(op, [3, -5])
+    assert opk.kernel == (3, 5)
+    for copy in (op.with_eps(0.0), opk):
+        assert copy.q is op.q
+        assert copy.order3 is op.order3
+        assert copy.order3_inverse is op.order3_inverse
+    assert op.with_eps(0.0).s is op.s
+    on_kernel = np.isin(np.abs(op.wavenumbers), [3, 5])
+    assert np.array_equal(opk.s, np.where(on_kernel, 0.0, op.s))
+    assert np.array_equal(opk.s, opk.s_symbol(op.wavenumbers))
 
 
 def test_symbols_even():
@@ -201,6 +218,59 @@ def test_frequency_window_resolution_error():
         frequency_window(default_op(1e-30, n=8))
 
 
+@pytest.mark.parametrize("d,n,eps,want", [
+    # roots of the log gap from 50-digit mpmath; eps^2 is subnormal or zero
+    # here, so neither resolves from the sampled symbols
+    (0.05, 8192, 1e-160, 7190.6615286127696),
+    (1.0, 4096, 1e-200, 454.39804624183753),
+])
+def test_frequency_window_at_underflowing_eps(d, n, eps, want):
+    assert frequency_window(default_op(eps, n=n, d=d)) == pytest.approx(want, rel=1e-15)
+
+
+def _decimal_window(theta, zeta, d, n, eps):
+    # 200 bisection steps on the log gap in 50-digit decimal arithmetic;
+    # None where the crossover is not below the cutoff
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        level = D(theta).ln() - D(zeta).ln() - 2 * D(eps).ln()
+
+        def gap(k):
+            return level + (1 + k * k).ln() / 2 - 2 * D(d) * k - 3 * k.ln()
+
+        lo, hi = D("1e-6"), D(n)
+        if gap(hi) >= 0:
+            return None
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if gap(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
+def test_frequency_window_matches_decimal_oracle():
+    rng = np.random.default_rng(2009)
+    resolved = 0
+    for _ in range(40):
+        theta, zeta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
+        d = float(np.exp(rng.uniform(np.log(0.1), np.log(2.0))))
+        n = int(rng.choice([512, 4096, 8192]))
+        eps = float(10.0 ** rng.uniform(-300.0, -1.0))
+        op = build_default_operator(theta=float(theta), zeta=float(zeta), d=d,
+                                    n_modes=n, eps=eps)
+        want = _decimal_window(theta, zeta, d, n, eps)
+        if want is None:
+            with pytest.raises(WindowResolutionError):
+                frequency_window(op)
+        else:
+            resolved += 1
+            assert frequency_window(op) == pytest.approx(want, rel=1e-13)
+    assert resolved >= 30
+
+
 def test_window_sharpness_argmax():
     for eps in (1e-3, 1e-5, 1e-7, 1e-9):
         op = default_op(eps)
@@ -252,7 +322,7 @@ def test_va_convergence_monotone_and_matches_closed_form():
     v_eps = solve(op.with_eps(eps), f)
     v_0 = solve(op.with_eps(0.0), f)
     k = f.wavenumbers
-    s, _ = op.symbol_values(k)
+    s = op.s_symbol(k)
     diff = SpectralField(s * (v_eps.coeffs - v_0.coeffs))
     want = diff.h_norm(-1.5)
     got = va_norm_convergence(op, [eps], f)[0].va_distance
@@ -382,7 +452,7 @@ def test_growth_insensitive_to_polynomial_weight():
 def _masked_logsumexp_rows(op, load, truncations, weight_order):
     # per-truncation reference: masked logsumexp over the finite terms
     k = load.wavenumbers
-    s, _ = op.symbol_values(k)
+    s = op.s_symbol(k)
     with np.errstate(divide="ignore"):
         terms = (2.0 * (np.log(np.abs(load.coeffs)) - np.log(s))
                  - weight_order * np.log1p(k.astype(float) ** 2))
@@ -435,7 +505,7 @@ def test_growth_table_band_limited_load_is_flat():
 def test_rescale_kernel_modes_exact():
     op = with_kernel(default_op(1e-2, n=64), [3])
     f = flat_load(64)
-    limit, rows = noninhibited_rescale(op, f, [1e-2, 1e-4], [3])
+    limit, rows = noninhibited_rescale(op, f, [1e-2, 1e-4])
     q3 = float(op.q_symbol(3.0))
     assert limit.coeff(3) == pytest.approx(1.0 / q3, rel=1e-14)
     assert limit.coeff(-3) == pytest.approx(1.0 / q3, rel=1e-14)
@@ -448,14 +518,14 @@ def test_rescale_kernel_modes_exact():
 def test_rescale_off_kernel_decay_rate():
     op = with_kernel(default_op(1e-2, n=64), [3])
     f = flat_load(64)
-    _, rows = noninhibited_rescale(op, f, [1e-2, 1e-4], [3])
-    s, q = op.symbol_values(np.array([5.0]))
+    _, rows = noninhibited_rescale(op, f, [1e-2, 1e-4])
+    s, q = float(op.s_symbol(5.0)), float(op.q_symbol(5.0))
     for row in rows:
-        want = row.eps ** 2 / (s[0] + row.eps ** 2 * q[0])
+        want = row.eps ** 2 / (s + row.eps ** 2 * q)
         assert abs(row.solution.coeff(5)) == pytest.approx(want, rel=1e-12)
         # every off-kernel mode is bounded by eps^2 / s(k)
         k = row.solution.wavenumbers
-        sk, _ = op.symbol_values(k)
+        sk = op.s_symbol(k)
         off = np.abs(k) != 3
         assert np.all(np.abs(row.solution.coeffs[off])
                       <= row.eps ** 2 / sk[off] * (1 + 1e-12))
@@ -467,15 +537,29 @@ def test_rescale_off_kernel_decay_rate():
 def test_rescale_zero_load_on_kernel():
     op = with_kernel(default_op(1e-2, n=32), [3])
     f = SpectralField.from_symbol(32, lambda k: np.where(np.abs(k) == 3, 0.0, 1.0))
-    limit, rows = noninhibited_rescale(op, f, [1e-2, 1e-3], [3])
+    limit, rows = noninhibited_rescale(op, f, [1e-2, 1e-3])
     assert limit.l2_norm() == 0.0
     assert rows[1].off_kernel_max < rows[0].off_kernel_max
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda op, f: solve(op, f), id="solve"),
+    pytest.param(lambda op, f: va_norm_convergence(op, [1e-2], f), id="va"),
+    pytest.param(lambda op, f: no_distribution_limit_probe(op, f), id="growth"),
+    pytest.param(lambda op, f: noninhibited_rescale(with_kernel(op, [3]), f, [1e-2]),
+                 id="rescale"),
+])
+def test_load_modes_must_match_operator(run):
+    for n_load in (16, 64):
+        with pytest.raises(ValueError, match=f"load has N={n_load} modes, "
+                                             "the operator N=32"):
+            run(default_op(1e-2, n=32), flat_load(n_load))
 
 
 def test_rescale_requires_kernel():
     op = default_op(1e-2, n=32)
     with pytest.raises(ValueError):
-        noninhibited_rescale(op, flat_load(32), [1e-2], [])
+        noninhibited_rescale(op, flat_load(32), [1e-2])
 
 
 # ---------------------------------------------------------------------------
