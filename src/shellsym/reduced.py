@@ -229,6 +229,9 @@ def with_kernel(op: ReducedOperator, kernel_modes: Sequence[int]) -> ReducedOper
     kset = tuple(sorted({abs(int(k)) for k in kernel_modes}))
     if not kset:
         raise ValueError("kernel set must be nonempty")
+    if kset[-1] > op.n_modes:
+        raise ValueError(f"kernel mode |k| = {kset[-1]} exceeds the cutoff "
+                         f"N = {op.n_modes}")
     return replace(op, kernel=kset, s=None)
 
 

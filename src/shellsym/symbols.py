@@ -12,6 +12,13 @@ system, point and sign of ``xi1``: the decaying subspace of the
 block-companion pencil, found with numpy's eigenvalue solver and SVD alone
 (:func:`decaying_solution_basis`).
 
+``det L'`` is homogeneous of degree ``T = sum s + sum t``, so on the unit
+circle it is fixed by the ``T + 1`` coefficients of ``det L'(+-1, z)``.
+The ellipticity scans read ``|det L'|`` from those coefficients, found
+from ``T + 1`` small determinants; :func:`ellipticity_check` evaluates the
+symbol directly only at the angles where the reported minimum and maximum
+can lie, and the scan inside :func:`decaying_solution_basis` not at all.
+
 The boundary frame convention is the usual one: ``x1`` tangential, ``x2``
 the inward normal, symbols written in ``D = -i d/dx`` so that solutions of
 the half-space ODE system are ``exp(i*xi2*x2)`` times vector polynomials
@@ -25,6 +32,7 @@ membrane+bending system with thickness weight ``eps**2``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -321,19 +329,86 @@ class EllipticityReport:
     n_angles: int
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_circle(n_angles: int):
+    """``(cos, sin)`` of ``n_angles`` equally spaced angles from 0.
+
+    Cached and shared between calls, so the arrays are read-only.
+    """
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    out = np.cos(thetas), np.sin(thetas)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _determinant_scan(coeffs, order, sign, cos, sin):
+    """Approximate ``|det L'(cos, sin)|`` and the Hadamard scale of ``L'``.
+
+    ``coeffs`` are the matrix coefficients of ``L'(sign, z)`` in ``z``.  Its
+    determinant ``D(sign, z)`` has degree at most ``order`` in ``z``, so its
+    coefficients ``d_j`` follow from the determinants at the ``order + 1``
+    roots of unity, and by homogeneity
+    ``D(xi1, xi2) = sum_j d_j xi2^j (sign xi1)^(order - j)``, evaluated by
+    Horner in ``xi2``.  The scale ``H`` is the largest product of row norms
+    over the sampled matrices: their determinants, and so the ``d_j`` and
+    the values, carry rounding errors of a few ``eps_mach * H``.
+    """
+    mats = None
+
+    def dets(zs):
+        nonlocal mats
+        vander = zs[:, None] ** np.arange(len(coeffs))
+        mats = (vander @ coeffs.reshape(len(coeffs), -1)).reshape(-1, *coeffs.shape[1:])
+        return np.linalg.det(mats)
+
+    d = poly_coefficients(dets, order)
+    rows = (mats.real ** 2 + mats.imag ** 2).sum(axis=-1)
+    hadamard = float(np.sqrt(rows.prod(axis=-1).max()))
+    x = sign * cos
+    values, power = np.full(cos.shape, d[-1]), 1.0
+    for d_j in d[-2::-1]:
+        power = power * x
+        values = values * sin + d_j * power
+    return np.abs(values), hadamard
+
+
+def _abs_dets(system, point, cos, sin) -> np.ndarray:
+    dets = np.linalg.det(system.symbol_gen(point, (cos, sin)))
+    # hypot rounds as the scalar abs(complex); numpy's complex abs does not
+    return np.hypot(dets.real, dets.imag)
+
+
 def ellipticity_check(system: DNSystem, point: MetricData,
                       n_angles: int = 360) -> EllipticityReport:
     """Scan ``|det L'|`` over the unit circle of real frequencies.
 
     Homogeneity reduces real ``xi != 0`` to the unit circle.  The verdict is
     relative: elliptic iff ``min |D| > DET_RTOL * max |D|``.
+
+    The determinant polynomial (:func:`_determinant_scan`) gives ``|D|`` at
+    every angle to within a few ``eps_mach * H``.  Only the angles whose
+    value lies within ``slack = 1e3 * eps_mach * H`` of its minimum or
+    maximum can hold the extremes, and only those are evaluated directly, so
+    the report equals that of a direct scan of every angle.  If the direct
+    and interpolated values there differ by more than ``slack / 2``, or if
+    every angle is a candidate, every angle is evaluated directly.
     """
     if n_angles < 8:
         raise ValueError("n_angles must be at least 8")
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    dets = np.linalg.det(system.symbol_gen(point, (np.cos(thetas), np.sin(thetas))))
-    # hypot rounds as the scalar abs(complex); numpy's complex abs does not
-    vals = np.hypot(dets.real, dets.imag)
+    cos, sin = _unit_circle(n_angles)
+    coeffs = _entry_coefficients(system.symbol_gen, point, 1.0, system.max_entry_degree)
+    approx, hadamard = _determinant_scan(coeffs, system.total_order, 1.0, cos, sin)
+    slack = 1e3 * np.finfo(float).eps * hadamard
+    picked = np.flatnonzero((approx <= approx.min() + slack)
+                            | (approx >= approx.max() - slack))
+    # no candidate at all means a NaN in the values or in H
+    if 0 < picked.size < n_angles:
+        vals = _abs_dets(system, point, cos[picked], sin[picked])
+        if not np.all(np.abs(vals - approx[picked]) <= slack / 2):
+            vals = _abs_dets(system, point, cos, sin)
+    else:
+        vals = _abs_dets(system, point, cos, sin)
     lo, hi = float(vals.min()), float(vals.max())
     return EllipticityReport(lo > DET_RTOL * hi, lo, hi, n_angles)
 
@@ -362,9 +437,13 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
                             xi1: float) -> DecayingBasis:
     """The decaying half-space solutions of ``system`` at ``sign(xi1)``.
 
-    The symbols are homogeneous, so only ``s = sign(xi1)`` matters.  After a
-    64-angle ellipticity scan, ``L'(s, xi2) = sum_i A_i xi2^i`` is linearised
-    as the block-companion pencil on the Cauchy data
+    The symbols are homogeneous, so only ``s = sign(xi1)`` matters.  The
+    matrix coefficients of ``L'(s, xi2) = sum_i A_i xi2^i`` also give the
+    ellipticity verdict: ``min |D| > DET_RTOL * max |D|`` over 64 angles of
+    the unit circle, ``|D|`` read from the determinant polynomial
+    (:func:`_determinant_scan`) with no further symbol evaluation.
+    ``L'(s, D)`` is then linearised as the block-companion pencil on the
+    Cauchy data
     ``(u, D u, ..., D^(deg-1) u)`` at ``x2 = 0``.  Its reciprocal eigenvalues
     ``mu = 1 / xi2`` are those of ``P = lhs^-1 rhs``; an infinite ``xi2``
     gives ``mu = 0``.  Exactly ``m`` finite roots must lie in each open
@@ -375,15 +454,15 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
     """
     if xi1 == 0:
         raise ValueError("xi1 must be nonzero")
-    report = ellipticity_check(system, point, n_angles=64)
-    if not report.elliptic:
-        raise EllipticityError(
-            f"{system.name}: not elliptic at this point "
-            f"(min |D| = {report.min_abs_det:.3e})")
-
     m, n, deg = system.half_order, system.n_unknowns, system.max_entry_degree
     s = float(np.sign(xi1))
     coeffs = _entry_coefficients(system.symbol_gen, point, s, deg)
+    approx, _ = _determinant_scan(coeffs, system.total_order, s, *_unit_circle(64))
+    if not approx.min() > DET_RTOL * approx.max():
+        raise EllipticityError(
+            f"{system.name}: not elliptic at this point "
+            f"(min |D| = {approx.min():.3e})")
+
     size = n * deg
     # lhs Y = xi2 rhs Y for Y_i = D^i u: a block shift, and in the last block
     # row A_deg D^deg u = -sum_(i<deg) A_i D^i u
@@ -392,7 +471,7 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
     rhs = np.eye(size, dtype=complex)
     rhs[-n:, -n:] = coeffs[deg]
     # det lhs = +-det A_0 = +-det L'(s, 0), and (s, 0) is one of the 64
-    # scanned angles, so the ellipticity verdict makes lhs invertible
+    # angles of the verdict, so an elliptic system has an invertible lhs
     pencil = np.linalg.solve(lhs, rhs)
     mu = np.linalg.eigvals(pencil)
     finite = np.abs(mu) > INFINITE_RTOL

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shellsym.layers import layer_matrices
+from shellsym.symbols import DET_RTOL
 
 
 @pytest.fixture
@@ -63,3 +64,18 @@ def jordan_chain_oracle(lam, w, a, xi1, b):
     assert np.linalg.norm(big_m @ v - rhs) < 1e-8 * (np.linalg.norm(rhs) + 1.0)
     v = v - (np.vdot(w, v) / np.vdot(w, w)) * w
     return u0, tau, big_m @ v + g1 @ w, v
+
+
+def direct_ellipticity_scan(system, point, n_angles=360):
+    """``(elliptic, min |D|, max |D|)`` from the determinant at every angle.
+
+    One symbol evaluation and one ``np.linalg.det`` on the whole stack of
+    unit-circle frequencies, ``|D|`` rounded by ``hypot`` as the scalar
+    ``abs(complex)``: the scan ``ellipticity_check`` must reproduce bit for
+    bit.
+    """
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    dets = np.linalg.det(system.symbol_gen(point, (np.cos(thetas), np.sin(thetas))))
+    vals = np.hypot(dets.real, dets.imag)
+    lo, hi = float(vals.min()), float(vals.max())
+    return lo > DET_RTOL * hi, lo, hi

@@ -384,20 +384,22 @@ def test_sweep_samples_symbols_once(tmp_path, monkeypatch):
 
 def test_check_sl_builds_one_basis_per_system_and_sign(tmp_path, monkeypatch):
     # the six check-sl cases share three systems; each system's decaying
-    # basis and its ellipticity scan are built once per sign of xi1
+    # basis and its determinant scan are built once per sign of xi1.  The
+    # scan sees the total order, not the system: 2 rigidity, 4 membrane,
+    # 8 koiter
     bases, scans = Counter(), Counter()
-    build, scan = symbols.decaying_solution_basis, symbols.ellipticity_check
+    build, scan = symbols.decaying_solution_basis, symbols._determinant_scan
 
     def build_counted(system, point, xi1):
         bases[system.name, float(np.sign(xi1))] += 1
         return build(system, point, xi1)
 
-    def scan_counted(system, *args, **kwargs):
-        scans[system.name] += 1
-        return scan(system, *args, **kwargs)
+    def scan_counted(coeffs, order, sign, *args):
+        scans[order, sign] += 1
+        return scan(coeffs, order, sign, *args)
 
     monkeypatch.setattr(symbols, "decaying_solution_basis", build_counted)
-    monkeypatch.setattr(symbols, "ellipticity_check", scan_counted)
+    monkeypatch.setattr(symbols, "_determinant_scan", scan_counted)
     cfg = tmp_path / "sl.cfg"
     cfg.write_text(CRITERION_12_CFG.replace("xi1_list = 1,3", "xi1_list = 1,-3,3,-1"))
     out = str(tmp_path / "sl.csv")
@@ -405,7 +407,7 @@ def test_check_sl_builds_one_basis_per_system_and_sign(tmp_path, monkeypatch):
     assert len(read(out).splitlines()) == 2 + 6 * 4
     assert bases == {(name, s): 1 for name in ("rigidity", "membrane", "koiter")
                      for s in (1.0, -1.0)}
-    assert scans == {"rigidity": 2, "membrane": 2, "koiter": 2}
+    assert scans == {(order, s): 1 for order in (2, 4, 8) for s in (1.0, -1.0)}
 
 
 CRITERION_12_CFG = ("b_coeffs = 1,0,1\nelasticity = identity\n"

@@ -135,6 +135,17 @@ def test_solve_preserves_realness():
         assert np.abs(c - np.conj(c[::-1])).max() <= 1e-12 * np.abs(c).max()
 
 
+def test_kernel_modes_must_lie_within_the_cutoff():
+    # a kernel mode beyond N used to be accepted, and noninhibited_rescale
+    # then failed with numpy's "zero-size array" error
+    op = build_default_operator(1.0, 1.0, 1.0, 16, 1e-2)
+    for modes in ([40], [3, -17]):
+        with pytest.raises(ValueError, match="exceeds the cutoff N = 16"):
+            with_kernel(op, modes)
+    assert with_kernel(op, [-16]).kernel == (16,)
+    noninhibited_rescale(with_kernel(op, [16]), flat_load(16), [1e-2])
+
+
 def test_solve_kernel_mode_error():
     op = with_kernel(default_op(0.0, n=16), [3])
     with pytest.raises(KernelModeError) as exc:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from shellsym.geometry import ElasticityTensor, SurfaceEllipticityError, frozen_point
+from shellsym import symbols
+from shellsym.geometry import (
+    ElasticityTensor,
+    SurfaceEllipticityError,
+    frozen_point,
+    sphere_cap_chart,
+)
 from shellsym.symbols import (
     BoundaryConditionSet,
     DNSystem,
@@ -9,13 +15,14 @@ from shellsym.symbols import (
     builtin_boundary_conditions,
     builtin_system,
     characteristic_roots,
+    decaying_solution_basis,
     ellipticity_check,
     principal_determinant,
     rigidity_strain_residual,
     sl_check,
 )
 
-from conftest import random_elliptic_b, random_spd_matrix
+from conftest import direct_ellipticity_scan, random_elliptic_b, random_spd_matrix
 
 IDENTITY = ElasticityTensor.identity()
 
@@ -206,6 +213,164 @@ def test_ellipticity_verdicts():
     assert rep.elliptic
     rep = ellipticity_check(builtin_system("koiter", pt, IDENTITY, 0.1), pt)
     assert rep.elliptic
+
+
+SYSTEM_NAMES = ("rigidity", "membrane_tension", "membrane", "koiter")
+CURVATURE_KINDS = ("generic", "near-umbilic", "near-parabolic", "hyperbolic",
+                   "b12=0", "umbilic")
+
+
+def swept_curvature(rng, kind):
+    """A curvature triple of ``kind`` at a scale between 1e-3 and 1e3."""
+    b11, b22 = rng.uniform(0.3, 3.0, 2)
+    root, sign = np.sqrt(b11 * b22), rng.choice((-1.0, 1.0))
+    if kind == "generic":
+        b12 = rng.uniform(-0.9, 0.9) * root
+    elif kind == "near-umbilic":
+        b22 = b11 * (1.0 + sign * 10.0 ** rng.uniform(-12, -2))
+        b12 = b11 * 10.0 ** rng.uniform(-12, -3)
+    elif kind == "near-parabolic":
+        b12 = sign * root * (1.0 - 10.0 ** rng.uniform(-12, -2))
+    elif kind == "hyperbolic":
+        b12 = sign * root * rng.uniform(1.01, 3.0)
+    elif kind == "b12=0":
+        b12 = 0.0
+    else:
+        b22, b12 = b11, 0.0
+    return 10.0 ** rng.uniform(-3, 3) * np.array([b11, b12, b22])
+
+
+def swept_elasticity(rng):
+    if rng.random() < 0.5:
+        return ELASTICITIES[rng.integers(len(ELASTICITIES))]
+    return ElasticityTensor.from_matrices(random_spd_matrix(rng), random_spd_matrix(rng))
+
+
+def swept_frozen_systems(rng, points_per_kind):
+    """Built-in systems at frozen points of every curvature kind, eps 1e-8..0.5."""
+    for kind in CURVATURE_KINDS:
+        for _ in range(points_per_kind):
+            pt = frozen_point(*swept_curvature(rng, kind))
+            e, eps = swept_elasticity(rng), 10.0 ** rng.uniform(-8, np.log10(0.5))
+            for name in SYSTEM_NAMES:
+                try:
+                    yield builtin_system(name, pt, e, eps), pt
+                except SurfaceEllipticityError:   # hyperbolic: rigidity only
+                    pass
+
+
+def complex_scalar_system(coeffs):
+    """Scalar system ``sum_j c_j xi1^(T-j) xi2^j`` with complex ``c_j``."""
+    order = len(coeffs) - 1
+
+    def gen(pt, xi):
+        x1, x2 = xi
+        value = sum(c * x1 ** (order - j) * x2 ** j for j, c in enumerate(coeffs))
+        return np.asarray(value)[..., None, None]
+    return DNSystem("complex", 1, 1, (order // 2,), (order // 2,), gen)
+
+
+def test_ellipticity_check_equals_direct_scan(rng):
+    # the report from the determinant polynomial and the candidate angles is
+    # bit-equal to the direct scan of every angle, across scales, curvature
+    # kinds and eps, at sphere-cap chart points (where the Koiter |D| of a
+    # rotation-invariant rigidity is constant on the circle) and for
+    # complex determinants
+    cases = list(swept_frozen_systems(rng, 85))
+    for radius in (0.8, 1.7, 3.0, 25.0):
+        chart = sphere_cap_chart(radius=radius)
+        for i, j in ((0, 0), (12, 12), (23, 23), (5, 17)):
+            pt = chart.point(i, j)
+            for e in ELASTICITIES:
+                cases += [(builtin_system(name, pt, e, eps), pt)
+                          for name, eps in zip(SYSTEM_NAMES, (0.0, 0.0, 0.0, 0.02))]
+    pt = frozen_point(1.0, 0.0, 1.0)
+    for order in (2, 2, 4, 4, 6) * 20:
+        coeffs = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        cases.append((complex_scalar_system(coeffs), pt))
+    assert len(cases) >= 2000
+    for system, pt in cases:
+        rep = ellipticity_check(system, pt)
+        assert (rep.elliptic, rep.min_abs_det, rep.max_abs_det) == \
+            direct_ellipticity_scan(system, pt), (system.name, pt.b_triple)
+
+
+def test_determinant_scan_is_within_a_few_rounding_errors(rng):
+    # |D| from the T + 1 determinant coefficients of L'(sign, z), at every
+    # angle of an odd grid (no angle is the mirror image of another), lies
+    # within 10 eps_mach H of the direct |det L'|
+    cos, sin = symbols._unit_circle(45)
+    for system, pt in swept_frozen_systems(rng, 5):
+        dets = np.linalg.det(system.symbol_gen(pt, (cos, sin)))
+        for sign in (1.0, -1.0):
+            coeffs = symbols._entry_coefficients(system.symbol_gen, pt, sign,
+                                                 system.max_entry_degree)
+            approx, hadamard = symbols._determinant_scan(coeffs, system.total_order,
+                                                         sign, cos, sin)
+            gap = np.abs(approx - np.abs(dets)).max()
+            assert gap <= 10 * np.finfo(float).eps * hadamard, (system.name, sign)
+
+
+def recording(system, calls):
+    """``system`` with a generator that records the shape of each call."""
+    def gen(pt, xi):
+        calls.append(np.broadcast_shapes(np.shape(xi[0]), np.shape(xi[1])))
+        return system.symbol_gen(pt, xi)
+    return DNSystem(system.name, system.n_unknowns, system.n_equations,
+                    system.t_indices, system.s_indices, gen)
+
+
+def test_ellipticity_check_evaluates_few_angles_at_a_generic_point():
+    # one call for the entry coefficients, one on the candidate angles
+    pt = frozen_point(1.3, 0.4, 0.8)
+    for e in ELASTICITIES:
+        for name in SYSTEM_NAMES:
+            calls = []
+            system = recording(builtin_system(name, pt, e, eps=0.05), calls)
+            want = direct_ellipticity_scan(system, pt)
+            calls.clear()
+            rep = ellipticity_check(system, pt)
+            assert (rep.elliptic, rep.min_abs_det, rep.max_abs_det) == want
+            coefficients, (n_direct,) = calls
+            assert coefficients == (system.max_entry_degree + 1,)
+            assert 2 <= n_direct <= 16, (name, e, n_direct)
+
+
+def test_ellipticity_check_guard_catches_a_non_polynomial_symbol(rng):
+    # a rational symbol breaks the DNSystem contract: interpolated from three
+    # samples its determinant is off by far more than the slack, so the
+    # guard falls back to the direct scan of every angle
+    def gen(pt, xi):
+        x1, x2 = xi
+        value = 2.0 * x1 ** 2 + x2 ** 2 + x1 ** 3 * x2 / (3.0 * x1 ** 2 + x2 ** 2)
+        return np.asarray(value)[..., None, None]
+
+    pt = frozen_point(1.0, 0.0, 1.0)
+    calls = []
+    system = recording(DNSystem("rational", 1, 1, (1,), (1,), gen), calls)
+    for n_angles in (360, 64, 9):
+        want = direct_ellipticity_scan(system, pt, n_angles)
+        calls.clear()
+        rep = ellipticity_check(system, pt, n_angles=n_angles)
+        assert (rep.elliptic, rep.min_abs_det, rep.max_abs_det) == want
+        assert len(calls) == 3 and calls[-1] == (n_angles,)
+
+
+def test_basis_verdict_matches_direct_64_angle_verdict(rng):
+    # decaying_solution_basis reads its verdict from the interpolated
+    # determinant on 64 angles; it agrees with the direct 64-angle scan
+    verdicts = set()
+    for system, pt in swept_frozen_systems(rng, 20):
+        elliptic = direct_ellipticity_scan(system, pt, 64)[0]
+        for sign in (1.0, -1.0):
+            try:
+                decaying_solution_basis(system, pt, sign)
+                refused = False
+            except EllipticityError as exc:
+                refused = "not elliptic" in str(exc)
+            assert refused == (not elliptic), (system.name, pt.b_triple)
+            verdicts.add(elliptic)
+    assert verdicts == {True, False}
 
 
 def test_ellipticity_check_needs_enough_angles():
