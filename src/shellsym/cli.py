@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ConfigError("explicit elasticity needs 6+6 upper-triangle entries")
         if 0 in self.xi1_list:
             raise ConfigError("xi1 values must be nonzero")
+        if self.command in ("check-sl", "layer-modes") and not self.xi1_list:
+            raise ConfigError("xi1_list must not be empty")
         b11, b12, b22 = self.b_coeffs
         if self.command in ("check-sl", "layer-modes", "sweep-epsilon") and \
                 (b11 <= 0 or b11 * b22 - b12 ** 2 <= 0):

@@ -1,9 +1,9 @@
-"""Polynomial coefficients of a matrix symbol in one complex variable.
+"""Polynomial coefficients of a matrix function of one complex variable.
 
-Frozen-coefficient principal symbols restricted to a boundary point are
-matrices whose entries are polynomials in the normal frequency.
-:func:`poly_coefficients` recovers those entry polynomials exactly from one
-call of the symbol on the roots of unity.
+:func:`poly_coefficients` recovers the entry polynomials exactly from one
+call on the roots of unity.  ``symbols`` reads the coefficients of
+``det L'(+-1, z)`` this way; the symbols themselves are built from their
+coefficients and are never sampled.
 
 Coefficients are stored in ascending order: ``coeffs[j]`` multiplies ``z**j``.
 """

@@ -1,16 +1,18 @@
 """Douglis-Nirenberg systems, ellipticity and the Shapiro-Lopatinskii test.
 
 A system is described by integer indices ``t_j`` (unknowns) and ``s_k``
-(equations) together with a generator for its frozen-coefficient principal
-symbol ``L'(x, xi)``: entry ``(k, j)`` is homogeneous in ``xi`` of degree
-``s_k + t_j`` (or identically zero).  Ellipticity asks the determinant of
-``L'`` not to vanish for real ``xi != 0``; the Shapiro-Lopatinskii (SL)
-condition asks whether a set of half of the characteristic boundary data
-determines the decaying half-space solutions uniquely.  Both the
-characteristic roots and the SL test read one object, built once per
-system, point and sign of ``xi1``: the decaying subspace of the
-block-companion pencil, found with numpy's eigenvalue solver and SVD alone
-(:func:`decaying_solution_basis`).
+(equations) and by the stack ``C_m`` of its frozen-coefficient principal
+symbol ``L'(x, (1, z)) = sum_m C_m z^m``.  Entry ``(k, j)`` is homogeneous in
+``xi`` of degree ``s_k + t_j``, so the stack fixes ``L'(x, xi)`` at every
+frequency; the built-in stacks are written in closed form from the strain
+and bending rows, and every value and pencil coefficient is read from them.
+Ellipticity asks ``det L'`` not to vanish for real ``xi != 0``; the
+Shapiro-Lopatinskii (SL) condition asks whether a set of half of the
+characteristic boundary data determines the decaying half-space solutions
+uniquely.  Both the characteristic roots and the SL test read one object,
+built once per system, point and sign of ``xi1``: the decaying subspace of
+the block-companion pencil, found with numpy's eigenvalue solver and SVD
+alone (:func:`decaying_solution_basis`).
 
 ``det L'`` is homogeneous of degree ``T = sum s + sum t``, so on the unit
 circle it is fixed by the ``T + 1`` coefficients of ``det L'(+-1, z)``.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -55,32 +57,45 @@ class DegenerateModeError(ValueError):
     """A mode construction hit a numerically defective configuration."""
 
 
-@dataclass(frozen=True)
-class DNSystem:
-    """Douglis-Nirenberg system with a principal-symbol generator.
+class _HomogeneousSymbol:
+    """A matrix symbol fixed by the stack ``C_m`` of ``L'(x, (1, z)) = sum_m C_m z^m``.
 
-    ``symbol_gen(point, xi)`` must return the complex ``n x n`` matrix
-    ``L'(x, xi)`` for ``xi`` a complex 2-vector; entries are polynomials of
-    degree ``s_k + t_j`` in ``xi``.  The generator broadcasts: when the
-    components of ``xi`` are arrays that broadcast to ``shape``, it returns
-    the stack ``shape + (n, n)``, each matrix bit-equal to the one a scalar
-    call would give.  Scans and interpolations call it once per stack.
+    ``coefficients(point)`` returns that stack.  Entry ``(k, j)`` is
+    homogeneous of degree ``d_kj = degrees[k, j]``, so ``C_m`` vanishes there
+    for ``m > d_kj`` and ``L'(x, xi) = sum_m C_m xi1^(d_kj - m) xi2^m``.
     """
 
+    def symbol_gen(self, point: MetricData, xi) -> np.ndarray:
+        """``L'(x, xi)`` for a complex 2-vector ``xi``; components that are
+        arrays broadcasting to ``shape`` give the stack ``shape + (rows, cols)``,
+        each matrix bit-equal to the one a scalar call gives."""
+        return _evaluate(self.coefficients(point), self.degrees, *xi)
+
+
+@dataclass(frozen=True)
+class DNSystem(_HomogeneousSymbol):
+    """Douglis-Nirenberg system: entry ``(k, j)`` has degree ``s_k + t_j``."""
+
     name: str
-    n_unknowns: int
-    n_equations: int
     t_indices: tuple
     s_indices: tuple
-    symbol_gen: Callable[[MetricData, Sequence[complex]], np.ndarray]
+    coefficients: Callable[[MetricData], np.ndarray]
 
     def __post_init__(self):
-        if len(self.t_indices) != self.n_unknowns:
-            raise ValueError("one t index per unknown")
-        if len(self.s_indices) != self.n_equations:
-            raise ValueError("one s index per equation")
         if self.total_order % 2 != 0:
             raise ValueError("total order must be even")
+
+    @property
+    def n_unknowns(self) -> int:
+        return len(self.t_indices)
+
+    @property
+    def n_equations(self) -> int:
+        return len(self.s_indices)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.add.outer(self.s_indices, self.t_indices)
 
     @property
     def total_order(self) -> int:
@@ -96,20 +111,21 @@ class DNSystem:
 
 
 @dataclass(frozen=True)
-class BoundaryConditionSet:
-    """``m`` boundary operators with indices ``r_k``; entry degrees ``r_k + t_j``.
-
-    ``symbol_gen(point, xi)`` returns the ``m x n`` boundary symbol and
-    broadcasts over stacked ``xi`` components like :class:`DNSystem`'s.
-    """
+class BoundaryConditionSet(_HomogeneousSymbol):
+    """``m`` boundary operators of indices ``r_k``: entry ``(k, j)`` has degree ``r_k + t_j``."""
 
     name: str
     r_indices: tuple
-    symbol_gen: Callable[[MetricData, Sequence[complex]], np.ndarray]
+    t_indices: tuple
+    coefficients: Callable[[MetricData], np.ndarray]
 
     @property
     def count(self) -> int:
         return len(self.r_indices)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.add.outer(self.r_indices, self.t_indices)
 
 
 @dataclass
@@ -132,76 +148,95 @@ class SLReport:
 
 
 # ---------------------------------------------------------------------------
-# built-in symbol matrices
+# coefficient stacks: reading and evaluation
 # ---------------------------------------------------------------------------
 
-def _symbol_array(xi, rows: int) -> np.ndarray:
-    """Zero complex symbol of shape ``shape + (rows, 3)`` for frequencies ``xi``.
+def _exponents(coeffs, degrees) -> np.ndarray:
+    """The power ``d_kj - m`` of ``xi1`` that ``C_m`` carries (0 where ``C_m`` vanishes)."""
+    return np.maximum(degrees - np.arange(len(coeffs))[:, None, None], 0)
 
-    ``shape`` is the broadcast shape of the two frequency components; with
-    scalar components the symbol is a plain ``rows x 3`` matrix.
+
+def _coefficients_at(symbol, point: MetricData, xi1: float) -> np.ndarray:
+    """The coefficients ``C_m xi1^(d_kj - m)`` of ``L'(x, (xi1, z))`` in ``z``."""
+    coeffs = symbol.coefficients(point)
+    return coeffs * float(xi1) ** _exponents(coeffs, symbol.degrees)
+
+
+def _evaluate(coeffs, degrees, x1, x2) -> np.ndarray:
+    """``sum_m C_m x1^(d_kj - m) x2^m``, stacked over the shape of ``(x1, x2)``.
+
+    The powers of ``x1`` come from a table of repeated products and the sum
+    by Horner's rule in ``x2``.  Every operation is elementwise on arrays,
+    so a stacked evaluation rounds exactly as the scalar one.
     """
-    shape = np.broadcast_shapes(np.shape(xi[0]), np.shape(xi[1]))
-    return np.zeros(shape + (rows, 3), dtype=complex)
-
-
-def _cmul(a, b):
-    """``a * b`` rounded as the scalar complex product.
-
-    numpy's array loop for complex * complex may fuse a multiply and an add,
-    so a stacked evaluation would differ from a per-point one in the last bit.
-    """
-    return ((a.real * b.real - a.imag * b.imag)
-            + 1j * (a.real * b.imag + a.imag * b.real))
-
-
-def _strain_rows(point: MetricData, xi, s: complex) -> np.ndarray:
-    b11, b12, b22 = point.b_triple
-    x1, x2 = xi
-    out = _symbol_array(xi, 3)
-    out[..., 0, 0] = s * x1
-    out[..., 1, 1] = s * x2
-    out[..., 2, 0] = s * x2
-    out[..., 2, 1] = s * x1
-    out[..., :, 2] = (-b11, -b22, -2.0 * b12)
+    exponents = _exponents(coeffs, degrees)
+    x1, x2 = np.asarray(x1)[..., None], np.asarray(x2)[..., None, None]
+    table = [np.ones_like(x1)]
+    for _ in range(exponents.max()):
+        table.append(table[-1] * x1)
+    powers = np.concatenate(table, axis=-1)[..., exponents]
+    out = 0.0
+    for m in range(len(coeffs) - 1, -1, -1):
+        out = out * x2 + coeffs[m] * powers[..., m, :, :]
     return out
 
 
-def strain_symbol(point: MetricData, xi) -> np.ndarray:
-    """Symbol of the strain operator rows ``(g11, g22, 2*g12)``, ``d -> i*xi``."""
-    return _strain_rows(point, xi, 1j)
+# ---------------------------------------------------------------------------
+# built-in systems and boundary conditions
+# ---------------------------------------------------------------------------
+
+def _strain_coefficients(point: MetricData) -> np.ndarray:
+    """``S0 + S1 z``: the strain rows ``(g11, g22, 2*g12)`` at ``xi = (1, z)``."""
+    b11, b12, b22 = point.b_triple
+    out = np.zeros((2, 3, 3), dtype=complex)
+    out[0, 0, 0] = out[0, 2, 1] = 1j     # i*xi1
+    out[1, 1, 1] = out[1, 2, 0] = 1j     # i*xi2
+    out[0, :, 2] = (-b11, -b22, -2.0 * b12)
+    return out
 
 
-def strain_symbol_conj(point: MetricData, xi) -> np.ndarray:
-    """Coefficient-conjugated strain symbol (the formal-adjoint factor)."""
-    return _strain_rows(point, xi, -1j)
+def _bending_coefficients(point: MetricData) -> np.ndarray:
+    """``R0 + R1 z + R2 z^2``: the curvature-change rows ``(r11, r22, 2*r12)`` at
+    ``xi = (1, z)``.  Row ``ab`` has ``u_k`` entry ``i*(b^k_b xi_a + b^k_a xi_b)``
+    and ``u3`` entry ``-xi_a xi_b``, both doubled on the shear row."""
+    bm = 2j * point.b_mixed
+    out = np.zeros((3, 3, 3), dtype=complex)
+    out[0, 0, :2] = out[1, 2, :2] = bm[:, 0]    # b^k_1 in r11 and 2*r12
+    out[1, 1, :2] = out[0, 2, :2] = bm[:, 1]    # b^k_2 in r22 and 2*r12
+    out[0, 0, 2] = out[2, 1, 2] = -1.0          # -xi1^2, -xi2^2
+    out[1, 2, 2] = -2.0                         # -2*xi1*xi2
+    return out
 
 
-def bending_strain_symbol(point: MetricData, xi, conj: bool = False) -> np.ndarray:
-    """Principal symbol of the curvature-change rows ``(r11, r22, 2*r12)``.
-
-    Tangential entries are first order through the mixed curvature tensor,
-    the normal entry second order.
-    """
-    bm = point.b_mixed
-    x1, x2 = xi
-    m = _symbol_array(xi, 3)
-    s = -1j if conj else 1j
-    # rho_ab row: u_k coefficient  s*(b^k_b * xi_a + b^k_a * xi_b);
-    #             u3  coefficient  -xi_a * xi_b  (doubled on the shear row)
-    pairs = [(x1, x1, 0, 0), (x2, x2, 1, 1), (x1, x2, 0, 1)]
-    for r, (xa, xb, a, b) in enumerate(pairs):
-        scale = 2.0 if r == 2 else 1.0
-        for k in range(2):
-            m[..., r, k] = scale * s * (bm[k, b] * xa + bm[k, a] * xb)
-        m[..., r, 2] = _cmul(-scale * xa, xb)
-    return m
+def _gram(p: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Coefficients ``sum_(i+j=k) conj(P_i)^T W Q_j`` of ``conj(P)^T W Q``."""
+    out = np.zeros((len(p) + len(q) - 1, p.shape[2], q.shape[2]), dtype=complex)
+    for i, left in enumerate(p.conj().transpose(0, 2, 1) @ w):
+        out[i:i + len(q)] += left @ q
+    return out
 
 
-def _require_kind(name):
-    kinds = ("rigidity", "membrane_tension", "membrane", "koiter")
-    if name not in kinds:
-        raise ValueError(f"unknown system {name!r}; choose from {kinds}")
+def _system_coefficients(point: MetricData, name: str,
+                         elasticity: ElasticityTensor | None, eps2: float) -> np.ndarray:
+    strain = _strain_coefficients(point)
+    if name == "rigidity":
+        return strain
+    if name == "membrane_tension":          # the formal adjoint of the strain
+        return strain.conj().transpose(0, 2, 1)
+    if name == "membrane":
+        return _gram(strain, elasticity.membrane, strain)
+    bend = _bending_coefficients(point)
+    out = eps2 * _gram(bend, elasticity.bending, bend)
+    # membrane terms are principal only in the tangential block, and only
+    # the tangential strain columns enter it
+    tangential = strain[..., :2]
+    out[:3, :2, :2] += _gram(tangential, elasticity.membrane, tangential)
+    return out
+
+
+# (t, s) indices of the built-in systems
+_SYSTEMS = {"rigidity": ((1, 1, 0), (0, 0, 0)), "membrane_tension": ((0, 0, 0), (1, 1, 0)),
+            "membrane": ((1, 1, 0), (1, 1, 0)), "koiter": ((1, 1, 2), (1, 1, 2))}
 
 
 def builtin_system(name: str, point: MetricData,
@@ -209,54 +244,41 @@ def builtin_system(name: str, point: MetricData,
                    eps: float = 0.0) -> DNSystem:
     """One of the four built-in shell systems at a boundary-frame point.
 
-    The generators re-read the curvature data from the point they are handed,
-    so a system built here can be evaluated at other points; ``elasticity``
-    and ``eps`` are bound at construction.  Points are assumed expressed in
-    the orthonormal boundary frame.
+    The coefficient builders read the curvature data from the point they are
+    handed, so a system built here can be evaluated at other points;
+    ``elasticity`` and ``eps`` are bound at construction.  Points are assumed
+    expressed in the orthonormal boundary frame.
     """
-    _require_kind(name)
+    if name not in _SYSTEMS:
+        raise ValueError(f"unknown system {name!r}; choose from {tuple(_SYSTEMS)}")
     if name != "rigidity":
         point.require_surface_elliptic()
     if name in ("membrane", "koiter") and elasticity is None:
         raise ValueError(f"{name} system needs an elasticity tensor")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    return DNSystem(name, *_SYSTEMS[name], functools.partial(
+        _system_coefficients, name=name, elasticity=elasticity, eps2=eps ** 2))
 
-    if name == "rigidity":
-        return DNSystem("rigidity", 3, 3, (1, 1, 0), (0, 0, 0), strain_symbol)
 
-    if name == "membrane_tension":
-        def gen(pt, xi):
-            return strain_symbol_conj(pt, xi).swapaxes(-1, -2)
-        return DNSystem("membrane_tension", 3, 3, (0, 0, 0), (1, 1, 0), gen)
-
-    ma = elasticity.membrane if elasticity is not None else None
-
-    if name == "membrane":
-        def gen(pt, xi, _ma=ma):
-            g = strain_symbol(pt, xi)
-            gc = strain_symbol_conj(pt, xi)
-            return gc.swapaxes(-1, -2) @ _ma @ g
-        return DNSystem("membrane", 3, 3, (1, 1, 0), (1, 1, 0), gen)
-
-    mb = elasticity.bending
-
-    def gen(pt, xi, _ma=ma, _mb=mb, _e2=eps ** 2):
-        g = strain_symbol(pt, xi)
-        gc = strain_symbol_conj(pt, xi)
-        membrane = gc.swapaxes(-1, -2) @ _ma @ g
-        r = bending_strain_symbol(pt, xi)
-        rc = bending_strain_symbol(pt, xi, conj=True)
-        out = _e2 * (rc.swapaxes(-1, -2) @ _mb @ r)
-        # membrane terms are principal only in the tangential block; the
-        # remaining membrane entries are of lower order for indices (1,1,2)
-        out[..., :2, :2] += membrane[..., :2, :2]
+def _boundary_coefficients(point: MetricData, name: str,
+                           elasticity: ElasticityTensor | None) -> np.ndarray:
+    if name == "membrane_traction":   # the normal stress rows (T21, T22)
+        return (elasticity.membrane @ _strain_coefficients(point))[:, [2, 1]]
+    if name == "koiter_clamped":      # u1, u2, u3 and d_n u3, whose symbol is i*xi2
+        out = np.zeros((2, 4, 3), dtype=complex)
+        out[0, :3] = np.eye(3)
+        out[1, 3, 2] = 1j
         return out
+    rows = {"u1": [0], "u2": [1], "u3": [2], "membrane_dirichlet": [0, 1]}[name]
+    return np.eye(3, dtype=complex)[None, rows]
 
-    return DNSystem("koiter", 3, 3, (1, 1, 2), (1, 1, 2), gen)
 
-
-_DIRICHLET_ROWS = {"u1": 0, "u2": 1, "u3": 2}
+# (r, t) indices of the built-in boundary sets
+_BOUNDARY_SETS = {"u1": ((-1,), (1, 1, 0)), "u2": ((-1,), (1, 1, 0)), "u3": ((0,), (1, 1, 0)),
+                  "membrane_dirichlet": ((-1, -1), (1, 1, 0)),
+                  "membrane_traction": ((0, 0), (1, 1, 0)),
+                  "koiter_clamped": ((-1, -1, -2, -1), (1, 1, 2))}
 
 
 def builtin_boundary_conditions(name: str,
@@ -273,41 +295,12 @@ def builtin_boundary_conditions(name: str,
     ``koiter_clamped``
         ``u1 = u2 = u3 = d_n u3 = 0``.
     """
-    if name in _DIRICHLET_ROWS:
-        row = _DIRICHLET_ROWS[name]
-
-        def gen(pt, xi, _row=row):
-            out = _symbol_array(xi, 1)
-            out[..., 0, _row] = 1.0
-            return out
-        r = (-1,) if row < 2 else (0,)
-        return BoundaryConditionSet(name, r, gen)
-
-    if name == "membrane_dirichlet":
-        def gen(pt, xi):
-            out = _symbol_array(xi, 2)
-            out[..., [0, 1], [0, 1]] = 1.0
-            return out
-        return BoundaryConditionSet(name, (-1, -1), gen)
-
-    if name == "membrane_traction":
-        if elasticity is None:
-            raise ValueError("traction conditions need an elasticity tensor")
-
-        def gen(pt, xi, _ma=elasticity.membrane):
-            stress = _ma @ strain_symbol(pt, xi)   # rows (T11, T22, T12)
-            return stress[..., [2, 1], :]          # (T21, T22) = normal rows
-        return BoundaryConditionSet("membrane_traction", (0, 0), gen)
-
-    if name == "koiter_clamped":
-        def gen(pt, xi):
-            out = _symbol_array(xi, 4)
-            out[..., [0, 1, 2], [0, 1, 2]] = 1.0
-            out[..., 3, 2] = 1j * xi[1]
-            return out
-        return BoundaryConditionSet("koiter_clamped", (-1, -1, -2, -1), gen)
-
-    raise ValueError(f"unknown boundary condition set {name!r}")
+    if name not in _BOUNDARY_SETS:
+        raise ValueError(f"unknown boundary condition set {name!r}")
+    if name == "membrane_traction" and elasticity is None:
+        raise ValueError("traction conditions need an elasticity tensor")
+    return BoundaryConditionSet(name, *_BOUNDARY_SETS[name], functools.partial(
+        _boundary_coefficients, name=name, elasticity=elasticity))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +366,8 @@ def _determinant_scan(coeffs, order, sign, cos, sin):
     return np.abs(values), hadamard
 
 
-def _abs_dets(system, point, cos, sin) -> np.ndarray:
-    dets = np.linalg.det(system.symbol_gen(point, (cos, sin)))
+def _abs_dets(coeffs, degrees, cos, sin) -> np.ndarray:
+    dets = np.linalg.det(_evaluate(coeffs, degrees, cos, sin))
     # hypot rounds as the scalar abs(complex); numpy's complex abs does not
     return np.hypot(dets.real, dets.imag)
 
@@ -397,18 +390,18 @@ def ellipticity_check(system: DNSystem, point: MetricData,
     if n_angles < 8:
         raise ValueError("n_angles must be at least 8")
     cos, sin = _unit_circle(n_angles)
-    coeffs = _entry_coefficients(system.symbol_gen, point, 1.0, system.max_entry_degree)
+    coeffs, degrees = system.coefficients(point), system.degrees
     approx, hadamard = _determinant_scan(coeffs, system.total_order, 1.0, cos, sin)
     slack = 1e3 * np.finfo(float).eps * hadamard
     picked = np.flatnonzero((approx <= approx.min() + slack)
                             | (approx >= approx.max() - slack))
     # no candidate at all means a NaN in the values or in H
     if 0 < picked.size < n_angles:
-        vals = _abs_dets(system, point, cos[picked], sin[picked])
+        vals = _abs_dets(coeffs, degrees, cos[picked], sin[picked])
         if not np.all(np.abs(vals - approx[picked]) <= slack / 2):
-            vals = _abs_dets(system, point, cos, sin)
+            vals = _abs_dets(coeffs, degrees, cos, sin)
     else:
-        vals = _abs_dets(system, point, cos, sin)
+        vals = _abs_dets(coeffs, degrees, cos, sin)
     lo, hi = float(vals.min()), float(vals.max())
     return EllipticityReport(lo > DET_RTOL * hi, lo, hi, n_angles)
 
@@ -416,10 +409,6 @@ def ellipticity_check(system: DNSystem, point: MetricData,
 # ---------------------------------------------------------------------------
 # decaying solutions, characteristic roots, Shapiro-Lopatinskii check
 # ---------------------------------------------------------------------------
-
-def _entry_coefficients(gen, point, xi1, degree) -> np.ndarray:
-    return poly_coefficients(lambda z: gen(point, (xi1, z)), max(degree, 0))
-
 
 @dataclass(frozen=True)
 class DecayingBasis:
@@ -456,7 +445,7 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
         raise ValueError("xi1 must be nonzero")
     m, n, deg = system.half_order, system.n_unknowns, system.max_entry_degree
     s = float(np.sign(xi1))
-    coeffs = _entry_coefficients(system.symbol_gen, point, s, deg)
+    coeffs = _coefficients_at(system, point, s)
     approx, _ = _determinant_scan(coeffs, system.total_order, s, *_unit_circle(64))
     if not approx.min() > DET_RTOL * approx.max():
         raise EllipticityError(
@@ -516,15 +505,16 @@ def sl_verdict(decaying: DecayingBasis, bc: BoundaryConditionSet, xi1: float,
     if bc.count != m:
         raise ValueError(
             f"{bc.name}: {bc.count} boundary conditions, system needs {m}")
+    if tuple(bc.t_indices) != tuple(system.t_indices):
+        raise ValueError(f"{bc.name}: unknowns of indices {bc.t_indices}, not {system.t_indices}")
     if np.sign(xi1) != s:
         raise ValueError(f"xi1={xi1} does not have the sign of the basis ({s:+g})")
 
-    bdeg = max(max(bc.r_indices) + max(system.t_indices), 0)
-    bcoeffs = _entry_coefficients(bc.symbol_gen, point, s, bdeg)
+    bcoeffs = _coefficients_at(bc, point, s)
     if np.abs(bcoeffs[deg:]).max(initial=0.0) > 1e-12 * np.abs(bcoeffs).max():
         raise ValueError(f"{bc.name}: boundary operators must have order < {deg}")
     cauchy = np.zeros((m, deg, n), dtype=complex)
-    cauchy[:, :bdeg + 1] = bcoeffs[:deg].transpose(1, 0, 2)
+    cauchy[:, :len(bcoeffs)] = bcoeffs[:deg].transpose(1, 0, 2)
     cauchy = cauchy.reshape(m, n * deg)
     cauchy /= np.linalg.norm(cauchy, axis=1, keepdims=True)
 
@@ -562,5 +552,5 @@ def rigidity_strain_residual(witness: np.ndarray, point: MetricData,
     at ``x2 = 0``, where it is ``S_0 u + S_1 D u``.
     """
     data = np.asarray(witness).reshape(-1, 3)
-    s0, s1 = _entry_coefficients(strain_symbol, point, xi1, 1)
+    s0, s1 = _coefficients_at(builtin_system("rigidity", point), point, xi1)
     return float(np.linalg.norm(s0 @ data[0] + s1 @ data[1]) / np.linalg.norm(data))

@@ -79,3 +79,70 @@ def direct_ellipticity_scan(system, point, n_angles=360):
     vals = np.hypot(dets.real, dets.imag)
     lo, hi = float(vals.min()), float(vals.max())
     return lo > DET_RTOL * hi, lo, hi
+
+
+def _oracle_strain_rows(point, xi, s):
+    """Strain rows ``(g11, g22, 2*g12)`` of the displacement, ``d -> s*xi``."""
+    b11, b12, b22 = point.b_triple
+    x1, x2 = xi
+    out = np.zeros(np.broadcast_shapes(np.shape(x1), np.shape(x2)) + (3, 3), complex)
+    out[..., 0, 0] = s * x1
+    out[..., 1, 1] = s * x2
+    out[..., 2, 0] = s * x2
+    out[..., 2, 1] = s * x1
+    out[..., :, 2] = (-b11, -b22, -2.0 * b12)
+    return out
+
+
+def _oracle_bending_rows(point, xi, s):
+    """Curvature-change rows ``(r11, r22, 2*r12)``: for the pair ``ab`` the
+    ``u_k`` entry is ``s*(b^k_b xi_a + b^k_a xi_b)`` and the ``u3`` entry
+    ``-xi_a xi_b``, both doubled on the shear row."""
+    bm = point.b_mixed
+    x1, x2 = xi
+    out = np.zeros(np.broadcast_shapes(np.shape(x1), np.shape(x2)) + (3, 3), complex)
+    for r, (xa, xb, a, b) in enumerate([(x1, x1, 0, 0), (x2, x2, 1, 1), (x1, x2, 0, 1)]):
+        scale = 2.0 if r == 2 else 1.0
+        for k in range(2):
+            out[..., r, k] = scale * s * (bm[k, b] * xa + bm[k, a] * xb)
+        out[..., r, 2] = -scale * xa * xb
+    return out
+
+
+def generator_symbol_oracle(name, point, xi, elasticity=None, eps=0.0):
+    """Principal symbol of a built-in system or boundary set, formed at ``xi``.
+
+    The products of strain and bending rows are taken at the frequency
+    itself, independently of the coefficient stacks in ``shellsym.symbols``;
+    ``xi`` components may be broadcasting arrays.
+    """
+    g, gc = _oracle_strain_rows(point, xi, 1j), _oracle_strain_rows(point, xi, -1j)
+    shape = g.shape[:-2]
+    if name == "rigidity":
+        return g
+    if name == "membrane_tension":
+        return gc.swapaxes(-1, -2)
+    if name in ("membrane", "koiter"):
+        membrane = gc.swapaxes(-1, -2) @ elasticity.membrane @ g
+        if name == "membrane":
+            return membrane
+        r, rc = _oracle_bending_rows(point, xi, 1j), _oracle_bending_rows(point, xi, -1j)
+        out = eps ** 2 * (rc.swapaxes(-1, -2) @ elasticity.bending @ r)
+        out[..., :2, :2] += membrane[..., :2, :2]
+        return out
+    if name in ("u1", "u2", "u3"):
+        out = np.zeros(shape + (1, 3), complex)
+        out[..., 0, int(name[1]) - 1] = 1.0
+        return out
+    if name == "membrane_dirichlet":
+        out = np.zeros(shape + (2, 3), complex)
+        out[..., [0, 1], [0, 1]] = 1.0
+        return out
+    if name == "membrane_traction":
+        return (elasticity.membrane @ g)[..., [2, 1], :]
+    if name == "koiter_clamped":
+        out = np.zeros(shape + (4, 3), complex)
+        out[..., [0, 1, 2], [0, 1, 2]] = 1.0
+        out[..., 3, 2] = 1j * xi[1]
+        return out
+    raise ValueError(name)

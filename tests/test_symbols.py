@@ -8,6 +8,7 @@ from shellsym.geometry import (
     frozen_point,
     sphere_cap_chart,
 )
+from shellsym.polymat import poly_coefficients
 from shellsym.symbols import (
     BoundaryConditionSet,
     DNSystem,
@@ -22,7 +23,12 @@ from shellsym.symbols import (
     sl_check,
 )
 
-from conftest import direct_ellipticity_scan, random_elliptic_b, random_spd_matrix
+from conftest import (
+    direct_ellipticity_scan,
+    generator_symbol_oracle,
+    random_elliptic_b,
+    random_spd_matrix,
+)
 
 IDENTITY = ElasticityTensor.identity()
 
@@ -173,14 +179,9 @@ def test_generators_broadcast_bitwise(rng):
 def test_ellipticity_check_matches_pointwise_determinants(rng):
     # the built-in determinants are real on real frequencies; the scalar
     # system with complex coefficients also pins the rounding of |det|
-    c0, c1, c2 = rng.normal(size=3) + 1j * rng.normal(size=3)
-
-    def complex_gen(pt, xi):
-        x1, x2 = xi
-        return np.asarray(c0 * x1 ** 2 + c1 * x1 * x2 + c2 * x2 ** 2)[..., None, None]
-
+    # c0 xi1^2 + c1 xi1 xi2 + c2 xi2^2
     pt = frozen_point(*random_elliptic_b(rng))
-    cases = [(DNSystem("complex", 1, 1, (1,), (1,), complex_gen), pt)]
+    cases = [(complex_scalar_system(rng.normal(size=3) + 1j * rng.normal(size=3)), pt)]
     for b in random_elliptic_b(rng, 3):
         pt = frozen_point(*b)
         for e in ELASTICITIES:
@@ -246,28 +247,63 @@ def swept_elasticity(rng):
     return ElasticityTensor.from_matrices(random_spd_matrix(rng), random_spd_matrix(rng))
 
 
-def swept_frozen_systems(rng, points_per_kind):
-    """Built-in systems at frozen points of every curvature kind, eps 1e-8..0.5."""
+def swept_frozen_points(rng, points_per_kind):
+    """``(point, elasticity, eps)`` at frozen points of every curvature kind,
+    eps 1e-8..0.5."""
     for kind in CURVATURE_KINDS:
         for _ in range(points_per_kind):
             pt = frozen_point(*swept_curvature(rng, kind))
-            e, eps = swept_elasticity(rng), 10.0 ** rng.uniform(-8, np.log10(0.5))
-            for name in SYSTEM_NAMES:
-                try:
-                    yield builtin_system(name, pt, e, eps), pt
-                except SurfaceEllipticityError:   # hyperbolic: rigidity only
-                    pass
+            yield pt, swept_elasticity(rng), 10.0 ** rng.uniform(-8, np.log10(0.5))
+
+
+def built_systems(pt, e, eps):
+    """``(name, system)`` of every built-in system that exists at ``pt``."""
+    for name in SYSTEM_NAMES:
+        try:
+            yield name, builtin_system(name, pt, e, eps)
+        except SurfaceEllipticityError:   # hyperbolic: rigidity only
+            pass
+
+
+def swept_frozen_systems(rng, points_per_kind):
+    """Built-in systems at frozen points of every curvature kind, eps 1e-8..0.5."""
+    for pt, e, eps in swept_frozen_points(rng, points_per_kind):
+        for _, system in built_systems(pt, e, eps):
+            yield system, pt
+
+
+def test_symbols_match_the_generator_oracle(rng):
+    # every built-in system and boundary set, evaluated from its closed-form
+    # coefficient stack, equals the strain and bending products formed at
+    # the frequency itself, at real and complex frequencies; the stack
+    # equals the one interpolated from the products at xi1 = 1
+    cases = list(swept_frozen_points(rng, 5))
+    for radius in (0.8, 1.7, 25.0):
+        chart = sphere_cap_chart(radius=radius)
+        cases += [(chart.point(i, j), e, 0.02)
+                  for i, j in ((0, 0), (12, 12), (5, 17)) for e in ELASTICITIES]
+    thetas = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    complex_xi = tuple(rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8)))
+    for pt, e, eps in cases:
+        built = list(built_systems(pt, e, eps))
+        built += [(name, builtin_boundary_conditions(name, e)) for name in BC_NAMES]
+        for name, sym in built:
+            for xi in ((np.cos(thetas), np.sin(thetas)), complex_xi):
+                want = generator_symbol_oracle(name, pt, xi, e, eps)
+                scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+                assert np.all(np.abs(sym.symbol_gen(pt, xi) - want) <= 1e-14 * scale), name
+            coeffs = sym.coefficients(pt)
+            sampled = poly_coefficients(
+                lambda z: generator_symbol_oracle(name, pt, (1.0, z), e, eps),
+                len(coeffs) - 1)
+            assert np.abs(coeffs - sampled).max() <= 1e-14 * np.abs(sampled).max(), name
 
 
 def complex_scalar_system(coeffs):
     """Scalar system ``sum_j c_j xi1^(T-j) xi2^j`` with complex ``c_j``."""
     order = len(coeffs) - 1
-
-    def gen(pt, xi):
-        x1, x2 = xi
-        value = sum(c * x1 ** (order - j) * x2 ** j for j, c in enumerate(coeffs))
-        return np.asarray(value)[..., None, None]
-    return DNSystem("complex", 1, 1, (order // 2,), (order // 2,), gen)
+    stack = np.asarray(coeffs, dtype=complex)[:, None, None]
+    return DNSystem("complex", (order // 2,), (order // 2,), lambda pt: stack)
 
 
 def test_ellipticity_check_equals_direct_scan(rng):
@@ -303,57 +339,63 @@ def test_determinant_scan_is_within_a_few_rounding_errors(rng):
     for system, pt in swept_frozen_systems(rng, 5):
         dets = np.linalg.det(system.symbol_gen(pt, (cos, sin)))
         for sign in (1.0, -1.0):
-            coeffs = symbols._entry_coefficients(system.symbol_gen, pt, sign,
-                                                 system.max_entry_degree)
+            coeffs = symbols._coefficients_at(system, pt, sign)
             approx, hadamard = symbols._determinant_scan(coeffs, system.total_order,
                                                          sign, cos, sin)
             gap = np.abs(approx - np.abs(dets)).max()
             assert gap <= 10 * np.finfo(float).eps * hadamard, (system.name, sign)
 
 
-def recording(system, calls):
-    """``system`` with a generator that records the shape of each call."""
-    def gen(pt, xi):
-        calls.append(np.broadcast_shapes(np.shape(xi[0]), np.shape(xi[1])))
-        return system.symbol_gen(pt, xi)
-    return DNSystem(system.name, system.n_unknowns, system.n_equations,
-                    system.t_indices, system.s_indices, gen)
+def record_evaluations(monkeypatch):
+    """The broadcast shape of every later symbol evaluation, in call order."""
+    calls, evaluate = [], symbols._evaluate
+
+    def recorded(coeffs, degrees, x1, x2):
+        calls.append(np.broadcast_shapes(np.shape(x1), np.shape(x2)))
+        return evaluate(coeffs, degrees, x1, x2)
+    monkeypatch.setattr(symbols, "_evaluate", recorded)
+    return calls
 
 
-def test_ellipticity_check_evaluates_few_angles_at_a_generic_point():
-    # one call for the entry coefficients, one on the candidate angles
+def test_ellipticity_check_evaluates_few_angles_at_a_generic_point(monkeypatch):
+    # the coefficients come from the closed form with no evaluation; the
+    # symbol is evaluated once, on the candidate angles
     pt = frozen_point(1.3, 0.4, 0.8)
+    calls = record_evaluations(monkeypatch)
     for e in ELASTICITIES:
         for name in SYSTEM_NAMES:
-            calls = []
-            system = recording(builtin_system(name, pt, e, eps=0.05), calls)
+            system = builtin_system(name, pt, e, eps=0.05)
             want = direct_ellipticity_scan(system, pt)
             calls.clear()
             rep = ellipticity_check(system, pt)
             assert (rep.elliptic, rep.min_abs_det, rep.max_abs_det) == want
-            coefficients, (n_direct,) = calls
-            assert coefficients == (system.max_entry_degree + 1,)
+            [(n_direct,)] = calls
             assert 2 <= n_direct <= 16, (name, e, n_direct)
 
 
-def test_ellipticity_check_guard_catches_a_non_polynomial_symbol(rng):
-    # a rational symbol breaks the DNSystem contract: interpolated from three
-    # samples its determinant is off by far more than the slack, so the
-    # guard falls back to the direct scan of every angle
-    def gen(pt, xi):
-        x1, x2 = xi
-        value = 2.0 * x1 ** 2 + x2 ** 2 + x1 ** 3 * x2 / (3.0 * x1 ** 2 + x2 ** 2)
-        return np.asarray(value)[..., None, None]
+def test_ellipticity_check_guard_falls_back_to_every_angle(monkeypatch):
+    # approximate values off by at least the slack, more than the guard's
+    # slack / 2, and rising steeply with the angle: the candidates are the
+    # first and last angles alone, which miss the extremes of |D|, so only
+    # the fallback to every angle reproduces the direct scan
+    scan = symbols._determinant_scan
 
-    pt = frozen_point(1.0, 0.0, 1.0)
-    calls = []
-    system = recording(DNSystem("rational", 1, 1, (1,), (1,), gen), calls)
-    for n_angles in (360, 64, 9):
-        want = direct_ellipticity_scan(system, pt, n_angles)
-        calls.clear()
-        rep = ellipticity_check(system, pt, n_angles=n_angles)
-        assert (rep.elliptic, rep.min_abs_det, rep.max_abs_det) == want
-        assert len(calls) == 3 and calls[-1] == (n_angles,)
+    def shifted(coeffs, order, sign, cos, sin):
+        approx, hadamard = scan(coeffs, order, sign, cos, sin)
+        ramp = 1e3 * np.finfo(float).eps + np.arange(len(cos))
+        return approx + ramp * hadamard, hadamard
+
+    pt = frozen_point(1.3, 0.4, 0.8)
+    systems = [builtin_system(name, pt, IDENTITY, eps=0.05) for name in SYSTEM_NAMES]
+    calls = record_evaluations(monkeypatch)
+    monkeypatch.setattr(symbols, "_determinant_scan", shifted)
+    for system in systems:
+        for n_angles in (360, 64, 9):
+            want = direct_ellipticity_scan(system, pt, n_angles)
+            calls.clear()
+            rep = ellipticity_check(system, pt, n_angles=n_angles)
+            assert (rep.elliptic, rep.min_abs_det, rep.max_abs_det) == want
+            assert calls == [(2,), (n_angles,)], system.name
 
 
 def test_basis_verdict_matches_direct_64_angle_verdict(rng):
@@ -583,8 +625,8 @@ def test_sl_margin_ignores_boundary_row_scale():
     koiter = builtin_system("koiter", pt, IDENTITY, eps=1e-2)
     bc = builtin_boundary_conditions("koiter_clamped")
     weights = np.array([1.0, 1e3, 1e-3, 7.0])[:, None]
-    weighted = BoundaryConditionSet(
-        "weighted", bc.r_indices, lambda p, xi: weights * bc.symbol_gen(p, xi))
+    weighted = BoundaryConditionSet("weighted", bc.r_indices, bc.t_indices,
+                                    lambda p: weights * bc.coefficients(p))
     plain, rep = sl_check(koiter, bc, pt, 2.0), sl_check(koiter, weighted, pt, 2.0)
     assert rep.margin == pytest.approx(plain.margin, rel=1e-12)
     assert abs(rep.sl_determinant) == pytest.approx(abs(plain.sl_determinant),
@@ -596,3 +638,8 @@ def test_sl_wrong_bc_count():
     membrane = builtin_system("membrane", pt, IDENTITY)
     with pytest.raises(ValueError):
         sl_check(membrane, builtin_boundary_conditions("u1"), pt, 1.0)
+    # one condition, as the tension system needs, but written for unknowns
+    # of indices (1, 1, 0): its entry degrees do not fit the system's
+    tension = builtin_system("membrane_tension", pt)
+    with pytest.raises(ValueError, match="unknowns of indices"):
+        sl_check(tension, builtin_boundary_conditions("u1"), pt, 1.0)
