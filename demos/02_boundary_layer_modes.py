@@ -47,9 +47,7 @@ print("\nmatched layer constants: alpha =", np.round(mr.alpha, 6),
 print("modified profile at the edge (components 1, 2 must vanish):",
       np.round(at0, 12))
 
-theta = layer_energy_coefficient(b, a_mat)
-print("\ntheta =", theta, " (same at xi1=4:",
-      layer_energy_coefficient(b, a_mat, xi1=4.0), ")")
+print("\ntheta =", layer_energy_coefficient(b, a_mat))
 print("zeta  =", bending_symbol_coefficient(b, elastic.bending))
 
 print("\n xi1 | theta*|xi1| energy | bending zeta*|xi1|^3")

@@ -2,13 +2,15 @@
 
 Subpackages:
 
-* :mod:`shellsym.geometry` -- chart data, strain measures, energy forms;
+* :mod:`shellsym.geometry` -- chart data, strain measures, energy forms and
+  the surface-ellipticity predicate;
 * :mod:`shellsym.symbols`  -- Douglis-Nirenberg systems from closed-form
   symbol coefficients, ellipticity and Shapiro-Lopatinskii checks;
 * :mod:`shellsym.polymat`  -- polynomial coefficients from one call on the
   roots of unity (the determinant polynomial of a symbol);
-* :mod:`shellsym.layers`   -- fixed-edge boundary-layer modes and the
-  boundary energy coefficients;
+* :mod:`shellsym.layers`   -- fixed-edge boundary-layer modes, which read
+  their strain pencil and membrane symbol from :mod:`shellsym.symbols`, and
+  the boundary energy coefficients;
 * :mod:`shellsym.reduced`  -- spectral solver for the reduced problem
   ``(A + eps^2 B) v = F`` on the circle;
 * :mod:`shellsym.cli`      -- configuration-driven command line front end.

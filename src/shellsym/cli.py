@@ -106,10 +106,12 @@ class ExperimentConfig:
             raise ConfigError("xi1 values must be nonzero")
         if self.command in ("check-sl", "layer-modes") and not self.xi1_list:
             raise ConfigError("xi1_list must not be empty")
-        b11, b12, b22 = self.b_coeffs
-        if self.command in ("check-sl", "layer-modes", "sweep-epsilon") and \
-                (b11 <= 0 or b11 * b22 - b12 ** 2 <= 0):
-            raise ConfigError("b_coeffs must be surface-elliptic for this command")
+        if self.command in ("check-sl", "layer-modes", "sweep-epsilon"):
+            try:
+                geometry.surface_elliptic_triple(self.b_coeffs)
+            except geometry.SurfaceEllipticityError:
+                raise ConfigError("b_coeffs must be surface-elliptic "
+                                  "for this command") from None
         for name in ("theta", "zeta"):
             value = getattr(self, name)
             if value is not None and not value > 0:
@@ -410,10 +412,9 @@ def main(argv=None) -> int:
 
     try:
         _DISPATCH[cfg.command](cfg)
-    except (symbols.EllipticityError, symbols.DegenerateModeError,
-            layers.StructureError, geometry.SurfaceEllipticityError,
-            geometry.InvariantError, reduced.KernelModeError,
-            reduced.WindowResolutionError) as exc:
+    except (symbols.EllipticityError, layers.StructureError,
+            geometry.SurfaceEllipticityError, geometry.InvariantError,
+            reduced.KernelModeError, reduced.WindowResolutionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -88,21 +88,27 @@ class MetricData:
             raise InvariantError("Christoffel symbols must be symmetric in the lower indices")
 
     @property
-    def is_surface_elliptic(self) -> bool:
-        b = self.b_cov
-        return bool(b[0, 0] * b[1, 1] - b[0, 1] ** 2 > 0 and b[0, 0] > 0)
-
-    @property
     def b_triple(self) -> tuple:
         """(b11, b12, b22) of the second fundamental form."""
         return (float(self.b_cov[0, 0]), float(self.b_cov[0, 1]),
                 float(self.b_cov[1, 1]))
 
     def require_surface_elliptic(self):
-        if not self.is_surface_elliptic:
-            b11, b12, b22 = self.b_triple
-            raise SurfaceEllipticityError(
-                f"point is not surface-elliptic: b=({b11}, {b12}, {b22})")
+        surface_elliptic_triple(self.b_triple)
+
+
+def surface_elliptic_triple(b) -> tuple:
+    """The curvature triple ``(b11, b12, b22)`` as floats, if it is surface-elliptic.
+
+    Raises :class:`SurfaceEllipticityError` unless ``b11 > 0`` and
+    ``b11*b22 - b12^2 > 0``.
+    """
+    b11, b12, b22 = (float(x) for x in b)
+    if not (b11 > 0 and b11 * b22 - b12 ** 2 > 0):
+        raise SurfaceEllipticityError(
+            f"not surface-elliptic: need b11 > 0 and b11*b22 - b12^2 > 0, "
+            f"got b=({b11}, {b12}, {b22})")
+    return b11, b12, b22
 
 
 def frozen_point(b11: float, b12: float, b22: float) -> MetricData:

@@ -1,20 +1,18 @@
 """Boundary-layer modes of the fixed-edge membrane problem.
 
-Near the fixed edge the frozen first-order strain system in the tangential
-Fourier variable ``xi1`` reads ``(G0 + G1 d/dy2) F(w) = 0`` with
-
-    G0 = [[-i*xi1, 0, -b11], [0, 0, -b22], [0, -i*xi1, -2*b12]],
-    G1 = [[0, 0, 0], [0, 1, 0], [1, 0, 0]],
-
-whose characteristic exponents are the roots of
-``b11*lam^2 + 2i*b12*xi1*lam - b22*xi1^2 = 0``:
+The layer reads the symbols of :mod:`shellsym.symbols` in its own
+variables: with the edge at ``y2 = 0`` and the shell at ``y2 > 0``, ``xi1``
+is reflected and ``d/dy2 = lam = i*xi2``.  So the first-order strain pencil
+is ``G0 + lam*G1 = L'_rigidity(-xi1, -i*lam)``, whose characteristic
+exponents are the roots of ``b11*lam^2 + 2i*b12*xi1*lam - b22*xi1^2 = 0``:
 
     lam_pm(xi1) = -i*xi1*b12/b11 +- |xi1|/b11 * sqrt(b11*b22 - b12^2).
 
 ``lam_minus`` decays into the domain.  The fourth-order membrane operator in
-the layer factorizes as ``(G0c^T - G1^T d/dy2) A (G0 + G1 d/dy2)`` with ``A``
-the reduced membrane rigidity matrix; each exponent is a double root of its
-characteristic determinant, and the second solution is the Jordan profile
+the layer is ``P(lam) = L'_membrane(-xi1, -i*lam)``, which factorizes as
+``(G0c^T - lam*G1^T) A (G0 + lam*G1)`` with ``A`` the reduced membrane
+rigidity matrix; each exponent is a double root of its characteristic
+determinant, and the second solution is the Jordan profile
 ``(y2*w + v) exp(lam*y2)``.  Every link of that Jordan chain is closed-form:
 
 * ``w = (i*lam/xi1 * b11/b22, 1, lam/b22)`` spans ``ker(G0 + lam*G1)``;
@@ -28,7 +26,6 @@ characteristic determinant, and the second solution is the Jordan profile
   ``v = (i*rho1/xi1, rho2/lam, 0)`` with ``rho = r - G1 w``; its component
   along ``w`` is then removed.
 
-With ``P(z) = P0 + P1 z + P2 z^2`` the operator's symbol,
 :func:`jordan_residual` checks the chain ``P(lam) w = 0``,
 ``P(lam) v + P'(lam) w = 0``.  This module builds those modes, the matched
 layer correction that enforces the tangential boundary conditions, and the
@@ -50,32 +47,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SurfaceEllipticityError
-from .symbols import DegenerateModeError
+from .geometry import frozen_point, surface_elliptic_triple
+from .symbols import _coefficients_at, _gram, builtin_system
+
+
+class DegenerateModeError(ValueError):
+    """A mode construction hit a numerically defective configuration."""
 
 
 class StructureError(ValueError):
     """Eigenstructure does not match the expected simple/Jordan layout."""
-
-
-def _b_triple(b) -> tuple:
-    b11, b12, b22 = (float(x) for x in b)
-    if b11 <= 0 or b11 * b22 - b12 ** 2 <= 0:
-        raise SurfaceEllipticityError(
-            f"need b11 > 0 and b11*b22 - b12^2 > 0, got b=({b11}, {b12}, {b22})")
-    return b11, b12, b22
-
-
-def layer_matrices(b, xi1: float) -> tuple:
-    """The pair ``(G0, G1)`` of the first-order layer system."""
-    b11, b12, b22 = _b_triple(b)
-    g0 = np.array([[-1j * xi1, 0.0, -b11],
-                   [0.0, 0.0, -b22],
-                   [0.0, -1j * xi1, -2.0 * b12]], dtype=complex)
-    g1 = np.array([[0.0, 0.0, 0.0],
-                   [0.0, 1.0, 0.0],
-                   [1.0, 0.0, 0.0]], dtype=complex)
-    return g0, g1
 
 
 def rigidity_roots(b11: float, b12: float, b22: float, xi1: float) -> tuple:
@@ -83,7 +64,7 @@ def rigidity_roots(b11: float, b12: float, b22: float, xi1: float) -> tuple:
 
     Homogeneous of degree one in ``xi1 > 0``; ``Re(lam_minus) < 0``.
     """
-    b11, b12, b22 = _b_triple((b11, b12, b22))
+    b11, b12, b22 = surface_elliptic_triple((b11, b12, b22))
     if xi1 == 0:
         raise ValueError("xi1 must be nonzero")
     root = np.sqrt(b11 * b22 - b12 ** 2)
@@ -97,7 +78,7 @@ def layer_eigenvector(lam: complex, xi1: float, b) -> np.ndarray:
 
     ``w = (i*lam/xi1 * b11/b22, 1, lam/b22)``.
     """
-    b11, b12, b22 = _b_triple(b)
+    b11, b12, b22 = surface_elliptic_triple(b)
     if xi1 == 0:
         raise ValueError("xi1 must be nonzero")
     return np.array([1j * lam / xi1 * b11 / b22, 1.0, lam / b22], dtype=complex)
@@ -119,15 +100,16 @@ class LayerMode:
 
 
 def fourth_order_symbol(b, a_membrane: np.ndarray, xi1: float) -> np.ndarray:
-    """Coefficients ``(P0, P1, P2)`` of ``P(z) = (G0c^T - G1^T z) A (G0 + G1 z)``."""
-    g0, g1 = layer_matrices(b, xi1)
-    l0, l1 = g0.conj().T, -g1.T
-    a = np.asarray(a_membrane, dtype=float)
-    return np.stack([
-        l0 @ a @ g0,
-        l1 @ a @ g0 + l0 @ a @ g1,
-        l1 @ a @ g1,
-    ])
+    """Coefficients ``(P0, P1, P2)`` of ``P(lam) = L'_membrane(-xi1, -i*lam)``.
+
+    The Gram product of the rigidity strain stack at ``-xi1`` is the membrane
+    stack in ``xi2``; ``xi2 = -i*lam`` multiplies its ``m``-th coefficient by
+    ``(-i)^m``.
+    """
+    point = frozen_point(*surface_elliptic_triple(b))
+    strain = _coefficients_at(builtin_system("rigidity", point), point, -xi1)
+    membrane = _gram(strain, np.asarray(a_membrane, dtype=float), strain)
+    return membrane * np.array([1.0, -1j, -1.0])[:, None, None]
 
 
 def _jordan_chain(lam: complex, w: np.ndarray, a_membrane: np.ndarray,
@@ -168,7 +150,7 @@ def _layer_mode(lam: complex, b: tuple, a_membrane: np.ndarray,
 
 def build_layer_modes(b, a_membrane: np.ndarray, xi1: float) -> tuple:
     """(decaying, growing) :class:`LayerMode` pair with Jordan vectors."""
-    b = _b_triple(b)
+    b = surface_elliptic_triple(b)
     lam_p, lam_m = rigidity_roots(*b, xi1)
     return tuple(_layer_mode(lam, b, a_membrane, xi1) for lam in (lam_m, lam_p))
 
@@ -228,9 +210,9 @@ def matching_constants(xi1: float, b, a_membrane: np.ndarray,
     enforces the first two components of the modified profile to vanish at
     the edge.
     """
-    b11, b12, b22 = _b_triple(b)
+    b = surface_elliptic_triple(b)
     mode_m, mode_p = build_layer_modes(b, a_membrane, xi1)
-    c1 = _edge_amplitude(b11, b12, b22, xi1) * w3_trace_hat
+    c1 = _edge_amplitude(*b, xi1) * w3_trace_hat
     sys2 = np.array([[mode_m.w[0], mode_m.v[0]],
                      [mode_m.w[1], mode_m.v[1]]], dtype=complex)
     cond = np.linalg.cond(sys2)
@@ -263,29 +245,27 @@ def frequency_cutoff(xi1: float, eps: float) -> float:
 # boundary energy coefficients
 # ---------------------------------------------------------------------------
 
-def layer_energy_coefficient(b, a_membrane: np.ndarray,
-                             xi1: float = 1.0) -> float:
+def layer_energy_coefficient(b, a_membrane: np.ndarray) -> float:
     """Membrane-layer energy coefficient ``theta``.
 
     Evaluates, in stretched layer coordinates ``s = |xi1| y2``, the exact
     exponential integral of the rigidity-contracted strain of the matched
     correction: with ``r = (G0 + lam_m G1) v_m + G1 w_m = tau A^{-1} u0``
-    the strain of the Jordan chain and ``mu = lam_m/|xi1|``,
+    the strain of the Jordan chain and ``c`` the edge amplitude, both at
+    ``xi1 = 1``,
 
-        theta = (b11*b22 / (2 sqrt(b11*b22 - b12^2)))^2
-                * <A r, r> / (2 |Re mu|).
+        theta = c^2 * <A r, r> / (2 |Re lam_m|).
 
-    ``r`` is invariant under ``xi1 -> c*xi1`` (c > 0), so ``theta`` is a
+    ``r`` is invariant under ``xi1 -> s*xi1`` (s > 0), and ``c`` and
+    ``lam_m`` scale as ``1/xi1`` and ``xi1``, so ``theta`` is a
     frequency-independent positive constant of the data ``(A, b)``.
     """
-    b11, b12, b22 = b = _b_triple(b)
-    _, lam_m = rigidity_roots(*b, xi1)
-    w = layer_eigenvector(lam_m, xi1, b)
-    _, _, r, _ = _jordan_chain(lam_m, w, a_membrane, xi1, b)
-    mu = lam_m / abs(xi1)
-    pref = (b11 * b22 / (2.0 * np.sqrt(b11 * b22 - b12 ** 2))) ** 2
-    theta = pref * float(np.vdot(r, np.asarray(a_membrane) @ r).real) \
-        / (2.0 * abs(mu.real))
+    b = surface_elliptic_triple(b)
+    _, lam_m = rigidity_roots(*b, 1.0)
+    w = layer_eigenvector(lam_m, 1.0, b)
+    _, _, r, _ = _jordan_chain(lam_m, w, a_membrane, 1.0, b)
+    theta = _edge_amplitude(*b, 1.0) ** 2 \
+        * float(np.vdot(r, np.asarray(a_membrane) @ r).real) / (2.0 * abs(lam_m.real))
     if theta <= 0:
         raise StructureError("layer energy coefficient must be positive")
     return theta
@@ -303,21 +283,21 @@ def membrane_layer_energy(xi1: float, w3_hat: complex, b,
     return theta * abs(xi1) * abs(w3_hat) ** 2
 
 
-def bending_symbol_coefficient(b, b_bending: np.ndarray,
-                               xi1: float = 1.0) -> float:
+def bending_symbol_coefficient(b, b_bending: np.ndarray) -> float:
     """Free-edge bending energy coefficient ``zeta``.
 
     The decaying near-edge mode ``u3 = u3_hat * exp(lam_m y2)`` has bending
     strain vector ``xi1^2 * (-1, mu^2, -2i*mu*sign(xi1)) u3_hat`` with
-    ``mu = lam_m/|xi1|``; integrating its rigidity contraction in ``y2``
+    ``mu = lam_m/|xi1|``, the ``u3`` column of the bending rows at
+    ``(-xi1, -i*lam_m)``; integrating its rigidity contraction in ``y2``
     yields ``zeta * |xi1|^3 * |u3_hat|^2`` with
 
-        zeta = <B rho_unit, rho_unit> / (2 |Re mu|).
+        zeta = <B rho_unit, rho_unit> / (2 |Re mu|),
+
+    ``rho_unit`` and ``mu`` taken at ``xi1 = 1``.
     """
-    b11, b12, b22 = _b_triple(b)
-    _, lam_m = rigidity_roots(b11, b12, b22, xi1)
-    mu = lam_m / abs(xi1)
-    rho_unit = np.array([-1.0, mu ** 2, -2j * mu * np.sign(xi1)], dtype=complex)
+    _, mu = rigidity_roots(*b, 1.0)
+    rho_unit = np.array([-1.0, mu ** 2, -2j * mu], dtype=complex)
     zeta = float(np.vdot(rho_unit, np.asarray(b_bending) @ rho_unit).real) \
         / (2.0 * abs(mu.real))
     if zeta <= 0:

@@ -53,10 +53,6 @@ class EllipticityError(ValueError):
     """The system fails Douglis-Nirenberg ellipticity where it is required."""
 
 
-class DegenerateModeError(ValueError):
-    """A mode construction hit a numerically defective configuration."""
-
-
 class _HomogeneousSymbol:
     """A matrix symbol fixed by the stack ``C_m`` of ``L'(x, (1, z)) = sum_m C_m z^m``.
 
@@ -336,7 +332,8 @@ def _unit_circle(n_angles: int):
 
 
 def _determinant_scan(coeffs, order, sign, cos, sin):
-    """Approximate ``|det L'(cos, sin)|`` and the Hadamard scale of ``L'``.
+    """Approximate ``|det L'(cos, sin)|``, the Hadamard scale of ``L'`` and
+    whether the determinant is real and changes sign on the circle.
 
     ``coeffs`` are the matrix coefficients of ``L'(sign, z)`` in ``z``.  Its
     determinant ``D(sign, z)`` has degree at most ``order`` in ``z``, so its
@@ -345,7 +342,10 @@ def _determinant_scan(coeffs, order, sign, cos, sin):
     ``D(xi1, xi2) = sum_j d_j xi2^j (sign xi1)^(order - j)``, evaluated by
     Horner in ``xi2``.  The scale ``H`` is the largest product of row norms
     over the sampled matrices: their determinants, and so the ``d_j`` and
-    the values, carry rounding errors of a few ``eps_mach * H``.
+    the values, carry rounding errors of a few ``eps_mach * H``.  A
+    determinant that is real to within ``slack = 1e3 * eps_mach * H`` at
+    every angle (that of every built-in system is) and takes both signs
+    vanishes between two angles, however large ``|D|`` is at each of them.
     """
     mats = None
 
@@ -363,7 +363,9 @@ def _determinant_scan(coeffs, order, sign, cos, sin):
     for d_j in d[-2::-1]:
         power = power * x
         values = values * sin + d_j * power
-    return np.abs(values), hadamard
+    re, slack = values.real, 1e3 * np.finfo(float).eps * hadamard
+    sign_change = bool(re.min() < 0 < re.max() and np.abs(values.imag).max() <= slack)
+    return np.abs(values), hadamard, sign_change
 
 
 def _abs_dets(coeffs, degrees, cos, sin) -> np.ndarray:
@@ -377,7 +379,8 @@ def ellipticity_check(system: DNSystem, point: MetricData,
     """Scan ``|det L'|`` over the unit circle of real frequencies.
 
     Homogeneity reduces real ``xi != 0`` to the unit circle.  The verdict is
-    relative: elliptic iff ``min |D| > DET_RTOL * max |D|``.
+    relative: elliptic iff ``min |D| > DET_RTOL * max |D|`` and ``D`` is not
+    a real determinant that changes sign between two angles.
 
     The determinant polynomial (:func:`_determinant_scan`) gives ``|D|`` at
     every angle to within a few ``eps_mach * H``.  Only the angles whose
@@ -391,7 +394,8 @@ def ellipticity_check(system: DNSystem, point: MetricData,
         raise ValueError("n_angles must be at least 8")
     cos, sin = _unit_circle(n_angles)
     coeffs, degrees = system.coefficients(point), system.degrees
-    approx, hadamard = _determinant_scan(coeffs, system.total_order, 1.0, cos, sin)
+    approx, hadamard, sign_change = _determinant_scan(coeffs, system.total_order,
+                                                      1.0, cos, sin)
     slack = 1e3 * np.finfo(float).eps * hadamard
     picked = np.flatnonzero((approx <= approx.min() + slack)
                             | (approx >= approx.max() - slack))
@@ -403,7 +407,7 @@ def ellipticity_check(system: DNSystem, point: MetricData,
     else:
         vals = _abs_dets(coeffs, degrees, cos, sin)
     lo, hi = float(vals.min()), float(vals.max())
-    return EllipticityReport(lo > DET_RTOL * hi, lo, hi, n_angles)
+    return EllipticityReport(lo > DET_RTOL * hi and not sign_change, lo, hi, n_angles)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +432,8 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
 
     The symbols are homogeneous, so only ``s = sign(xi1)`` matters.  The
     matrix coefficients of ``L'(s, xi2) = sum_i A_i xi2^i`` also give the
-    ellipticity verdict: ``min |D| > DET_RTOL * max |D|`` over 64 angles of
-    the unit circle, ``|D|`` read from the determinant polynomial
+    ellipticity verdict of :func:`ellipticity_check` over 64 angles of the
+    unit circle, ``D`` read from the determinant polynomial
     (:func:`_determinant_scan`) with no further symbol evaluation.
     ``L'(s, D)`` is then linearised as the block-companion pencil on the
     Cauchy data
@@ -446,8 +450,9 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
     m, n, deg = system.half_order, system.n_unknowns, system.max_entry_degree
     s = float(np.sign(xi1))
     coeffs = _coefficients_at(system, point, s)
-    approx, _ = _determinant_scan(coeffs, system.total_order, s, *_unit_circle(64))
-    if not approx.min() > DET_RTOL * approx.max():
+    approx, _, sign_change = _determinant_scan(coeffs, system.total_order, s,
+                                               *_unit_circle(64))
+    if sign_change or not approx.min() > DET_RTOL * approx.max():
         raise EllipticityError(
             f"{system.name}: not elliptic at this point "
             f"(min |D| = {approx.min():.3e})")

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from shellsym.layers import layer_matrices
 from shellsym.symbols import DET_RTOL
 
 
@@ -24,6 +23,23 @@ def random_elliptic_b(rng, n=1):
 def random_spd_matrix(rng, ridge=0.3):
     w = rng.normal(size=(3, 3))
     return w.T @ w + ridge * np.eye(3)
+
+
+def layer_matrices(b, xi1):
+    """The pair ``(G0, G1)`` of the first-order layer system ``G0 + G1 d/dy2``.
+
+    Written out by hand from the strain rows in the layer variables, with
+    ``d/dy1 -> -i*xi1``, independently of the coefficient stacks in
+    ``shellsym.symbols``.
+    """
+    b11, b12, b22 = b
+    g0 = np.array([[-1j * xi1, 0.0, -b11],
+                   [0.0, 0.0, -b22],
+                   [0.0, -1j * xi1, -2.0 * b12]], dtype=complex)
+    g1 = np.array([[0.0, 0.0, 0.0],
+                   [0.0, 1.0, 0.0],
+                   [1.0, 0.0, 0.0]], dtype=complex)
+    return g0, g1
 
 
 def jordan_profile_residual(mode, p_coeffs, ys=(0.0, 0.5, 1.0, 2.0)):
@@ -72,13 +88,19 @@ def direct_ellipticity_scan(system, point, n_angles=360):
     One symbol evaluation and one ``np.linalg.det`` on the whole stack of
     unit-circle frequencies, ``|D|`` rounded by ``hypot`` as the scalar
     ``abs(complex)``: the scan ``ellipticity_check`` must reproduce bit for
-    bit.
+    bit.  A determinant that is real to within ``1e3 eps_mach H``, with
+    ``H`` the largest product of row norms of the evaluated symbols, and
+    takes both signs vanishes between two angles: not elliptic.
     """
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    dets = np.linalg.det(system.symbol_gen(point, (np.cos(thetas), np.sin(thetas))))
+    mats = system.symbol_gen(point, (np.cos(thetas), np.sin(thetas)))
+    dets = np.linalg.det(mats)
     vals = np.hypot(dets.real, dets.imag)
     lo, hi = float(vals.min()), float(vals.max())
-    return lo > DET_RTOL * hi, lo, hi
+    hadamard = np.sqrt(np.prod(np.sum(np.abs(mats) ** 2, axis=-1), axis=-1).max())
+    real = np.abs(dets.imag).max() <= 1e3 * np.finfo(float).eps * hadamard
+    sign_change = real and dets.real.min() < 0 < dets.real.max()
+    return bool(lo > DET_RTOL * hi and not sign_change), lo, hi
 
 
 def _oracle_strain_rows(point, xi, s):

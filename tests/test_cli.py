@@ -422,8 +422,9 @@ SWEEP_1024_CFG = f"N = 1024\nd = 0.15\nepsilon_list = {SWEEP_EPS}\n"
 MIXED_SIGN_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = {}\nepsilon_list = 1e-2\n"
                   "xi1_list = -2,1,3,-0.5\n")
 # hyperbolic curvature: a non-elliptic rigidity row and three "-,0,false"
-# rows of systems that need a surface-elliptic b
-HYPERBOLIC_CFG = "b_coeffs = 1,2,1\nelasticity = identity\nepsilon_list = 1e-2\n"
+# rows of systems that need a surface-elliptic b.  The real characteristic
+# directions of 1,2,1 fall on scan angles, those of 1,1.7,1 between them
+HYPERBOLIC_CFG = "b_coeffs = {}\nelasticity = identity\nepsilon_list = 1e-2\n"
 # a one-mode load: the f and v columns are zero but for k = -7
 DELTA_512_CFG = "N = 512\nepsilon_list = 1e-3\nf_profile = delta:-7\n"
 # amplification_eps0 and amplification_eps agree at low k
@@ -462,8 +463,10 @@ SL_16_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = frobenius\nepsilon_list = 1e-
      "8a9fdbed2f3833db4d863418ff2ec8903c14d565def0405a0c9e0eca5ad13a61"),
     (MIXED_SIGN_CFG.format("isotropic"), "layer-modes",
      "1814d5a9693244abafa2b9698b3891dcfc44e00aacfb62461a9a2d43d51ff51b"),
-    (HYPERBOLIC_CFG, "check-ellipticity",
+    (HYPERBOLIC_CFG.format("1,2,1"), "check-ellipticity",
      "86bd2ebd1a3e6bce61d8753cabe603b01a2644bded492f40d28b928141433ae2"),
+    (HYPERBOLIC_CFG.format("1,1.7,1"), "check-ellipticity",
+     "986ca4486fd8d202c46cc676165d103259274017e25ebcca7d00f9c8ea8d97c4"),
     (DELTA_512_CFG, "solve-reduced",
      "f719db18ca3f79726f97907db47743cf4c9ec549987c10015ebba7fba16d785e"),
     (SENSITIVITY_1024_CFG, "sensitivity",
@@ -486,7 +489,8 @@ def test_cli_golden_bytes(tmp_path, config, command, digest):
     # closed-form log gap to adjacent doubles; the check-sl cases and the
     # criterion-12 check-ellipticity case: since the symbols came from
     # closed-form coefficient stacks, which moved abs_det by at most 1.2e-14
-    # relative and min_abs_det by one rounding);
+    # relative and min_abs_det by one rounding; the 1,1.7,1 hyperbolic case:
+    # since a real determinant that changes sign reads not elliptic);
     # a refactor of the symbol layer or of the CSV writer must reproduce them
     # exactly
     cfg = tmp_path / "golden.cfg"

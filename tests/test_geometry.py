@@ -15,6 +15,7 @@ from shellsym.geometry import (
     InvariantError,
     MetricData,
     MetricField,
+    SurfaceEllipticityError,
     curvature_change_tensor,
     energy_forms,
     frozen_chart,
@@ -22,6 +23,7 @@ from shellsym.geometry import (
     second_derivative,
     sphere_cap_chart,
     strain_tensor,
+    surface_elliptic_triple,
 )
 
 from conftest import random_spd_matrix
@@ -247,9 +249,14 @@ def test_elasticity_constructors(rng):
 
 
 def test_surface_ellipticity_flag():
-    assert frozen_point(1.0, 0.0, 1.0).is_surface_elliptic
-    assert not frozen_point(1.0, 2.0, 1.0).is_surface_elliptic
-    assert not frozen_point(-1.0, 0.0, -2.0).is_surface_elliptic
+    # one predicate, on triples and through the point
+    assert surface_elliptic_triple(np.array([1, 0, 1])) == (1.0, 0.0, 1.0)
+    frozen_point(1.0, 0.0, 1.0).require_surface_elliptic()
+    for b in ((1.0, 2.0, 1.0), (-1.0, 0.0, -2.0), (1.0, 1.0, 1.0), (np.nan, 0.0, 1.0)):
+        with pytest.raises(SurfaceEllipticityError):
+            surface_elliptic_triple(b)
+        with pytest.raises(SurfaceEllipticityError):
+            frozen_point(*b).require_surface_elliptic()
 
 
 # ---------------------------------------------------------------------------

@@ -14,23 +14,36 @@ from shellsym.layers import (
     jordan_residual,
     layer_eigenvector,
     layer_energy_coefficient,
-    layer_matrices,
     matching_constants,
     membrane_layer_energy,
     rigidity_roots,
     sublayer_scaling_check,
 )
-from shellsym.symbols import builtin_system, characteristic_roots
+from shellsym.symbols import (
+    _bending_coefficients,
+    _evaluate,
+    builtin_system,
+    characteristic_roots,
+)
 
 from conftest import (
     jordan_chain_oracle,
     jordan_profile_residual,
+    layer_matrices,
     random_elliptic_b,
     random_spd_matrix,
 )
 
 B_ROUND = (1.0, 0.0, 1.0)
 A_ID = np.eye(3)
+
+
+def oracle_theta(b, a, r, lam_m, xi1):
+    """``theta`` from the strain ``r`` of a chain built at ``xi1``, in the
+    stretched variable ``s = |xi1| y2``."""
+    b11, b12, b22 = b
+    pref = (b11 * b22 / (2.0 * np.sqrt(b11 * b22 - b12 ** 2))) ** 2
+    return pref * np.vdot(r, a @ r).real / (2.0 * abs(lam_m.real) / abs(xi1))
 
 
 def characteristic_polynomial(b, xi1):
@@ -173,6 +186,24 @@ def test_jordan_profile_polynomial_coefficients_vanish(rng):
     assert np.linalg.norm(p_z - product) < 1e-12 * np.linalg.norm(product)
     assert jordan_profile_residual(mode_m, p_coeffs) < 1e-9
     assert jordan_residual(mode_m, a) < 1e-9
+    # the layer variables read the symbols at (-xi1, -i*lam): the oracle's
+    # G0 + lam*G1 is the rigidity symbol there bit for bit at both
+    # exponents, and zeta's row xi1^2 (-1, mu^2, -2i mu sign xi1) is the u3
+    # column of the bending rows, whose entries have degrees (1, 1, 2)
+    degrees = np.add.outer((0, 0, 0), (1, 1, 2))
+    for _ in range(40):
+        b = random_elliptic_b(rng)
+        pt = frozen_point(*b)
+        rigidity = builtin_system("rigidity", pt)
+        xi1 = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 8.0)
+        g0, g1 = layer_matrices(b, xi1)
+        lam_p, lam_m = rigidity_roots(*b, xi1)
+        for lam in (lam_p, lam_m):
+            assert np.array_equal(g0 + lam * g1, rigidity.symbol_gen(pt, (-xi1, -1j * lam)))
+        mu = lam_m / abs(xi1)
+        row = xi1 ** 2 * np.array([-1.0, mu ** 2, -2j * mu * np.sign(xi1)])
+        column = _evaluate(_bending_coefficients(pt), degrees, -xi1, -1j * lam_m)[:, 2]
+        assert np.abs(column - row).max() <= 1e-15 * np.abs(row).max()
 
 
 def test_semisimple_exponent_is_reported():
@@ -200,11 +231,8 @@ def test_closed_form_chain_matches_svd_oracle(rng):
         _, _, r_ref, v_ref = jordan_chain_oracle(lam_m, w, a, xi1, b)
         assert np.linalg.norm(v - v_ref) < 1e-12 * np.linalg.norm(v_ref)
         assert np.linalg.norm(r - r_ref) < 1e-12 * np.linalg.norm(r_ref)
-        b11, b12, b22 = b
-        pref = (b11 * b22 / (2.0 * np.sqrt(b11 * b22 - b12 ** 2))) ** 2
-        theta_ref = pref * np.vdot(r_ref, a @ r_ref).real \
-            / (2.0 * abs(lam_m.real) / abs(xi1))
-        assert abs(layer_energy_coefficient(b, a, xi1) - theta_ref) < 1e-12 * theta_ref
+        theta_ref = oracle_theta(b, a, r_ref, lam_m, xi1)
+        assert abs(layer_energy_coefficient(b, a) - theta_ref) < 1e-12 * theta_ref
 
 
 def test_theta_scales_with_rigidity():
@@ -305,12 +333,16 @@ def test_frequency_cutoff_domain():
 # ---------------------------------------------------------------------------
 
 def test_theta_frequency_independent(rng):
+    # theta takes no frequency: it equals the oracle's energy of the chain
+    # built at xi1 = 4
     for _ in range(5):
         b = random_elliptic_b(rng)
         a = random_spd_matrix(rng)
-        t1 = layer_energy_coefficient(b, a, xi1=1.0)
-        t4 = layer_energy_coefficient(b, a, xi1=4.0)
-        assert abs(t1 - t4) < 1e-10 * t1
+        _, lam_m = rigidity_roots(*b, 4.0)
+        w = layer_eigenvector(lam_m, 4.0, b)
+        r_ref = jordan_chain_oracle(lam_m, w, a, 4.0, b)[2]
+        theta_ref = oracle_theta(b, a, r_ref, lam_m, 4.0)
+        assert abs(layer_energy_coefficient(b, a) - theta_ref) < 1e-10 * theta_ref
 
 
 def test_theta_positive(rng):

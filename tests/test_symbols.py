@@ -206,9 +206,13 @@ def test_ellipticity_verdicts():
     assert rep.elliptic
     assert rep.min_abs_det == pytest.approx(1.0, rel=1e-12)
 
-    hyper = frozen_point(1.0, 2.0, 1.0)
-    rep = ellipticity_check(builtin_system("rigidity", hyper), hyper)
-    assert not rep.elliptic
+    # real characteristic directions on scan angles and, at 1,1.7,1, between
+    # them, where |D| is far from zero but the real determinant changes sign
+    for b12 in (2.0, 1.7):
+        hyper = frozen_point(1.0, b12, 1.0)
+        rep = ellipticity_check(builtin_system("rigidity", hyper), hyper)
+        assert not rep.elliptic
+    assert rep.min_abs_det > 1e-4 * rep.max_abs_det
 
     rep = ellipticity_check(builtin_system("membrane", pt, IDENTITY), pt)
     assert rep.elliptic
@@ -340,8 +344,8 @@ def test_determinant_scan_is_within_a_few_rounding_errors(rng):
         dets = np.linalg.det(system.symbol_gen(pt, (cos, sin)))
         for sign in (1.0, -1.0):
             coeffs = symbols._coefficients_at(system, pt, sign)
-            approx, hadamard = symbols._determinant_scan(coeffs, system.total_order,
-                                                         sign, cos, sin)
+            approx, hadamard, _ = symbols._determinant_scan(coeffs, system.total_order,
+                                                            sign, cos, sin)
             gap = np.abs(approx - np.abs(dets)).max()
             assert gap <= 10 * np.finfo(float).eps * hadamard, (system.name, sign)
 
@@ -381,9 +385,9 @@ def test_ellipticity_check_guard_falls_back_to_every_angle(monkeypatch):
     scan = symbols._determinant_scan
 
     def shifted(coeffs, order, sign, cos, sin):
-        approx, hadamard = scan(coeffs, order, sign, cos, sin)
+        approx, hadamard, sign_change = scan(coeffs, order, sign, cos, sin)
         ramp = 1e3 * np.finfo(float).eps + np.arange(len(cos))
-        return approx + ramp * hadamard, hadamard
+        return approx + ramp * hadamard, hadamard, sign_change
 
     pt = frozen_point(1.3, 0.4, 0.8)
     systems = [builtin_system(name, pt, IDENTITY, eps=0.05) for name in SYSTEM_NAMES]
@@ -413,6 +417,24 @@ def test_basis_verdict_matches_direct_64_angle_verdict(rng):
             assert refused == (not elliptic), (system.name, pt.b_triple)
             verdicts.add(elliptic)
     assert verdicts == {True, False}
+
+
+def test_hyperbolic_rigidity_is_never_elliptic():
+    # b12^2 > b11 b22 gives two real characteristic directions, mostly
+    # between scan angles; the real determinant changes sign across each,
+    # in the report and in the 64-angle verdict of the decaying basis
+    hyperbolic = 0
+    for pt, _, _ in swept_frozen_points(np.random.default_rng(5), 60):
+        b11, b12, b22 = pt.b_triple
+        if b12 ** 2 <= b11 * b22:
+            continue
+        hyperbolic += 1
+        system = builtin_system("rigidity", pt)
+        assert not ellipticity_check(system, pt).elliptic, pt.b_triple
+        for sign in (1.0, -1.0):
+            with pytest.raises(EllipticityError, match="not elliptic"):
+                decaying_solution_basis(system, pt, sign)
+    assert hyperbolic == 60
 
 
 def test_ellipticity_check_needs_enough_angles():
