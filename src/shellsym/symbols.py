@@ -15,11 +15,12 @@ the block-companion pencil, found with numpy's eigenvalue solver and SVD
 alone (:func:`decaying_solution_basis`).
 
 ``det L'`` is homogeneous of degree ``T = sum s + sum t``, so on the unit
-circle it is fixed by the ``T + 1`` coefficients of ``det L'(+-1, z)``.
-The ellipticity scans read ``|det L'|`` from those coefficients, found
-from ``T + 1`` small determinants; :func:`ellipticity_check` evaluates the
-symbol directly only at the angles where the reported minimum and maximum
-can lie, and the scan inside :func:`decaying_solution_basis` not at all.
+circle it is fixed by the ``T + 1`` coefficients of ``det L'(+-1, z)``,
+found from ``T + 1`` small determinants.  Ellipticity has one verdict,
+read from those coefficients alone (:func:`_elliptic`): ``|det L'|`` on a
+fixed sample of ``N_ANGLES`` angles, and at the angles of the roots of the
+determinant polynomial where the sample cannot prove it.
+:func:`ellipticity_check` and :func:`decaying_solution_basis` both take it.
 
 The boundary frame convention is the usual one: ``x1`` tangential, ``x2``
 the inward normal, symbols written in ``D = -i d/dx`` so that solutions of
@@ -315,99 +316,91 @@ class EllipticityReport:
     elliptic: bool
     min_abs_det: float
     max_abs_det: float
-    n_angles: int
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_circle(n_angles: int):
-    """``(cos, sin)`` of ``n_angles`` equally spaced angles from 0.
+# the fixed sample of the unit circle on which |det L'| is read
+N_ANGLES = 360
+_THETAS = np.linspace(0.0, 2.0 * np.pi, N_ANGLES, endpoint=False)
+_CIRCLE = np.cos(_THETAS), np.sin(_THETAS)
 
-    Cached and shared between calls, so the arrays are read-only.
+
+def _abs_det(d, sign, cos, sin) -> np.ndarray:
+    """``|D(cos, sin)|`` from the coefficients ``d_j`` of ``D(sign, z)``.
+
+    By homogeneity ``D(xi1, xi2) = sum_j d_j xi2^j (sign xi1)^(T - j)``,
+    evaluated by Horner in ``xi2``.
     """
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    out = np.cos(thetas), np.sin(thetas)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    x = sign * cos
+    values, power = np.full(np.shape(cos), d[-1]), 1.0
+    for d_j in d[-2::-1]:
+        power = power * x
+        values = values * sin + d_j * power
+    return np.abs(values)
 
 
 def _determinant_scan(coeffs, order, sign, cos, sin):
-    """Approximate ``|det L'(cos, sin)|``, the Hadamard scale of ``L'`` and
-    whether the determinant is real and changes sign on the circle.
+    """The coefficients ``d_j`` of ``D(sign, z) = det L'(sign, z)`` and
+    ``|det L'(cos, sin)|``.
 
     ``coeffs`` are the matrix coefficients of ``L'(sign, z)`` in ``z``.  Its
-    determinant ``D(sign, z)`` has degree at most ``order`` in ``z``, so its
-    coefficients ``d_j`` follow from the determinants at the ``order + 1``
-    roots of unity, and by homogeneity
-    ``D(xi1, xi2) = sum_j d_j xi2^j (sign xi1)^(order - j)``, evaluated by
-    Horner in ``xi2``.  The scale ``H`` is the largest product of row norms
-    over the sampled matrices: their determinants, and so the ``d_j`` and
-    the values, carry rounding errors of a few ``eps_mach * H``.  A
-    determinant that is real to within ``slack = 1e3 * eps_mach * H`` at
-    every angle (that of every built-in system is) and takes both signs
-    vanishes between two angles, however large ``|D|`` is at each of them.
+    determinant has degree at most ``order`` in ``z``, so the ``d_j`` follow
+    from the determinants at the ``order + 1`` roots of unity; the values,
+    read from them by :func:`_abs_det`, carry rounding errors of a few
+    ``eps_mach`` times the largest product of row norms of those matrices.
     """
-    mats = None
-
     def dets(zs):
-        nonlocal mats
         vander = zs[:, None] ** np.arange(len(coeffs))
         mats = (vander @ coeffs.reshape(len(coeffs), -1)).reshape(-1, *coeffs.shape[1:])
         return np.linalg.det(mats)
 
     d = poly_coefficients(dets, order)
-    rows = (mats.real ** 2 + mats.imag ** 2).sum(axis=-1)
-    hadamard = float(np.sqrt(rows.prod(axis=-1).max()))
-    x = sign * cos
-    values, power = np.full(cos.shape, d[-1]), 1.0
-    for d_j in d[-2::-1]:
-        power = power * x
-        values = values * sin + d_j * power
-    re, slack = values.real, 1e3 * np.finfo(float).eps * hadamard
-    sign_change = bool(re.min() < 0 < re.max() and np.abs(values.imag).max() <= slack)
-    return np.abs(values), hadamard, sign_change
+    return d, _abs_det(d, sign, cos, sin)
 
 
-def _abs_dets(coeffs, degrees, cos, sin) -> np.ndarray:
-    dets = np.linalg.det(_evaluate(coeffs, degrees, cos, sin))
-    # hypot rounds as the scalar abs(complex); numpy's complex abs does not
-    return np.hypot(dets.real, dets.imag)
+def _elliptic(d, sign, lo, hi) -> bool:
+    """Whether ``min |D| > DET_RTOL * max |D|`` on the whole unit circle.
 
-
-def ellipticity_check(system: DNSystem, point: MetricData,
-                      n_angles: int = 360) -> EllipticityReport:
-    """Scan ``|det L'|`` over the unit circle of real frequencies.
-
-    Homogeneity reduces real ``xi != 0`` to the unit circle.  The verdict is
-    relative: elliptic iff ``min |D| > DET_RTOL * max |D|`` and ``D`` is not
-    a real determinant that changes sign between two angles.
-
-    The determinant polynomial (:func:`_determinant_scan`) gives ``|D|`` at
-    every angle to within a few ``eps_mach * H``.  Only the angles whose
-    value lies within ``slack = 1e3 * eps_mach * H`` of its minimum or
-    maximum can hold the extremes, and only those are evaluated directly, so
-    the report equals that of a direct scan of every angle.  If the direct
-    and interpolated values there differ by more than ``slack / 2``, or if
-    every angle is a candidate, every angle is evaluated directly.
+    ``d`` are the coefficients of ``D(sign, z)``, ``lo`` and ``hi`` the
+    extremes of ``|D|`` on the ``N_ANGLES`` sample.  ``D`` on the circle is
+    a trigonometric polynomial of degree ``T``, so by Bernstein's inequality
+    ``|D|`` moves by at most ``w * max |D|``, ``w = T pi / N_ANGLES``,
+    between a sample angle and its neighbours, and
+    ``lo > (DET_RTOL + w) / (1 - w) * hi`` proves the verdict.  Otherwise a
+    near-zero of ``D`` on the circle lies near a root ``z`` of ``D(sign, .)``
+    with a small imaginary part, and ``|D|`` is read also at the angles
+    ``arctan(sign Re z)``.  The roots are those of ``d / max |d_j|`` with
+    every coefficient below ``eps_mach``, within its rounding error, set to
+    zero, so that no ratio of coefficients overflows.  A NaN, an infinity
+    or a vanishing ``d`` reads not elliptic.
     """
-    if n_angles < 8:
-        raise ValueError("n_angles must be at least 8")
-    cos, sin = _unit_circle(n_angles)
-    coeffs, degrees = system.coefficients(point), system.degrees
-    approx, hadamard, sign_change = _determinant_scan(coeffs, system.total_order,
-                                                      1.0, cos, sin)
-    slack = 1e3 * np.finfo(float).eps * hadamard
-    picked = np.flatnonzero((approx <= approx.min() + slack)
-                            | (approx >= approx.max() - slack))
-    # no candidate at all means a NaN in the values or in H
-    if 0 < picked.size < n_angles:
-        vals = _abs_dets(coeffs, degrees, cos[picked], sin[picked])
-        if not np.all(np.abs(vals - approx[picked]) <= slack / 2):
-            vals = _abs_dets(coeffs, degrees, cos, sin)
-    else:
-        vals = _abs_dets(coeffs, degrees, cos, sin)
-    lo, hi = float(vals.min()), float(vals.max())
-    return EllipticityReport(lo > DET_RTOL * hi and not sign_change, lo, hi, n_angles)
+    size = np.abs(d)
+    top = size.max()
+    if not (0.0 < top < np.inf and np.isfinite(lo) and np.isfinite(hi)):
+        return False
+    w = (len(d) - 1) * np.pi / N_ANGLES
+    if lo > (DET_RTOL + w) / (1.0 - w) * hi:
+        return True
+    # the parts are divided apart: numpy's complex division overflows on
+    # subnormal operands
+    unit = np.where(size > np.finfo(float).eps * top, d.real / top + 1j * (d.imag / top), 0.0)
+    angles = np.arctan(sign * np.roots(unit[::-1]).real)
+    return bool(_abs_det(d, sign, np.cos(angles), np.sin(angles)).min(initial=lo)
+                > DET_RTOL * hi)
+
+
+def ellipticity_check(system: DNSystem, point: MetricData) -> EllipticityReport:
+    """Douglis-Nirenberg ellipticity of ``system`` at ``point``.
+
+    Homogeneity reduces real ``xi != 0`` to the unit circle.  The report
+    holds the extremes of ``|D|`` over ``N_ANGLES`` equally spaced angles,
+    read from the determinant polynomial (:func:`_determinant_scan`) with
+    no symbol evaluation, and the verdict of :func:`_elliptic` on the whole
+    circle.
+    """
+    d, values = _determinant_scan(system.coefficients(point), system.total_order,
+                                  1.0, *_CIRCLE)
+    lo, hi = float(values.min()), float(values.max())
+    return EllipticityReport(_elliptic(d, 1.0, lo, hi), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +425,8 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
 
     The symbols are homogeneous, so only ``s = sign(xi1)`` matters.  The
     matrix coefficients of ``L'(s, xi2) = sum_i A_i xi2^i`` also give the
-    ellipticity verdict of :func:`ellipticity_check` over 64 angles of the
-    unit circle, ``D`` read from the determinant polynomial
-    (:func:`_determinant_scan`) with no further symbol evaluation.
+    determinant polynomial (:func:`_determinant_scan`) and the ellipticity
+    verdict (:func:`_elliptic`) that :func:`ellipticity_check` reports.
     ``L'(s, D)`` is then linearised as the block-companion pencil on the
     Cauchy data
     ``(u, D u, ..., D^(deg-1) u)`` at ``x2 = 0``.  Its reciprocal eigenvalues
@@ -450,12 +442,11 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
     m, n, deg = system.half_order, system.n_unknowns, system.max_entry_degree
     s = float(np.sign(xi1))
     coeffs = _coefficients_at(system, point, s)
-    approx, _, sign_change = _determinant_scan(coeffs, system.total_order, s,
-                                               *_unit_circle(64))
-    if sign_change or not approx.min() > DET_RTOL * approx.max():
+    d, values = _determinant_scan(coeffs, system.total_order, s, *_CIRCLE)
+    if not _elliptic(d, s, values.min(), values.max()):
         raise EllipticityError(
             f"{system.name}: not elliptic at this point "
-            f"(min |D| = {approx.min():.3e})")
+            f"(min |D| = {values.min():.3e})")
 
     size = n * deg
     # lhs Y = xi2 rhs Y for Y_i = D^i u: a block shift, and in the last block
@@ -464,8 +455,8 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
     lhs[-n:] = -coeffs[:deg].transpose(1, 0, 2).reshape(n, size)
     rhs = np.eye(size, dtype=complex)
     rhs[-n:, -n:] = coeffs[deg]
-    # det lhs = +-det A_0 = +-det L'(s, 0), and (s, 0) is one of the 64
-    # angles of the verdict, so an elliptic system has an invertible lhs
+    # det lhs = +-det A_0 = +-det L'(s, 0), and (s, 0) is on the circle of
+    # the verdict, so an elliptic system has an invertible lhs
     pencil = np.linalg.solve(lhs, rhs)
     mu = np.linalg.eigvals(pencil)
     finite = np.abs(mu) > INFINITE_RTOL

@@ -82,25 +82,46 @@ def jordan_chain_oracle(lam, w, a, xi1, b):
     return u0, tau, big_m @ v + g1 @ w, v
 
 
-def direct_ellipticity_scan(system, point, n_angles=360):
-    """``(elliptic, min |D|, max |D|)`` from the determinant at every angle.
+def direct_ellipticity_scan(system, point):
+    """``(elliptic, min |D|, max |D|)`` from the determinant at 360 angles.
 
     One symbol evaluation and one ``np.linalg.det`` on the whole stack of
     unit-circle frequencies, ``|D|`` rounded by ``hypot`` as the scalar
-    ``abs(complex)``: the scan ``ellipticity_check`` must reproduce bit for
-    bit.  A determinant that is real to within ``1e3 eps_mach H``, with
-    ``H`` the largest product of row norms of the evaluated symbols, and
-    takes both signs vanishes between two angles: not elliptic.
+    ``abs(complex)``.  The verdict is the grid's own, ``min > DET_RTOL max``:
+    it misses a zero of ``D`` that falls between two angles.
     """
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    mats = system.symbol_gen(point, (np.cos(thetas), np.sin(thetas)))
-    dets = np.linalg.det(mats)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+    dets = np.linalg.det(system.symbol_gen(point, (np.cos(thetas), np.sin(thetas))))
     vals = np.hypot(dets.real, dets.imag)
     lo, hi = float(vals.min()), float(vals.max())
-    hadamard = np.sqrt(np.prod(np.sum(np.abs(mats) ** 2, axis=-1), axis=-1).max())
-    real = np.abs(dets.imag).max() <= 1e3 * np.finfo(float).eps * hadamard
-    sign_change = real and dets.real.min() < 0 < dets.real.max()
-    return bool(lo > DET_RTOL * hi and not sign_change), lo, hi
+    return bool(lo > DET_RTOL * hi), lo, hi
+
+
+def interpolation_scale(coeffs, order):
+    """Largest product of row norms of ``sum_m C_m z^m`` over the ``order + 1``
+    roots of unity ``z``: the determinants there, and so the determinant
+    coefficients and the values read from them, carry rounding errors of a
+    few ``eps_mach`` times this."""
+    zs = np.exp(2j * np.pi * np.arange(order + 1) / (order + 1))
+    mats = np.einsum("zm,mij->zij", zs[:, None] ** np.arange(len(coeffs)), coeffs)
+    return float(np.sqrt(np.prod(np.sum(np.abs(mats) ** 2, axis=-1), axis=-1).max()))
+
+
+def closed_form_elliptic(name, b):
+    """The verdict ``min |D| > DET_RTOL max |D|`` of the rigidity, tension or
+    membrane system at ``b``, in closed form.
+
+    The rigidity and tension determinant is
+    ``-(b22 xi1^2 - 2 b12 xi1 xi2 + b11 xi2^2)``: it vanishes on the circle
+    unless the form is definite, and then its ratio is
+    ``lam_min / lam_max`` of ``[[b22, -b12], [-b12, b11]]``.  The membrane
+    determinant is its square times ``det`` of the membrane matrix.
+    """
+    b11, b12, b22 = b
+    if b11 * b22 - b12 ** 2 <= 0:
+        return False
+    lam = np.abs(np.linalg.eigvalsh(np.array([[b22, -b12], [-b12, b11]], dtype=float)))
+    return (lam.min() / lam.max()) ** (2 if name == "membrane" else 1) > DET_RTOL
 
 
 def _oracle_strain_rows(point, xi, s):

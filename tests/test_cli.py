@@ -133,7 +133,7 @@ def test_config_rejects_zero_radius_and_zero_xi1(tmp_path):
     cfg.write_text(SPHERE_CAP_CFG.replace("1.7", "-1.7"))
     assert main(["check-ellipticity", "--config", str(cfg), "--out", out]) == 0
     assert hashlib.sha256(read(out)).hexdigest() == \
-        "f1f4a00562c5311cd0e3fcee298b31002fea027039ae10345f15039804f7fc77"
+        "d28c8b4cfe5a1819c7eefc6f4c84edd85f6a0b0f3e9544d2f73e33e704645837"
 
 
 def test_config_rejects_chart_outside_check_ellipticity(tmp_path):
@@ -221,6 +221,22 @@ def test_cli_exit_codes(tmp_path, cfg_path):
                     "theta = 1\nzeta = 1\nk_probe = 5\n")
     assert main(["sweep-epsilon", "--config", str(hard), "--out",
                  str(tmp_path / "x.csv")]) == 3
+
+
+def test_near_parabolic_membrane_is_refused_by_every_command(tmp_path, capsys):
+    # 1 - b12 / sqrt(b11 b22) is 1.1e-7 here, and the membrane ratio
+    # min |D| / max |D| lies below DET_RTOL.  check-ellipticity writes
+    # membrane false, and check-sl, whose membrane cases need the decaying
+    # basis, fails on the same verdict
+    cfg = tmp_path / "parabolic.cfg"
+    cfg.write_text("b_coeffs = 1.455,1.14750804,0.905\nelasticity = identity\n"
+                   "epsilon_list = 1e-2\n")
+    out = tmp_path / "x.csv"
+    assert main(["check-ellipticity", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read(out).decode().splitlines()
+    assert rows[-2].startswith("frozen,membrane,4,") and rows[-2].endswith(",false")
+    assert main(["check-sl", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "membrane: not elliptic" in capsys.readouterr().err
 
 
 def test_sweep_underflowing_eps_reports_only_the_failure(tmp_path, capsys):
@@ -440,9 +456,9 @@ SL_16_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = frobenius\nepsilon_list = 1e-
     (CRITERION_12_CFG, "layer-modes",
      "9546434e105f532f3d522c83180399427698b809f92c93f224fb916e8d51e8d3"),
     (CRITERION_12_CFG, "check-ellipticity",
-     "abfd2b5c3ae3b90be435c04b14e201d01942cacb9975f48d23251132618a3666"),
+     "8fcbcca029d566a3e23310edb908d99456417e2bedc33fcaa510a1d0b2272517"),
     (SPHERE_CAP_CFG, "check-ellipticity",
-     "f18367990b7a51f62e3c0a65abc2a274f364359faab833b7d6398c4929881a53"),
+     "a9c2c511dd7ed9f662f4d857182de3cbfb2f380c97ac4f9f35e0e36c633b04cc"),
     (FLAT_4096_CFG, "solve-reduced",
      "ebb940277a3bb6ceb7d7600b4a4ccb34b73623952932ab38821020ad11a54d2f"),
     (FLAT_4096_CFG, "sensitivity",
@@ -464,9 +480,9 @@ SL_16_CFG = ("b_coeffs = 1.3,0.4,0.8\nelasticity = frobenius\nepsilon_list = 1e-
     (MIXED_SIGN_CFG.format("isotropic"), "layer-modes",
      "1814d5a9693244abafa2b9698b3891dcfc44e00aacfb62461a9a2d43d51ff51b"),
     (HYPERBOLIC_CFG.format("1,2,1"), "check-ellipticity",
-     "86bd2ebd1a3e6bce61d8753cabe603b01a2644bded492f40d28b928141433ae2"),
+     "76ca62a4044b1657cf91828ce398b1bb795cb16d9849e6bc050fa036be20903f"),
     (HYPERBOLIC_CFG.format("1,1.7,1"), "check-ellipticity",
-     "986ca4486fd8d202c46cc676165d103259274017e25ebcca7d00f9c8ea8d97c4"),
+     "5c00fbb9a025f743114117c4c02150920b809267e27d65dd73b9365817fa2f74"),
     (DELTA_512_CFG, "solve-reduced",
      "f719db18ca3f79726f97907db47743cf4c9ec549987c10015ebba7fba16d785e"),
     (SENSITIVITY_1024_CFG, "sensitivity",
@@ -489,8 +505,9 @@ def test_cli_golden_bytes(tmp_path, config, command, digest):
     # closed-form log gap to adjacent doubles; the check-sl cases and the
     # criterion-12 check-ellipticity case: since the symbols came from
     # closed-form coefficient stacks, which moved abs_det by at most 1.2e-14
-    # relative and min_abs_det by one rounding; the 1,1.7,1 hyperbolic case:
-    # since a real determinant that changes sign reads not elliptic);
+    # relative; the check-ellipticity cases: since min_abs_det came from the
+    # determinant polynomial on a fixed sample with no direct determinant,
+    # which moved it by at most 0.44 eps_mach H with every verdict unchanged);
     # a refactor of the symbol layer or of the CSV writer must reproduce them
     # exactly
     cfg = tmp_path / "golden.cfg"

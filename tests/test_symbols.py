@@ -24,8 +24,10 @@ from shellsym.symbols import (
 )
 
 from conftest import (
+    closed_form_elliptic,
     direct_ellipticity_scan,
     generator_symbol_oracle,
+    interpolation_scale,
     random_elliptic_b,
     random_spd_matrix,
 )
@@ -176,26 +178,6 @@ def test_generators_broadcast_bitwise(rng):
                 assert bc.symbol_gen(pt, (0.6, 0.8)).shape == (bc.count, 3)
 
 
-def test_ellipticity_check_matches_pointwise_determinants(rng):
-    # the built-in determinants are real on real frequencies; the scalar
-    # system with complex coefficients also pins the rounding of |det|
-    # c0 xi1^2 + c1 xi1 xi2 + c2 xi2^2
-    pt = frozen_point(*random_elliptic_b(rng))
-    cases = [(complex_scalar_system(rng.normal(size=3) + 1j * rng.normal(size=3)), pt)]
-    for b in random_elliptic_b(rng, 3):
-        pt = frozen_point(*b)
-        for e in ELASTICITIES:
-            for name in ("rigidity", "membrane_tension", "membrane", "koiter"):
-                cases.append((builtin_system(name, pt, e, eps=0.07), pt))
-    thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    for system, pt in cases:
-        rep = ellipticity_check(system, pt, n_angles=64)
-        vals = [abs(principal_determinant(system, pt, (np.cos(t), np.sin(t))))
-                for t in thetas]
-        assert rep.min_abs_det == min(vals)
-        assert rep.max_abs_det == max(vals)
-
-
 # ---------------------------------------------------------------------------
 # ellipticity
 # ---------------------------------------------------------------------------
@@ -206,8 +188,8 @@ def test_ellipticity_verdicts():
     assert rep.elliptic
     assert rep.min_abs_det == pytest.approx(1.0, rel=1e-12)
 
-    # real characteristic directions on scan angles and, at 1,1.7,1, between
-    # them, where |D| is far from zero but the real determinant changes sign
+    # real characteristic directions on sample angles and, at 1,1.7,1,
+    # between them, where |D| is far from zero on the sample
     for b12 in (2.0, 1.7):
         hyper = frozen_point(1.0, b12, 1.0)
         rep = ellipticity_check(builtin_system("rigidity", hyper), hyper)
@@ -311,11 +293,12 @@ def complex_scalar_system(coeffs):
 
 
 def test_ellipticity_check_equals_direct_scan(rng):
-    # the report from the determinant polynomial and the candidate angles is
-    # bit-equal to the direct scan of every angle, across scales, curvature
-    # kinds and eps, at sphere-cap chart points (where the Koiter |D| of a
-    # rotation-invariant rigidity is constant on the circle) and for
-    # complex determinants
+    # the report's extremes, read from the determinant polynomial, lie within
+    # a few rounding errors of the direct scan of every angle, across scales,
+    # curvature kinds and eps, at sphere-cap chart points (where the Koiter
+    # |D| of a rotation-invariant rigidity is constant on the circle) and for
+    # complex determinants.  The verdicts follow the closed form where there
+    # is one, and the direct scan elsewhere
     cases = list(swept_frozen_systems(rng, 85))
     for radius in (0.8, 1.7, 3.0, 25.0):
         chart = sphere_cap_chart(radius=radius)
@@ -329,118 +312,159 @@ def test_ellipticity_check_equals_direct_scan(rng):
         coeffs = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
         cases.append((complex_scalar_system(coeffs), pt))
     assert len(cases) >= 2000
+    verdicts = set()
     for system, pt in cases:
         rep = ellipticity_check(system, pt)
-        assert (rep.elliptic, rep.min_abs_det, rep.max_abs_det) == \
-            direct_ellipticity_scan(system, pt), (system.name, pt.b_triple)
+        elliptic, lo, hi = direct_ellipticity_scan(system, pt)
+        slack = 10 * np.finfo(float).eps * interpolation_scale(
+            system.coefficients(pt), system.total_order)
+        assert abs(rep.min_abs_det - lo) <= slack, (system.name, pt.b_triple)
+        assert abs(rep.max_abs_det - hi) <= slack, (system.name, pt.b_triple)
+        if system.name in ("rigidity", "membrane_tension", "membrane"):
+            elliptic = closed_form_elliptic(system.name, pt.b_triple)
+        assert rep.elliptic == elliptic, (system.name, pt.b_triple)
+        verdicts.add(rep.elliptic)
+    assert verdicts == {True, False}
 
 
 def test_determinant_scan_is_within_a_few_rounding_errors(rng):
     # |D| from the T + 1 determinant coefficients of L'(sign, z), at every
     # angle of an odd grid (no angle is the mirror image of another), lies
     # within 10 eps_mach H of the direct |det L'|
-    cos, sin = symbols._unit_circle(45)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 45, endpoint=False)
+    cos, sin = np.cos(thetas), np.sin(thetas)
     for system, pt in swept_frozen_systems(rng, 5):
         dets = np.linalg.det(system.symbol_gen(pt, (cos, sin)))
         for sign in (1.0, -1.0):
             coeffs = symbols._coefficients_at(system, pt, sign)
-            approx, hadamard, _ = symbols._determinant_scan(coeffs, system.total_order,
-                                                            sign, cos, sin)
+            _, approx = symbols._determinant_scan(coeffs, system.total_order,
+                                                  sign, cos, sin)
             gap = np.abs(approx - np.abs(dets)).max()
-            assert gap <= 10 * np.finfo(float).eps * hadamard, (system.name, sign)
+            scale = interpolation_scale(coeffs, system.total_order)
+            assert gap <= 10 * np.finfo(float).eps * scale, (system.name, sign)
 
 
-def record_evaluations(monkeypatch):
-    """The broadcast shape of every later symbol evaluation, in call order."""
-    calls, evaluate = [], symbols._evaluate
-
-    def recorded(coeffs, degrees, x1, x2):
-        calls.append(np.broadcast_shapes(np.shape(x1), np.shape(x2)))
-        return evaluate(coeffs, degrees, x1, x2)
-    monkeypatch.setattr(symbols, "_evaluate", recorded)
-    return calls
-
-
-def test_ellipticity_check_evaluates_few_angles_at_a_generic_point(monkeypatch):
-    # the coefficients come from the closed form with no evaluation; the
-    # symbol is evaluated once, on the candidate angles
+def test_ellipticity_check_evaluates_no_symbol(monkeypatch):
+    # the report and the verdict come from the closed-form coefficients and
+    # the T + 1 determinants of their interpolation, with no symbol evaluation
     pt = frozen_point(1.3, 0.4, 0.8)
-    calls = record_evaluations(monkeypatch)
+    evaluate = symbols._evaluate
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return evaluate(*args)
+    monkeypatch.setattr(symbols, "_evaluate", recorded)
     for e in ELASTICITIES:
         for name in SYSTEM_NAMES:
             system = builtin_system(name, pt, e, eps=0.05)
-            want = direct_ellipticity_scan(system, pt)
-            calls.clear()
-            rep = ellipticity_check(system, pt)
-            assert (rep.elliptic, rep.min_abs_det, rep.max_abs_det) == want
-            [(n_direct,)] = calls
-            assert 2 <= n_direct <= 16, (name, e, n_direct)
+            assert ellipticity_check(system, pt).elliptic
+            decaying_solution_basis(system, pt, -1.0)
+    assert calls == []
 
 
-def test_ellipticity_check_guard_falls_back_to_every_angle(monkeypatch):
-    # approximate values off by at least the slack, more than the guard's
-    # slack / 2, and rising steeply with the angle: the candidates are the
-    # first and last angles alone, which miss the extremes of |D|, so only
-    # the fallback to every angle reproduces the direct scan
-    scan = symbols._determinant_scan
-
-    def shifted(coeffs, order, sign, cos, sin):
-        approx, hadamard, sign_change = scan(coeffs, order, sign, cos, sin)
-        ramp = 1e3 * np.finfo(float).eps + np.arange(len(cos))
-        return approx + ramp * hadamard, hadamard, sign_change
-
-    pt = frozen_point(1.3, 0.4, 0.8)
-    systems = [builtin_system(name, pt, IDENTITY, eps=0.05) for name in SYSTEM_NAMES]
-    calls = record_evaluations(monkeypatch)
-    monkeypatch.setattr(symbols, "_determinant_scan", shifted)
-    for system in systems:
-        for n_angles in (360, 64, 9):
-            want = direct_ellipticity_scan(system, pt, n_angles)
-            calls.clear()
-            rep = ellipticity_check(system, pt, n_angles=n_angles)
-            assert (rep.elliptic, rep.min_abs_det, rep.max_abs_det) == want
-            assert calls == [(2,), (n_angles,)], system.name
-
-
-def test_basis_verdict_matches_direct_64_angle_verdict(rng):
-    # decaying_solution_basis reads its verdict from the interpolated
-    # determinant on 64 angles; it agrees with the direct 64-angle scan
+def test_basis_verdict_matches_ellipticity_check(rng):
+    # decaying_solution_basis refuses a system at either sign of xi1 exactly
+    # where ellipticity_check reads it not elliptic
     verdicts = set()
     for system, pt in swept_frozen_systems(rng, 20):
-        elliptic = direct_ellipticity_scan(system, pt, 64)[0]
+        elliptic = ellipticity_check(system, pt).elliptic
         for sign in (1.0, -1.0):
             try:
                 decaying_solution_basis(system, pt, sign)
                 refused = False
             except EllipticityError as exc:
                 refused = "not elliptic" in str(exc)
-            assert refused == (not elliptic), (system.name, pt.b_triple)
-            verdicts.add(elliptic)
+            assert refused == (not elliptic), (system.name, pt.b_triple, sign)
+        verdicts.add(elliptic)
     assert verdicts == {True, False}
+
+
+def assert_never_elliptic(system, pt):
+    assert not ellipticity_check(system, pt).elliptic, (system.name, pt.b_triple)
+    for sign in (1.0, -1.0):
+        with pytest.raises(EllipticityError, match="not elliptic"):
+            decaying_solution_basis(system, pt, sign)
 
 
 def test_hyperbolic_rigidity_is_never_elliptic():
     # b12^2 > b11 b22 gives two real characteristic directions, mostly
-    # between scan angles; the real determinant changes sign across each,
-    # in the report and in the 64-angle verdict of the decaying basis
+    # between sample angles: not elliptic in the report and in the decaying
+    # basis at both signs
     hyperbolic = 0
     for pt, _, _ in swept_frozen_points(np.random.default_rng(5), 60):
         b11, b12, b22 = pt.b_triple
         if b12 ** 2 <= b11 * b22:
             continue
         hyperbolic += 1
-        system = builtin_system("rigidity", pt)
-        assert not ellipticity_check(system, pt).elliptic, pt.b_triple
-        for sign in (1.0, -1.0):
-            with pytest.raises(EllipticityError, match="not elliptic"):
-                decaying_solution_basis(system, pt, sign)
+        assert_never_elliptic(builtin_system("rigidity", pt), pt)
     assert hyperbolic == 60
 
 
-def test_ellipticity_check_needs_enough_angles():
-    pt = frozen_point(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        ellipticity_check(builtin_system("rigidity", pt), pt, n_angles=4)
+def test_parabolic_points_are_never_elliptic():
+    # a real double characteristic direction between sample angles, where
+    # |D| does not change sign: at b = (1, 0.9, 0.81) the sampled minimum is
+    # 9e-8 against a maximum of 1.81.  On the sweep, the closed-form ratio
+    # decides: every surface-elliptic point whose ratio is at or below
+    # DET_RTOL reads not elliptic, in the report and in the basis
+    pt = frozen_point(1.0, 0.9, 0.81)
+    assert_never_elliptic(builtin_system("rigidity", pt), pt)
+    refused = 0
+    for pt, e, eps in swept_frozen_points(np.random.default_rng(5), 60):
+        b11, b12, b22 = pt.b_triple
+        if b12 ** 2 >= b11 * b22:
+            continue
+        for name in ("rigidity", "membrane_tension", "membrane"):
+            system = builtin_system(name, pt, e, eps)
+            if closed_form_elliptic(name, pt.b_triple):
+                assert ellipticity_check(system, pt).elliptic, (name, pt.b_triple)
+            else:
+                assert_never_elliptic(system, pt)
+                refused += 1
+    assert refused >= 100
+
+
+def test_rigidity_verdict_is_invariant_under_rotation():
+    # rotating the frame (b -> R^T b R) moves the real double direction of a
+    # near-parabolic point across the sample angles; the verdict must not move
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        b11, b22 = rng.uniform(0.3, 3.0, 2)
+        b12 = rng.choice((-1.0, 1.0)) * np.sqrt(b11 * b22) * (1.0 - 10.0 ** rng.uniform(-12, -9))
+        b = np.array([[b11, b12], [b12, b22]])
+        verdicts = set()
+        for phi in rng.uniform(0.0, np.pi, 12):
+            rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+            (r11, r12), (_, r22) = rot.T @ b @ rot
+            pt = frozen_point(r11, r12, r22)
+            verdicts.add(ellipticity_check(builtin_system("rigidity", pt), pt).elliptic)
+        assert verdicts == {False}, (b11, b12, b22)
+
+
+def test_elliptic_reads_nonfinite_input_as_not_elliptic(monkeypatch):
+    # membrane coefficients that underflow to subnormals go through the root
+    # finder without an overflow; a NaN or an infinity in the coefficients or
+    # the sampled extremes is "not elliptic", with no call to the root finder
+    pt = frozen_point(3e-162, 1e-162, 2e-162)
+    assert not ellipticity_check(builtin_system("membrane", pt, IDENTITY), pt).elliptic
+
+    def no_roots(_):
+        raise AssertionError("np.roots called")
+    monkeypatch.setattr(symbols.np, "roots", no_roots)
+    d = np.array([1.0, 0.0, 1.0], dtype=complex)
+    for bad_d, lo, hi in ((d, np.nan, 1.0), (d, 1.0, np.nan), (d, 0.0, np.inf),
+                          (np.array([np.nan, 0.0, 1.0]), 1.0, 1.0),
+                          (np.array([1.0, np.inf, 1.0]), 1.0, 1.0)):
+        assert symbols._elliptic(bad_d, 1.0, lo, hi) is False
+    # at b = 1e200 the membrane and Koiter coefficients overflow
+    pt = frozen_point(1e200, 0.0, 1e200)
+    assert ellipticity_check(builtin_system("rigidity", pt), pt).elliptic
+    for name in ("membrane", "koiter"):
+        system = builtin_system(name, pt, IDENTITY, 0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not ellipticity_check(system, pt).elliptic
+            with pytest.raises(EllipticityError, match="not elliptic"):
+                decaying_solution_basis(system, pt, 1.0)
 
 
 def test_total_orders():
