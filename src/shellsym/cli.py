@@ -40,6 +40,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import geometry, layers, reduced, symbols
+from .polymat import _read_only
 
 SCHEMA_LINE = "# schema=1"
 COMMANDS = ("check-ellipticity", "check-sl", "layer-modes", "solve-reduced",
@@ -134,12 +135,8 @@ class ExperimentConfig:
                               f"and within N={self.n_modes}")
 
     def elasticity_tensor(self) -> geometry.ElasticityTensor:
-        if self.elasticity == "identity":
-            return geometry.ElasticityTensor.identity()
-        if self.elasticity == "frobenius":
-            return geometry.ElasticityTensor.frobenius_identity()
-        if self.elasticity == "isotropic":
-            return geometry.ElasticityTensor.isotropic()
+        if self.elasticity != "explicit":
+            return _builtin_elasticity(self.elasticity)
 
         def mat(vals):
             m = np.empty((3, 3))
@@ -148,6 +145,16 @@ class ExperimentConfig:
             return m
         return geometry.ElasticityTensor.from_matrices(
             mat(self.elasticity_membrane), mat(self.elasticity_bending))
+
+
+@functools.cache
+def _builtin_elasticity(name: str) -> geometry.ElasticityTensor:
+    """The built-in tensor ``name``, validated once, with read-only matrices."""
+    tensor = {"identity": geometry.ElasticityTensor.identity,
+              "frobenius": geometry.ElasticityTensor.frobenius_identity,
+              "isotropic": geometry.ElasticityTensor.isotropic}[name]()
+    _read_only(tensor.membrane, tensor.bending)
+    return tensor
 
 
 _PARSE_BY_TYPE = {
@@ -269,7 +276,7 @@ def cmd_check_sl(cfg: ExperimentConfig) -> None:
 
     # one basis per system and sign of xi1, one verdict per case and sign;
     # the row takes xi1 itself from the config
-    reps = [report(*case, float(np.sign(xi1)))
+    reps = [report(*case, math.copysign(1.0, xi1))
             for case in _SL_CASES for xi1 in cfg.xi1_list]
     xi1_text, det_text = _g17(cfg.xi1_list * len(_SL_CASES),
                               [abs(rep.sl_determinant) for rep in reps])

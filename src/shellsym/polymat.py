@@ -3,14 +3,33 @@
 :func:`poly_coefficients` recovers the entry polynomials exactly from one
 call on the roots of unity.  ``symbols`` reads the coefficients of
 ``det L'(+-1, z)`` this way; the symbols themselves are built from their
-coefficients and are never sampled.
+coefficients and are never sampled.  The roots of unity and the inverse-DFT
+matrix of each sample count are built once, on first use, and kept as
+read-only constants.
 
 Coefficients are stored in ascending order: ``coeffs[j]`` multiplies ``z**j``.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+
+def _read_only(*arrays) -> tuple:
+    """``arrays``, made read-only: a cached constant cannot be written."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _dft(n_samp: int) -> tuple:
+    """The ``n_samp`` roots of unity ``z_s`` and the phases ``w^(-js)`` of the inverse DFT."""
+    js = np.arange(n_samp)
+    return _read_only(np.exp(2j * np.pi * js / n_samp),
+                      np.exp(-2j * np.pi * np.outer(js, js) / n_samp))
 
 
 def poly_coefficients(evaluate, degree: int) -> np.ndarray:
@@ -23,9 +42,7 @@ def poly_coefficients(evaluate, degree: int) -> np.ndarray:
     ``(degree + 1, n_rows, n_cols)``.
     """
     n_samp = degree + 1
-    zs = np.exp(2j * np.pi * np.arange(n_samp) / n_samp)
+    zs, phases = _dft(n_samp)
     samples = np.asarray(evaluate(zs), dtype=complex)
     # c_j = (1 / n) sum_s f(z_s) w^{-js}
-    js = np.arange(n_samp)
-    phases = np.exp(-2j * np.pi * np.outer(js, js) / n_samp)
     return np.einsum("js,s...->j...", phases, samples) / n_samp

@@ -22,6 +22,10 @@ fixed sample of ``N_ANGLES`` angles, and at the angles of the roots of the
 determinant polynomial where the sample cannot prove it.
 :func:`ellipticity_check` and :func:`decaying_solution_basis` both take it.
 
+Constants are built once, on first use, and kept read-only: the Vandermonde
+per sample count and stack length, the powers of ``sign cos`` on the
+``N_ANGLES`` sample per ``(T, sign)`` and the exponents of ``xi1`` per index set.
+
 The boundary frame convention is the usual one: ``x1`` tangential, ``x2``
 the inward normal, symbols written in ``D = -i d/dx`` so that solutions of
 the half-space ODE system are ``exp(i*xi2*x2)`` times vector polynomials
@@ -36,13 +40,14 @@ membrane+bending system with thickness weight ``eps**2``.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .geometry import ElasticityTensor, MetricData
-from .polymat import poly_coefficients
+from .polymat import _dft, _read_only, poly_coefficients
 
 DET_RTOL = 1e-8       # relative threshold for "determinant is nonzero"
 # |1 / xi2| below which a pencil eigenvalue counts as infinite; the
@@ -58,7 +63,7 @@ class _HomogeneousSymbol:
     """A matrix symbol fixed by the stack ``C_m`` of ``L'(x, (1, z)) = sum_m C_m z^m``.
 
     ``coefficients(point)`` returns that stack.  Entry ``(k, j)`` is
-    homogeneous of degree ``d_kj = degrees[k, j]``, so ``C_m`` vanishes there
+    homogeneous of degree ``d_kj = degrees[k][j]``, so ``C_m`` vanishes there
     for ``m > d_kj`` and ``L'(x, xi) = sum_m C_m xi1^(d_kj - m) xi2^m``.
     """
 
@@ -91,8 +96,8 @@ class DNSystem(_HomogeneousSymbol):
         return len(self.s_indices)
 
     @property
-    def degrees(self) -> np.ndarray:
-        return np.add.outer(self.s_indices, self.t_indices)
+    def degrees(self) -> tuple:
+        return _degree_matrix(tuple(self.s_indices), tuple(self.t_indices))
 
     @property
     def total_order(self) -> int:
@@ -121,8 +126,8 @@ class BoundaryConditionSet(_HomogeneousSymbol):
         return len(self.r_indices)
 
     @property
-    def degrees(self) -> np.ndarray:
-        return np.add.outer(self.r_indices, self.t_indices)
+    def degrees(self) -> tuple:
+        return _degree_matrix(tuple(self.r_indices), tuple(self.t_indices))
 
 
 @dataclass
@@ -148,15 +153,26 @@ class SLReport:
 # coefficient stacks: reading and evaluation
 # ---------------------------------------------------------------------------
 
-def _exponents(coeffs, degrees) -> np.ndarray:
-    """The power ``d_kj - m`` of ``xi1`` that ``C_m`` carries (0 where ``C_m`` vanishes)."""
-    return np.maximum(degrees - np.arange(len(coeffs))[:, None, None], 0)
+@functools.cache
+def _degree_matrix(rows: tuple, t_indices: tuple) -> tuple:
+    """The entry degrees ``d_kj = r_k + t_j``, as a tuple of rows."""
+    return tuple(tuple(r + t for t in t_indices) for r in rows)
+
+
+@functools.cache
+def _exponent_table(degrees: tuple, length: int) -> tuple:
+    """The powers ``max(d_kj - m, 0)`` of ``xi1`` in ``C_m``, ``(-1.0)`` to them, and their max."""
+    exponents = np.maximum(np.array(degrees) - np.arange(length)[:, None, None], 0)
+    return (*_read_only(exponents, (-1.0) ** exponents), int(exponents.max()))
 
 
 def _coefficients_at(symbol, point: MetricData, xi1: float) -> np.ndarray:
     """The coefficients ``C_m xi1^(d_kj - m)`` of ``L'(x, (xi1, z))`` in ``z``."""
     coeffs = symbol.coefficients(point)
-    return coeffs * float(xi1) ** _exponents(coeffs, symbol.degrees)
+    if xi1 == 1.0:     # the stack holds the coefficients of L'(x, (1, z))
+        return coeffs
+    exponents, signs, _ = _exponent_table(symbol.degrees, len(coeffs))
+    return coeffs * (signs if xi1 == -1.0 else float(xi1) ** exponents)
 
 
 def _evaluate(coeffs, degrees, x1, x2) -> np.ndarray:
@@ -166,10 +182,10 @@ def _evaluate(coeffs, degrees, x1, x2) -> np.ndarray:
     by Horner's rule in ``x2``.  Every operation is elementwise on arrays,
     so a stacked evaluation rounds exactly as the scalar one.
     """
-    exponents = _exponents(coeffs, degrees)
+    exponents, _, top = _exponent_table(tuple(map(tuple, degrees)), len(coeffs))
     x1, x2 = np.asarray(x1)[..., None], np.asarray(x2)[..., None, None]
     table = [np.ones_like(x1)]
-    for _ in range(exponents.max()):
+    for _ in range(top):
         table.append(table[-1] * x1)
     powers = np.concatenate(table, axis=-1)[..., exponents]
     out = 0.0
@@ -321,7 +337,18 @@ class EllipticityReport:
 # the fixed sample of the unit circle on which |det L'| is read
 N_ANGLES = 360
 _THETAS = np.linspace(0.0, 2.0 * np.pi, N_ANGLES, endpoint=False)
-_CIRCLE = np.cos(_THETAS), np.sin(_THETAS)
+_CIRCLE = _read_only(np.cos(_THETAS), np.sin(_THETAS))
+
+
+def _powers(x, order: int):
+    """``x^k`` for ``k = 1 .. order``, each the product of the one before and ``x``."""
+    return itertools.accumulate([x] * order, np.multiply)
+
+
+@functools.cache
+def _circle_powers(order: int, sign: float) -> tuple:
+    """:func:`_powers` of ``sign cos`` on the ``N_ANGLES`` sample, read-only."""
+    return _read_only(*_powers(sign * _CIRCLE[0], order))
 
 
 def _abs_det(d, sign, cos, sin) -> np.ndarray:
@@ -330,12 +357,18 @@ def _abs_det(d, sign, cos, sin) -> np.ndarray:
     By homogeneity ``D(xi1, xi2) = sum_j d_j xi2^j (sign xi1)^(T - j)``,
     evaluated by Horner in ``xi2``.
     """
-    x = sign * cos
-    values, power = np.full(np.shape(cos), d[-1]), 1.0
-    for d_j in d[-2::-1]:
-        power = power * x
+    order = len(d) - 1
+    powers = _circle_powers(order, sign) if cos is _CIRCLE[0] else _powers(sign * cos, order)
+    values = np.full(np.shape(cos), d[-1])
+    for d_j, power in zip(d[-2::-1], powers):
         values = values * sin + d_j * power
     return np.abs(values)
+
+
+@functools.cache
+def _vandermonde(n_samp: int, length: int) -> np.ndarray:
+    """``z_s^m`` for the ``n_samp`` roots of unity and ``m < length``, read-only."""
+    return _read_only(_dft(n_samp)[0][:, None] ** np.arange(length))[0]
 
 
 def _determinant_scan(coeffs, order, sign, cos, sin):
@@ -349,7 +382,7 @@ def _determinant_scan(coeffs, order, sign, cos, sin):
     ``eps_mach`` times the largest product of row norms of those matrices.
     """
     def dets(zs):
-        vander = zs[:, None] ** np.arange(len(coeffs))
+        vander = _vandermonde(len(zs), len(coeffs))
         mats = (vander @ coeffs.reshape(len(coeffs), -1)).reshape(-1, *coeffs.shape[1:])
         return np.linalg.det(mats)
 
@@ -458,6 +491,10 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
     # det lhs = +-det A_0 = +-det L'(s, 0), and (s, 0) is on the circle of
     # the verdict, so an elliptic system has an invertible lhs
     pencil = np.linalg.solve(lhs, rhs)
+    if not np.isfinite(pencil).all():
+        # a subnormal det A_0 passes the relative verdict, yet its solve overflows
+        raise EllipticityError(f"{system.name}: non-finite companion pencil "
+                               f"(min |D| = {values.min():.3e})")
     mu = np.linalg.eigvals(pencil)
     finite = np.abs(mu) > INFINITE_RTOL
     decaying = finite & (mu.imag < 0)       # Im xi2 > 0
@@ -512,11 +549,12 @@ def sl_verdict(decaying: DecayingBasis, bc: BoundaryConditionSet, xi1: float,
     cauchy = np.zeros((m, deg, n), dtype=complex)
     cauchy[:, :len(bcoeffs)] = bcoeffs[:deg].transpose(1, 0, 2)
     cauchy = cauchy.reshape(m, n * deg)
-    cauchy /= np.linalg.norm(cauchy, axis=1, keepdims=True)
+    # the row norms and |C|_2 as np.linalg.norm computes them
+    cauchy /= np.sqrt((cauchy.conj() * cauchy).real.sum(axis=1, keepdims=True))
 
     sl_matrix = cauchy @ decaying.basis
     _, sv, vh = np.linalg.svd(sl_matrix)
-    margin = float(sv[-1] / np.linalg.norm(cauchy, 2))
+    margin = float(sv[-1] / np.linalg.svd(cauchy, compute_uv=False)[0])
     satisfied = margin > DET_RTOL
     witness = None
     if not satisfied:

@@ -6,6 +6,8 @@ passes run in a subprocess because importing ``perfbench/run.py`` fixes the
 BLAS thread variables of the interpreter that imports it.
 """
 
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -47,3 +49,43 @@ def test_benchmark_workloads_run_without_regressions(tmp_path):
     regressions = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(regressions) == {"sl-scan", "reduced-ladder", "chart-scan"}
     assert regressions == {name: [] for name in regressions}
+
+
+# The benchmark's tracer wraps every public function and public classmethod
+# of a layer module (of `cli`, only `main`), so each public name is a span
+# on every call.  A helper added without a leading underscore would add
+# tracing overhead to every traced pass; these sets pin the public names.
+PUBLIC_CALLABLES = {
+    "symbols": {"BoundaryConditionSet", "DNSystem", "DecayingBasis", "EllipticityError",
+                "EllipticityReport", "SLReport", "builtin_boundary_conditions",
+                "builtin_system", "characteristic_roots", "decaying_solution_basis",
+                "ellipticity_check", "principal_determinant", "rigidity_strain_residual",
+                "sl_check", "sl_verdict"},
+    "polymat": {"poly_coefficients"},
+    "geometry": {"ChartTerms", "DisplacementField", "DisplacementField.from_functions",
+                 "DisplacementField.zeros", "ElasticityTensor",
+                 "ElasticityTensor.frobenius_identity", "ElasticityTensor.from_matrices",
+                 "ElasticityTensor.identity", "ElasticityTensor.isotropic",
+                 "GridMismatchError", "InvariantError", "MetricData", "MetricField",
+                 "SurfaceEllipticityError", "curvature_change_tensor", "energy_forms",
+                 "frozen_chart", "frozen_point", "second_derivative", "sphere_cap_chart",
+                 "strain_tensor", "surface_elliptic_triple"},
+    "cli": {"ConfigError", "ExperimentConfig", "cmd_check_ellipticity", "cmd_check_sl",
+            "cmd_layer_modes", "cmd_rescale_demo", "cmd_sensitivity", "cmd_solve_reduced",
+            "cmd_sweep_epsilon", "main", "parse_config", "write_csv"},
+}
+
+
+def test_public_callables_are_unchanged():
+    for layer, want in PUBLIC_CALLABLES.items():
+        mod = importlib.import_module(f"shellsym.{layer}")
+        names = set()
+        for attr, obj in vars(mod).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                names.add(attr)
+            if inspect.isclass(obj):
+                names |= {f"{attr}.{name}" for name, member in vars(obj).items()
+                          if isinstance(member, classmethod) and not name.startswith("_")}
+        assert names == want, (layer, names ^ want)

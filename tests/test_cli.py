@@ -549,3 +549,39 @@ def test_g17_matches_per_value_formatting(columns):
     assert text == [["%.17g" % x for x in col] for col in columns]
     # numpy columns give the same text as lists
     assert _g17(*map(np.array, columns)) == text
+
+
+@pytest.mark.parametrize("b_coeffs", ["1e-160,0,1e-160", "1e-161,2e-162,3e-161"])
+def test_subnormal_membrane_determinant_is_a_numerical_failure(tmp_path, capsys,
+                                                               b_coeffs):
+    # the membrane determinant is subnormal here (min |D| about 1e-320): the
+    # relative verdict reads elliptic, but the companion pencil's solve
+    # overflows.  check-sl reports that as one numerical failure, not as a
+    # traceback from the eigenvalue solver
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"b_coeffs = {b_coeffs}\nelasticity = identity\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check-sl", "--config", str(cfg), "--out",
+                     str(tmp_path / "x.csv")]) == 3
+    assert not caught
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: membrane: non-finite companion pencil")
+    assert "min |D| = " in err[0]
+
+
+def test_one_process_runs_many_configs_to_their_goldens(tmp_path):
+    # the cached constants are keyed on sample counts, signs and indices
+    # alone: commands on different configs in one process, and the first
+    # again after them, reproduce their golden bytes
+    golden = {(config, command): digest for config, command, digest
+              in test_cli_golden_bytes.pytestmark[0].args[1]}
+    runs = [(SL_16_CFG, "check-sl"), (SPHERE_CAP_CFG, "check-ellipticity"),
+            (MIXED_SIGN_CFG.format("isotropic"), "layer-modes"),
+            (MIXED_SIGN_CFG.format("isotropic"), "check-sl"), (SL_16_CFG, "check-sl")]
+    cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+    for config, command in runs:
+        cfg.write_text(config)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(read(out)).hexdigest() == golden[config, command], command

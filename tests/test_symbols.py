@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shellsym import symbols
+from shellsym import cli, polymat, symbols
 from shellsym.geometry import (
     ElasticityTensor,
     SurfaceEllipticityError,
@@ -689,3 +689,33 @@ def test_sl_wrong_bc_count():
     tension = builtin_system("membrane_tension", pt)
     with pytest.raises(ValueError, match="unknowns of indices"):
         sl_check(tension, builtin_boundary_conditions("u1"), pt, 1.0)
+
+
+def test_cached_constants_are_read_only_and_few(rng):
+    # the tables that depend only on a sample count, on (T, sign) or on a
+    # symbol's indices are built once and cannot be written; a sweep of
+    # every curvature kind, elasticity and eps at both signs of xi1 leaves
+    # one entry per sample count (orders 2, 4, 8), per (T, sign) and per
+    # system, none per point or eps
+    caches = (polymat._dft, symbols._vandermonde, symbols._circle_powers,
+              symbols._degree_matrix, symbols._exponent_table)
+    for cache in caches:
+        cache.cache_clear()
+    for system, pt in swept_frozen_systems(rng, 3):
+        for sign in (1.0, -1.0):
+            try:
+                decaying_solution_basis(system, pt, sign)
+            except EllipticityError:
+                pass
+    assert [cache.cache_info().currsize for cache in caches] == [3, 3, 6, 4, 4]
+
+    pt = frozen_point(1.3, 0.4, 0.8)
+    constants = [*polymat._dft(5), symbols._vandermonde(5, 3), *symbols._CIRCLE,
+                 *symbols._circle_powers(4, -1.0),
+                 *symbols._exponent_table(builtin_system("koiter", pt, IDENTITY).degrees, 3)[:2]]
+    for name in ("identity", "frobenius", "isotropic"):
+        tensor = cli._builtin_elasticity(name)
+        constants += [tensor.membrane, tensor.bending]
+    for constant in constants:
+        with pytest.raises(ValueError, match="read-only"):
+            constant[...] = 0
