@@ -24,6 +24,15 @@ of a complex array may differ in the last bit.
 Only ``check-ellipticity`` reads ``chart`` and ``chart_params``; the other
 commands work at the frozen point of ``b_coeffs`` and reject both.
 
+``check-sl`` and ``layer-modes`` read the curvature ``b_coeffs`` and the
+rigidity.  A reduced command (``solve-reduced``, ``sweep-epsilon``,
+``sensitivity``, ``rescale-demo``) reads both only for the ``theta`` or
+``zeta`` that the configuration leaves unset.  ``check-ellipticity`` reads
+the rigidity always, and reports a curvature that is not surface-elliptic in
+its rows.  Where a command reads them, a ``b_coeffs`` that is not
+surface-elliptic and an ``explicit`` rigidity that is not positive definite
+are configuration errors.
+
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 """
 
@@ -43,8 +52,6 @@ from . import geometry, layers, reduced, symbols
 from .polymat import _read_only
 
 SCHEMA_LINE = "# schema=1"
-COMMANDS = ("check-ellipticity", "check-sl", "layer-modes", "solve-reduced",
-            "sweep-epsilon", "sensitivity", "rescale-demo")
 
 
 class ConfigError(ValueError):
@@ -74,7 +81,7 @@ class ExperimentConfig:
     def validate(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.chart not in geometry.CHART_GENERATORS:
+        if self.chart not in ("frozen", "sphere-cap"):
             raise ConfigError(f"unknown chart {self.chart!r}")
         for f in fields(self):
             value = getattr(self, f.name)
@@ -88,6 +95,8 @@ class ExperimentConfig:
                               "to check-ellipticity")
         if self.chart == "sphere-cap" and self.chart_params[:1] == (0.0,):
             raise ConfigError("sphere-cap radius must be nonzero")
+        if self.chart == "sphere-cap" and len(self.chart_params) > 1:
+            raise ConfigError("sphere-cap takes one chart_params value, the radius")
         if len(self.b_coeffs) != 3:
             raise ConfigError("b_coeffs needs exactly three values")
         if not self.epsilon_list:
@@ -107,12 +116,20 @@ class ExperimentConfig:
             raise ConfigError("xi1 values must be nonzero")
         if self.command in ("check-sl", "layer-modes") and not self.xi1_list:
             raise ConfigError("xi1_list must not be empty")
-        if self.command in ("check-sl", "layer-modes", "sweep-epsilon"):
+        # as in _operator: a reduced command reads b for an unset theta or zeta
+        reads_layer = self.command in ("check-sl", "layer-modes") or (
+            self.command != "check-ellipticity" and None in (self.theta, self.zeta))
+        if reads_layer:
             try:
                 geometry.surface_elliptic_triple(self.b_coeffs)
             except geometry.SurfaceEllipticityError:
                 raise ConfigError("b_coeffs must be surface-elliptic "
                                   "for this command") from None
+        if reads_layer or self.command == "check-ellipticity":
+            try:
+                self.elasticity_tensor()
+            except geometry.InvariantError as exc:
+                raise ConfigError(str(exc)) from None
         for name in ("theta", "zeta"):
             value = getattr(self, name)
             if value is not None and not value > 0:
@@ -165,9 +182,11 @@ _PARSE_BY_TYPE = {
     float | None: lambda v: None if v.lower() == "none" else float(v),
     str: str,
 }
-# value parser of each field, chosen by its ExperimentConfig annotation
+# value parser of each config-file key, chosen by its ExperimentConfig
+# annotation; the command comes from the command line alone
 _FIELD_PARSERS = {name: _PARSE_BY_TYPE[t]
-                  for name, t in get_type_hints(ExperimentConfig).items()}
+                  for name, t in get_type_hints(ExperimentConfig).items()
+                  if name != "command"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -306,12 +325,12 @@ def cmd_layer_modes(cfg: ExperimentConfig) -> None:
 def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
     # one at a time: at an umbilic zeta exists while theta does not
     theta, zeta = cfg.theta, cfg.zeta
-    if theta is None:
-        theta = layers.layer_energy_coefficient(cfg.b_coeffs,
-                                                cfg.elasticity_tensor().membrane)
-    if zeta is None:
-        zeta = layers.bending_symbol_coefficient(cfg.b_coeffs,
-                                                 cfg.elasticity_tensor().bending)
+    if None in (theta, zeta):
+        elastic = cfg.elasticity_tensor()
+        if theta is None:
+            theta = layers.layer_energy_coefficient(cfg.b_coeffs, elastic.membrane)
+        if zeta is None:
+            zeta = layers.bending_symbol_coefficient(cfg.b_coeffs, elastic.bending)
     return reduced.build_default_operator(theta, zeta, cfg.d, cfg.n_modes, eps)
 
 
@@ -389,6 +408,7 @@ _DISPATCH = {
     "sensitivity": cmd_sensitivity,
     "rescale-demo": cmd_rescale_demo,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 _PARSER = argparse.ArgumentParser(

@@ -226,12 +226,6 @@ def sphere_cap_chart(radius: float = 1.0, shape: tuple = (24, 24),
     return MetricField(a, b, b_mixed, gamma, h)
 
 
-CHART_GENERATORS = {
-    "frozen": frozen_chart,
-    "sphere-cap": sphere_cap_chart,
-}
-
-
 # ---------------------------------------------------------------------------
 # rigidity tensors
 # ---------------------------------------------------------------------------

@@ -152,11 +152,14 @@ class ReducedOperator:
     """Diagonal-in-frequency model of ``A + eps^2 B`` on the modes ``k = -N..N``.
 
     ``kernel`` holds the ``|k|`` on which the smoothing symbol is zeroed
-    (the non-inhibited model of :func:`with_kernel`).  The eps-independent
-    samples ``s``, ``q`` and the order-3 weights ``(1 + k^2)^(3/2)``,
-    ``(1 + k^2)^(-3/2)`` are taken on construction from :meth:`s_symbol`
-    and :meth:`q_symbol`; :meth:`with_eps` hands the same arrays over, so
-    an eps sweep samples them once.
+    (the non-inhibited model of :func:`with_kernel`).  The kernel rule lives
+    here, so direct construction, :func:`with_kernel` and :meth:`with_eps`
+    all meet it: integral modes within the cutoff ``N``, kept as their
+    sorted distinct ``|k|``.  The eps-independent samples ``s``, ``q`` and
+    the order-3 weights ``(1 + k^2)^(3/2)``, ``(1 + k^2)^(-3/2)`` are taken
+    on construction from :meth:`s_symbol` and :meth:`q_symbol`;
+    :meth:`with_eps` hands the same arrays over, so an eps sweep samples
+    them once.
     """
 
     theta: float
@@ -177,6 +180,13 @@ class ReducedOperator:
             raise ValueError("theta and zeta must be positive")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
+        if not all(float(m).is_integer() for m in self.kernel):
+            raise ValueError(f"kernel modes {self.kernel} must be integers")
+        kernel = tuple(sorted({abs(int(m)) for m in self.kernel}))
+        if kernel and kernel[-1] > self.n_modes:
+            raise ValueError(f"kernel mode |k| = {kernel[-1]} exceeds the cutoff "
+                             f"N = {self.n_modes}")
+        object.__setattr__(self, "kernel", kernel)
         k = self.wavenumbers
         if self.s is None:     # on construction and after with_kernel
             object.__setattr__(self, "s", self.s_symbol(k))
@@ -225,14 +235,15 @@ def build_default_operator(theta: float, zeta: float, d: float,
 
 
 def with_kernel(op: ReducedOperator, kernel_modes: Sequence[int]) -> ReducedOperator:
-    """Zero the smoothing symbol on ``|k|`` in ``kernel_modes`` (non-inhibited model)."""
-    kset = tuple(sorted({abs(int(k)) for k in kernel_modes}))
-    if not kset:
+    """Zero the smoothing symbol on ``|k|`` in ``kernel_modes`` (non-inhibited model).
+
+    The set must be nonempty; :class:`ReducedOperator` checks and
+    normalises its modes.
+    """
+    kernel = tuple(kernel_modes)
+    if not kernel:
         raise ValueError("kernel set must be nonempty")
-    if kset[-1] > op.n_modes:
-        raise ValueError(f"kernel mode |k| = {kset[-1]} exceeds the cutoff "
-                         f"N = {op.n_modes}")
-    return replace(op, kernel=kset, s=None)
+    return replace(op, kernel=kernel, s=None)
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +345,19 @@ def va_norm_convergence(op: ReducedOperator, eps_list: Sequence[float],
     """``A``-norm distance table ``|A (v_eps - v_0)|_{H^{-3/2}}`` over eps.
 
     Also reports ``|eps^2 B v_eps|_{H^{-3/2}}``, the quantity whose decay
-    drives the limit argument.  Requires a strictly positive smoothing
-    symbol (inhibited case): the limit ``v_0`` is the eps = 0 diagonal solve.
+    drives the limit argument.  The two are one norm: ``A (v_eps - v_0) =
+    -eps^2 B v_eps`` mode by mode, and in floating point the two arrays
+    differ only in sign, so one array gives both fields, bit for bit.
+    Requires a strictly positive smoothing symbol (inhibited case): the
+    limit ``v_0`` is the eps = 0 diagonal solve.
     """
     _same_modes(op, load)
     s, q, weight = _positive(op.s, op.wavenumbers), op.q, op.order3_inverse
     rows = []
     for eps in eps_list:
-        denom = s + eps ** 2 * q
-        a_diff = -load.coeffs * (eps ** 2 * q) / denom   # s * (v_eps - v_0)
-        b_part = load.coeffs * (eps ** 2 * q) / denom    # eps^2 q v_eps
-        rows.append(ConvergenceRow(
-            float(eps),
-            float(np.sqrt(np.sum(weight * np.abs(a_diff) ** 2))),
-            float(np.sqrt(np.sum(weight * np.abs(b_part) ** 2))),
-        ))
+        b_part = load.coeffs * (eps ** 2 * q) / (s + eps ** 2 * q)   # eps^2 q v_eps
+        norm = float(np.sqrt(np.sum(weight * np.abs(b_part) ** 2)))
+        rows.append(ConvergenceRow(float(eps), norm, norm))
     return rows
 
 

@@ -62,6 +62,20 @@ PUBLIC_CALLABLES = {
                 "ellipticity_check", "principal_determinant", "rigidity_strain_residual",
                 "sl_check", "sl_verdict"},
     "polymat": {"poly_coefficients"},
+    "layers": {"DegenerateModeError", "LayerMode", "MatchingResult", "StructureError",
+               "SublayerScaling", "bending_layer_energy", "bending_symbol_coefficient",
+               "build_layer_modes", "fourth_order_symbol", "frequency_cutoff",
+               "jordan_residual", "layer_eigenvector", "layer_energy_coefficient",
+               "matching_constants", "membrane_layer_energy", "rigidity_roots",
+               "sublayer_scaling_check"},
+    "reduced": {"AliasingError", "ConvergenceRow", "GrowthTable", "KernelModeError",
+                "ReducedOperator", "RescaleRow", "SpectralField", "SpectralField.delta",
+                "SpectralField.from_symbol", "SpectralField.zeros",
+                "WindowResolutionError", "apply_variable_symbol", "build_default_operator",
+                "coercivity_constant", "flat_load", "frequency_window",
+                "no_distribution_limit_probe", "noninhibited_rescale", "sensitivity_probe",
+                "smooth_load", "solution_argmax", "solve", "va_norm_convergence",
+                "with_kernel"},
     "geometry": {"ChartTerms", "DisplacementField", "DisplacementField.from_functions",
                  "DisplacementField.zeros", "ElasticityTensor",
                  "ElasticityTensor.frobenius_identity", "ElasticityTensor.from_matrices",

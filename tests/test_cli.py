@@ -76,6 +76,18 @@ def test_config_rejects_unknown_key():
         parse_config("chart frozen\n")
 
 
+def test_config_rejects_command_key(tmp_path):
+    # the command comes from the command line; a config file that names one
+    # used to be overridden silently
+    with pytest.raises(ConfigError, match="unknown key 'command'"):
+        parse_config("command = sensitivity\n")
+    cfg = tmp_path / "cmd.cfg"
+    cfg.write_text("command = sensitivity\nN = 16\n")
+    out = tmp_path / "x.csv"
+    assert main(["solve-reduced", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_config_validation_errors():
     cfg = parse_config(BASE_CFG)
     cfg.command = "check-sl"
@@ -150,6 +162,58 @@ def test_config_rejects_chart_outside_check_ellipticity(tmp_path):
             assert not os.path.exists(out)
         assert main(["check-ellipticity", "--config", str(cfg), "--out", out]) == 0
         os.remove(out)
+
+
+def test_config_rejects_extra_sphere_cap_params(tmp_path, capsys):
+    # the sphere cap has one parameter, its radius; the extra values used to
+    # be dropped silently
+    cfg = tmp_path / "cap.cfg"
+    out = tmp_path / "x.csv"
+    cfg.write_text("chart = sphere-cap\nchart_params = 1.3,99,-4\n")
+    assert main(["check-ellipticity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "one chart_params value" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text("chart = sphere-cap\nchart_params = 1.3\n")
+    assert main(["check-ellipticity", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+REDUCED_COMMANDS = ("solve-reduced", "sweep-epsilon", "sensitivity", "rescale-demo")
+
+
+def test_curvature_is_refused_only_where_a_command_reads_it(tmp_path, capsys):
+    # a reduced command reads b_coeffs only for the theta or zeta the config
+    # leaves unset; the symbol commands always read it
+    cfg = tmp_path / "hyp.cfg"
+    out = str(tmp_path / "x.csv")
+    base = "b_coeffs = 1,2,1\nN = 16\n"
+    cfg.write_text(base + "theta = 1\nzeta = 1\n")
+    for command in REDUCED_COMMANDS:
+        assert main([command, "--config", str(cfg), "--out", out]) == 0, command
+    for command in ("check-sl", "layer-modes"):
+        assert main([command, "--config", str(cfg), "--out", out]) == 2, command
+    capsys.readouterr()
+    for unset in ("theta = 1\n", "zeta = 1\n", ""):
+        cfg.write_text(base + unset)
+        for command in REDUCED_COMMANDS:
+            assert main([command, "--config", str(cfg), "--out", out]) == 2, \
+                (command, unset)
+            assert capsys.readouterr().err == ("configuration error: b_coeffs must "
+                                               "be surface-elliptic for this command\n")
+
+
+def test_indefinite_explicit_rigidity_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "indef.cfg"
+    out = str(tmp_path / "x.csv")
+    text = ("elasticity = explicit\nelasticity_membrane = -1,0,0,1,0,1\n"
+            "elasticity_bending = 1,0,0,1,0,1\nN = 16\n")
+    cfg.write_text(text)
+    for command in ("check-ellipticity", "check-sl", "layer-modes") + REDUCED_COMMANDS:
+        assert main([command, "--config", str(cfg), "--out", out]) == 2, command
+        assert capsys.readouterr().err == ("configuration error: membrane rigidity "
+                                           "must be positive definite\n")
+    # given theta and zeta, a reduced command does not read the rigidity
+    cfg.write_text(text + "theta = 1\nzeta = 1\n")
+    assert main(["solve-reduced", "--config", str(cfg), "--out", out]) == 0
 
 
 def test_cli_determinism(tmp_path, cfg_path):

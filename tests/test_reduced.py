@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 from shellsym.reduced import (
     AliasingError,
     KernelModeError,
+    ReducedOperator,
     SpectralField,
     WindowResolutionError,
     apply_variable_symbol,
@@ -144,6 +145,22 @@ def test_kernel_modes_must_lie_within_the_cutoff():
             with_kernel(op, modes)
     assert with_kernel(op, [-16]).kernel == (16,)
     noninhibited_rescale(with_kernel(op, [16]), flat_load(16), [1e-2])
+
+
+def test_operator_constructor_owns_the_kernel_rule():
+    # direct construction used to keep any kernel as given: (-3, 99) zeroed
+    # no mode, and int() truncated 2.5
+    with pytest.raises(ValueError, match=r"kernel mode \|k\| = 99 exceeds the "
+                                         r"cutoff N = 8"):
+        ReducedOperator(1.0, 1.0, 1.0, 8, 0.1, kernel=(-3, 99))
+    with pytest.raises(ValueError, match="must be integers"):
+        ReducedOperator(1.0, 1.0, 1.0, 8, 0.1, kernel=(2.5,))
+    op = ReducedOperator(1.0, 1.0, 1.0, 8, 0.1, kernel=(3, -5))
+    assert op.kernel == (3, 5)
+    assert op.with_eps(0.0).kernel == (3, 5)
+    assert np.array_equal(op.s, with_kernel(default_op(0.1, n=8), [5, -3, 3]).s)
+    with pytest.raises(ValueError, match="kernel set must be nonempty"):
+        with_kernel(op, [])
 
 
 def test_solve_kernel_mode_error():
@@ -338,6 +355,22 @@ def test_va_convergence_monotone_and_matches_closed_form():
     want = diff.h_norm(-1.5)
     got = va_norm_convergence(op, [eps], f)[0].va_distance
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_va_distance_is_the_eps2_b_norm_bit_for_bit():
+    # A (v_eps - v_0) = -eps^2 B v_eps mode by mode; the floating-point
+    # arrays -F eps^2 q / (s + eps^2 q) and F eps^2 q / (s + eps^2 q) differ
+    # only in sign, so the two columns are one number
+    rng = np.random.default_rng(5)
+    op = default_op(1e-2, n=64, d=0.3)
+    eps_list = [1e-1, 1e-3, 1e-6, 1e-9]
+    for f in (smooth_load(64), flat_load(64),
+              SpectralField(rng.normal(size=129) + 1j * rng.normal(size=129))):
+        rows = va_norm_convergence(op, eps_list, f)
+        for eps, row in zip(eps_list, rows):
+            a_diff = -f.coeffs * (eps ** 2 * op.q) / (op.s + eps ** 2 * op.q)
+            want = float(np.sqrt(np.sum(op.order3_inverse * np.abs(a_diff) ** 2)))
+            assert row.va_distance == row.eps2_b_norm == want
 
 
 def test_h_norm_scaled_past_double_range():
