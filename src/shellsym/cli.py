@@ -11,12 +11,15 @@ The configuration is a flat ``key = value`` text file; lists are
 comma-separated.  Outputs are CSV files with a ``# schema=1`` header line,
 17-significant-digit floats, '.' decimal separator and LF line endings, so
 repeated runs of the same configuration are byte-identical.  This module is
-the only one that knows the output format: each command writes its header
-and renders each row from one ``%``-template of ``%s`` and ``%d`` fields.
-Every float field reaches its ``%s`` as text from ``_g17``, which formats
-each bit-distinct double of the command's float columns once, with the
-same rounding as ``format(x, ".17g")``; a spectrum writes the same values many
-times (``f(k) = f(-k)``, ``v(k) = v(-k)``, ``v_abs = |v_re|``).  In
+the only one that knows the output format.  Each command is a function of
+the configuration alone that returns its header and its columns as text,
+one list per column; ``main`` writes them to the ``--out`` path (default
+``out.csv``) through ``write_csv``, which renders every row.  Float columns
+are text from ``_g17``, which formats each bit-distinct double of the
+command's float columns once, with the same rounding as
+``format(x, ".17g")``; a spectrum writes the same values many times
+(``f(k) = f(-k)``, ``v(k) = v(-k)``, ``v_abs = |v_re|``).  Int columns are
+text from ``str``.  In
 ``solve-reduced``, ``v_abs`` is ``np.hypot(re, im)``, which matches the
 ``abs`` of a numpy complex scalar bit for bit, where the array ``np.abs``
 of a complex array may differ in the last bit.
@@ -72,7 +75,6 @@ class ExperimentConfig:
     d: float = 1.0
     theta: float | None = None
     zeta: float | None = None
-    output_path: str = "out.csv"
     xi1_list: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
     k_probe: int = 10
     kernel_modes: tuple[int, ...] = (3,)
@@ -182,9 +184,10 @@ _PARSE_BY_TYPE = {
     float | None: lambda v: None if v.lower() == "none" else float(v),
     str: str,
 }
-# value parser of each config-file key, chosen by its ExperimentConfig
-# annotation; the command comes from the command line alone
-_FIELD_PARSERS = {name: _PARSE_BY_TYPE[t]
+# field and value parser of each config-file key, the parser chosen by the
+# field's ExperimentConfig annotation; the key N sets n_modes, and the
+# command comes from the command line alone
+_FIELD_PARSERS = {"N" if name == "n_modes" else name: (name, _PARSE_BY_TYPE[t])
                   for name, t in get_type_hints(ExperimentConfig).items()
                   if name != "command"}
 
@@ -200,15 +203,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "N":
-            key = "n_modes"
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        name, parse = _FIELD_PARSERS[key]
         try:
-            parsed = _FIELD_PARSERS[key](value)
+            setattr(cfg, name, parse(value))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-        setattr(cfg, key, parsed)
     return cfg
 
 
@@ -227,8 +228,10 @@ def _g17(*columns) -> list:
     return text[inverse.reshape(bits.shape)].tolist()
 
 
-def write_csv(path: str, header: str, rows: list):
-    body = "\n".join([SCHEMA_LINE, header] + rows) + "\n"
+def write_csv(path: str, header: str, columns: list):
+    """Write ``header`` and one row per index of the equal-length text ``columns``."""
+    rows = map(",".join, zip(*columns, strict=True))
+    body = "\n".join([SCHEMA_LINE, header, *rows]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(body)
 
@@ -249,7 +252,7 @@ def _chart_points(cfg: ExperimentConfig) -> list:
             for i, j in ((0, 0), (n1 // 2, n2 // 2), (n1 - 1, n2 - 1))]
 
 
-def cmd_check_ellipticity(cfg: ExperimentConfig) -> None:
+def cmd_check_ellipticity(cfg: ExperimentConfig) -> tuple:
     elastic = cfg.elasticity_tensor()
     eps = cfg.epsilon_list[0]
     records = []
@@ -263,10 +266,8 @@ def cmd_check_ellipticity(cfg: ExperimentConfig) -> None:
             except geometry.SurfaceEllipticityError:
                 records.append((point_id, name, "-", 0.0, "false"))
     point_ids, names, orders, dets, verdicts = zip(*records)
-    rows = ["%s,%s,%s,%s,%s" % row
-            for row in zip(point_ids, names, orders, *_g17(dets), verdicts)]
-    write_csv(cfg.output_path, "point_id,system,total_order,min_abs_det,elliptic",
-              rows)
+    return ("point_id,system,total_order,min_abs_det,elliptic",
+            [point_ids, names, list(map(str, orders)), *_g17(dets), verdicts])
 
 
 _SL_CASES = (
@@ -279,7 +280,7 @@ _SL_CASES = (
 )
 
 
-def cmd_check_sl(cfg: ExperimentConfig) -> None:
+def cmd_check_sl(cfg: ExperimentConfig) -> tuple:
     elastic = cfg.elasticity_tensor()
     point = geometry.frozen_point(*cfg.b_coeffs)
 
@@ -299,13 +300,13 @@ def cmd_check_sl(cfg: ExperimentConfig) -> None:
             for case in _SL_CASES for xi1 in cfg.xi1_list]
     xi1_text, det_text = _g17(cfg.xi1_list * len(_SL_CASES),
                               [abs(rep.sl_determinant) for rep in reps])
-    rows = ["%s,%s,%d,%s,%s" % (rep.point_id, xi1, rep.half_order, det,
-                                str(rep.satisfied).lower())
-            for rep, xi1, det in zip(reps, xi1_text, det_text)]
-    write_csv(cfg.output_path, "point_id,xi1,m,abs_det,satisfied", rows)
+    return ("point_id,xi1,m,abs_det,satisfied",
+            [[rep.point_id for rep in reps], xi1_text,
+             [str(rep.half_order) for rep in reps], det_text,
+             [str(rep.satisfied).lower() for rep in reps]])
 
 
-def cmd_layer_modes(cfg: ExperimentConfig) -> None:
+def cmd_layer_modes(cfg: ExperimentConfig) -> tuple:
     elastic = cfg.elasticity_tensor()
     b = cfg.b_coeffs
     # theta and zeta are constants of (b, A): one value for every row
@@ -316,10 +317,8 @@ def cmd_layer_modes(cfg: ExperimentConfig) -> None:
         lam_p, lam_m = layers.rigidity_roots(*b, xi1)
         values.append((xi1, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag,
                        theta, zeta))
-    rows = ["%s,%s,%s,%s,%s,%s,%s" % row for row in zip(*_g17(*zip(*values)))]
-    write_csv(cfg.output_path,
-              "xi1,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,theta,zeta",
-              rows)
+    return ("xi1,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,theta,zeta",
+            _g17(*zip(*values)))
 
 
 def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
@@ -344,17 +343,17 @@ def _load(cfg: ExperimentConfig) -> reduced.SpectralField:
                                        int(cfg.f_profile[len("delta:"):]))
 
 
-def cmd_solve_reduced(cfg: ExperimentConfig) -> None:
+def cmd_solve_reduced(cfg: ExperimentConfig) -> tuple:
     op = _operator(cfg, cfg.epsilon_list[0])
     load = _load(cfg)
     v = reduced.solve(op, load)
     re, im = v.coeffs.real, v.coeffs.imag
-    text = _g17(load.coeffs.real, re, im, np.hypot(re, im))
-    rows = ["%d,%s,%s,%s,%s" % row for row in zip(v.wavenumbers.tolist(), *text)]
-    write_csv(cfg.output_path, "k,f_re,v_re,v_im,v_abs", rows)
+    return ("k,f_re,v_re,v_im,v_abs",
+            [list(map(str, v.wavenumbers.tolist())),
+             *_g17(load.coeffs.real, re, im, np.hypot(re, im))])
 
 
-def cmd_sweep_epsilon(cfg: ExperimentConfig) -> None:
+def cmd_sweep_epsilon(cfg: ExperimentConfig) -> tuple:
     load = _load(cfg)
     flat = reduced.flat_load(cfg.n_modes)
     base = _operator(cfg, cfg.epsilon_list[0])
@@ -372,31 +371,27 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig) -> None:
                        reduced.coercivity_constant(op),
                        reduced.sensitivity_probe(op, cfg.k_probe)))
     eps_text, k_star_text, *rest = _g17(*zip(*values))
-    rows = ["%s,%s,%d,%s,%s,%s,%s" % row
-            for row in zip(eps_text, k_star_text, argmax, *rest)]
-    write_csv(cfg.output_path,
-              "eps,k_star,argmax_k,max_abs_v,va_distance,coercivity,amplification",
-              rows)
+    return ("eps,k_star,argmax_k,max_abs_v,va_distance,coercivity,amplification",
+            [eps_text, k_star_text, list(map(str, argmax)), *rest])
 
 
-def cmd_sensitivity(cfg: ExperimentConfig) -> None:
+def cmd_sensitivity(cfg: ExperimentConfig) -> tuple:
     op = _operator(cfg, cfg.epsilon_list[0])
     k = np.arange(cfg.n_modes + 1)
     amp0 = reduced.sensitivity_probe(op.with_eps(0.0), k)
     amp = reduced.sensitivity_probe(op, k)
-    rows = ["%d,%s,%s" % row for row in zip(k.tolist(), *_g17(amp0, amp))]
-    write_csv(cfg.output_path, "k,amplification_eps0,amplification_eps", rows)
+    return ("k,amplification_eps0,amplification_eps",
+            [list(map(str, k.tolist())), *_g17(amp0, amp)])
 
 
-def cmd_rescale_demo(cfg: ExperimentConfig) -> None:
+def cmd_rescale_demo(cfg: ExperimentConfig) -> tuple:
     op = reduced.with_kernel(_operator(cfg, cfg.epsilon_list[0]),
                              cfg.kernel_modes)
     load = _load(cfg)
     _, rows_data = reduced.noninhibited_rescale(op, load, cfg.epsilon_list)
-    text = _g17([r.eps for r in rows_data], [r.kernel_error for r in rows_data],
-                [r.off_kernel_max for r in rows_data])
-    rows = ["%s,%s,%s" % row for row in zip(*text)]
-    write_csv(cfg.output_path, "eps,kernel_error,off_kernel_max", rows)
+    return ("eps,kernel_error,off_kernel_max",
+            _g17([r.eps for r in rows_data], [r.kernel_error for r in rows_data],
+                 [r.off_kernel_max for r in rows_data]))
 
 
 _DISPATCH = {
@@ -417,7 +412,7 @@ _PARSER = argparse.ArgumentParser(
                 "boundary solver for sensitive elliptic shells.")
 _PARSER.add_argument("command", choices=COMMANDS)
 _PARSER.add_argument("--config", required=True, help="flat key=value file")
-_PARSER.add_argument("--out", default=None, help="override output_path")
+_PARSER.add_argument("--out", default="out.csv", help="output CSV path")
 
 
 def main(argv=None) -> int:
@@ -430,15 +425,13 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         cfg.command = args.command
-        if args.out is not None:
-            cfg.output_path = args.out
         cfg.validate()
+        header, columns = _DISPATCH[cfg.command](cfg)
+        # a failed command writes nothing; an unwritable --out is a usage error
+        write_csv(args.out, header, columns)
     except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        _DISPATCH[cfg.command](cfg)
     except (symbols.EllipticityError, layers.StructureError,
             geometry.SurfaceEllipticityError, geometry.InvariantError,
             reduced.KernelModeError, reduced.WindowResolutionError) as exc:

@@ -159,7 +159,8 @@ class ReducedOperator:
     the order-3 weights ``(1 + k^2)^(3/2)``, ``(1 + k^2)^(-3/2)`` are taken
     on construction from :meth:`s_symbol` and :meth:`q_symbol`;
     :meth:`with_eps` hands the same arrays over, so an eps sweep samples
-    them once.
+    them once.  A sample handed to the constructor must have one value per
+    mode, and ``s`` must vanish on the kernel modes.
     """
 
     theta: float
@@ -195,6 +196,12 @@ class ReducedOperator:
             object.__setattr__(self, "q", self.q_symbol(k))
             object.__setattr__(self, "order3", weight ** 1.5)
             object.__setattr__(self, "order3_inverse", weight ** -1.5)
+        for name in ("s", "q", "order3", "order3_inverse"):
+            shape = np.shape(getattr(self, name))
+            if shape != k.shape:
+                raise ValueError(f"sample {name} must have shape {k.shape}, not {shape}")
+        if kernel and np.any(self.s[self.n_modes + np.outer(kernel, (1, -1))]):
+            raise ValueError(f"sample s must vanish on the kernel modes {kernel}")
 
     @property
     def wavenumbers(self) -> np.ndarray:

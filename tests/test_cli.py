@@ -88,6 +88,77 @@ def test_config_rejects_command_key(tmp_path):
     assert not out.exists()
 
 
+def test_config_rejects_output_path_key(tmp_path):
+    # the output path comes from --out alone; a config file that names one
+    # used to be overridden by --out
+    with pytest.raises(ConfigError, match="unknown key 'output_path'"):
+        parse_config("output_path = x.csv\n")
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text("output_path = x.csv\nN = 16\n")
+    out = tmp_path / "y.csv"
+    assert main(["solve-reduced", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_config_has_one_spelling_of_the_cutoff(tmp_path):
+    # N is the cutoff's only key; n_modes used to be a second spelling, and
+    # "N = 16" then "n_modes = 8" wrote 17 rows
+    with pytest.raises(ConfigError, match="unknown key 'n_modes'"):
+        parse_config("N = 16\nn_modes = 8\n")
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("N = 16\nn_modes = 8\n")
+    out = tmp_path / "x.csv"
+    assert main(["solve-reduced", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    # a repeated key keeps its last value
+    assert parse_config("N = 16\nN = 8\n").n_modes == 8
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, cfg_path, capsys):
+    # the write used to escape main as a traceback with exit 1
+    out = tmp_path / "no" / "such" / "x.csv"
+    assert main(["solve-reduced", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert not out.parent.exists()
+
+
+def test_failed_command_writes_no_file(tmp_path):
+    cfg = tmp_path / "hard.cfg"
+    cfg.write_text("epsilon_list = 1e-30\nN = 8\ntheta = 1\nzeta = 1\nk_probe = 5\n")
+    out = tmp_path / "x.csv"
+    assert main(["sweep-epsilon", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_commands_return_text_columns(tmp_path, cfg_path):
+    # each command only computes; main writes its columns, one row per index
+    from shellsym.cli import _DISPATCH
+    for command, run in _DISPATCH.items():
+        cfg = parse_config(BASE_CFG)
+        cfg.command = command
+        cfg.validate()
+        header, columns = run(cfg)
+        assert len(columns) == header.count(",") + 1, command
+        assert len({len(col) for col in columns}) == 1, command
+        assert all(type(x) is str for col in columns for x in col), command
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        rows = ["# schema=1", header, *map(",".join, zip(*columns))]
+        assert read(out).decode() == "\n".join(rows) + "\n", command
+
+
+def test_write_csv_refuses_unequal_columns(tmp_path):
+    # a short column used to drop rows silently from the zip of a %-template
+    from shellsym.cli import write_csv
+    out = tmp_path / "x.csv"
+    with pytest.raises(ValueError):
+        write_csv(str(out), "a,b", [["1", "2"], ["3"]])
+    assert not out.exists()
+    write_csv(str(out), "a,b", [["1", "2"], ["3", "-0"]])
+    assert read(out) == b"# schema=1\na,b\n1,3\n2,-0\n"
+
+
 def test_config_validation_errors():
     cfg = parse_config(BASE_CFG)
     cfg.command = "check-sl"

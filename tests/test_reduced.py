@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import tracemalloc
 
@@ -161,6 +162,23 @@ def test_operator_constructor_owns_the_kernel_rule():
     assert np.array_equal(op.s, with_kernel(default_op(0.1, n=8), [5, -3, 3]).s)
     with pytest.raises(ValueError, match="kernel set must be nonempty"):
         with_kernel(op, [])
+
+
+def test_operator_refuses_foreign_samples():
+    # a sample of another length used to fail only in solve, with numpy's
+    # broadcast error; a full s handed to a kernel operator zeroed no mode
+    with pytest.raises(ValueError, match=r"sample s must have shape \(17,\)"):
+        ReducedOperator(1.0, 1.0, 1.0, 8, 0.1, s=np.ones(3))
+    for name in ("q", "order3", "order3_inverse"):
+        with pytest.raises(ValueError, match=f"sample {name} must have shape"):
+            dataclasses.replace(default_op(0.1, n=8), **{name: np.ones(15)})
+    full = default_op(0.0, n=8)
+    with pytest.raises(ValueError, match="sample s must vanish on the kernel"):
+        ReducedOperator(1.0, 1.0, 1.0, 8, 0.0, kernel=(3,), s=full.s)
+    op = with_kernel(full, [3])
+    assert op.with_eps(0.1).s is op.s
+    assert np.array_equal(ReducedOperator(1.0, 1.0, 1.0, 8, 0.0, kernel=(3,),
+                                          s=op.s).s, op.s)
 
 
 def test_solve_kernel_mode_error():
