@@ -160,7 +160,8 @@ class ReducedOperator:
     on construction from :meth:`s_symbol` and :meth:`q_symbol`;
     :meth:`with_eps` hands the same arrays over, so an eps sweep samples
     them once.  A sample handed to the constructor must have one value per
-    mode, and ``s`` must vanish on the kernel modes.
+    mode, and ``s`` must vanish on the kernel modes; ``order3`` and
+    ``order3_inverse`` are handed over only with ``q``.
     """
 
     theta: float
@@ -192,6 +193,10 @@ class ReducedOperator:
         if self.s is None:     # on construction and after with_kernel
             object.__setattr__(self, "s", self.s_symbol(k))
         if self.q is None:
+            for name in ("order3", "order3_inverse"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"sample {name} needs q: the order-3 "
+                                     "weights are taken with q")
             weight = 1.0 + k.astype(float) ** 2
             object.__setattr__(self, "q", self.q_symbol(k))
             object.__setattr__(self, "order3", weight ** 1.5)

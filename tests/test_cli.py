@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellsym import layers, reduced, symbols
+from shellsym import cli, layers, reduced, symbols
 from shellsym.geometry import ElasticityTensor
 from shellsym.cli import (
     COMMANDS,
@@ -224,15 +224,21 @@ def test_config_rejects_chart_outside_check_ellipticity(tmp_path):
     # frozen point of b_coeffs and used to ignore chart and chart_params
     out = str(tmp_path / "x.csv")
     cfg = tmp_path / "chart.cfg"
-    for text in (SPHERE_CAP_CFG, SPHERE_CAP_CFG.replace("1.7", "-1.7"),
-                 "chart = sphere-cap\n", "chart_params = 2\n"):
+    # the frozen chart has no parameter: check-ellipticity used to ignore
+    # chart_params = 2 there and write the bytes of no chart_params
+    for text, ellipticity_exit in ((SPHERE_CAP_CFG, 0),
+                                   (SPHERE_CAP_CFG.replace("1.7", "-1.7"), 0),
+                                   ("chart = sphere-cap\n", 0), ("chart_params = 2\n", 2)):
         cfg.write_text(text)
         for command in set(COMMANDS) - {"check-ellipticity"}:
             assert main([command, "--config", str(cfg), "--out", out]) == 2, \
                 (command, text)
             assert not os.path.exists(out)
-        assert main(["check-ellipticity", "--config", str(cfg), "--out", out]) == 0
-        os.remove(out)
+        assert main(["check-ellipticity", "--config", str(cfg), "--out", out]) == \
+            ellipticity_exit
+        assert os.path.exists(out) == (ellipticity_exit == 0)
+        if ellipticity_exit == 0:
+            os.remove(out)
 
 
 def test_config_rejects_extra_sphere_cap_params(tmp_path, capsys):
@@ -684,6 +690,73 @@ def test_g17_matches_per_value_formatting(columns):
     assert text == [["%.17g" % x for x in col] for col in columns]
     # numpy columns give the same text as lists
     assert _g17(*map(np.array, columns)) == text
+
+
+def _kernel_columns():
+    """Columns of at least 2 000 doubles each, so _g17 takes its kernel."""
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+    powers = np.array([float(f"1e{p}") for p in range(-320, 309)])
+    with np.errstate(over="ignore"):     # 5e308 is inf
+        fives = 5 * powers
+        up1, down1 = np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)
+        up2, down2 = np.nextafter(up1, np.inf), np.nextafter(down1, -np.inf)
+    near = np.concatenate([powers, up1, down1, up2, down2, fives])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    ints = rng.integers(0, 2**53, size=2000, endpoint=True).astype(float)
+    halves = rng.integers(0, 2**52, size=2000).astype(float) + 0.5
+    # quarters above 1e15 are exact ties of the 17th digit, last
+    quarters = (rng.integers(2**49, 2**51, size=2000).astype(float)
+                + rng.choice([0.25, 0.75], size=2000))
+    # the special doubles join every column: alone they are too few
+    return [np.concatenate([col, _SPECIAL_DOUBLES])
+            for col in (bits, np.concatenate([near, -near]),
+                        np.concatenate([twos, -twos]), np.concatenate([ints, -halves]),
+                        quarters)]
+
+
+def test_g17_kernel_matches_per_value_formatting():
+    # tables from _KERNEL_MIN distinct doubles on take the kernel: random bit
+    # patterns, powers of ten and their neighbours, every power of two,
+    # integers to 2**53, half- and quarter-integers and the special doubles
+    columns = _kernel_columns()
+    assert min(col.size for col in columns) >= 2000
+    for col in columns:
+        assert np.unique(col.view(np.uint64)).size >= cli._KERNEL_MIN
+        assert _g17(col) == [["%.17g" % x for x in col.tolist()]]
+    # the kernel proves the digits of almost every double in its range
+    # itself, so this cannot pass by handing everything to format(); true
+    # ties go to format() by design
+    values = np.concatenate(columns[:-1])
+    inside = values[(np.abs(values) >= 1e-250) & (np.abs(values) <= 1e250)]
+    _, handed = cli._g17_kernel(inside)
+    assert inside.size > 4000
+    assert np.count_nonzero(handed) <= 0.01 * inside.size
+
+
+def test_g17_tables_are_built_on_first_large_table():
+    # a fresh interpreter builds no kernel table on import or for a table
+    # below _KERNEL_MIN (the small first job of a run); the first large
+    # table builds them once, and they cannot be written
+    code = ("import numpy as np\n"
+            "import shellsym.cli as cli\n"
+            "built = cli._g17_tables.cache_info\n"
+            "assert built().currsize == 0\n"
+            "cli._g17(np.arange(cli._KERNEL_MIN - 1.0))\n"
+            "assert built().currsize == 0\n"
+            "cli._g17(np.arange(cli._KERNEL_MIN) / 7, np.arange(cli._KERNEL_MIN) * 1e30)\n"
+            "assert built().currsize == 1\n"
+            "for table in cli._g17_tables():\n"
+            "    try:\n"
+            "        table[...] = 0\n"
+            "    except ValueError as exc:\n"
+            "        assert 'read-only' in str(exc)\n"
+            "    else:\n"
+            "        raise AssertionError('writable table')\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("b_coeffs", ["1e-160,0,1e-160", "1e-161,2e-162,3e-161"])

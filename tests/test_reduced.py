@@ -181,6 +181,20 @@ def test_operator_refuses_foreign_samples():
                                           s=op.s).s, op.s)
 
 
+def test_operator_refuses_order3_weights_without_q():
+    # the order-3 weights are taken with q; handed without it they used to
+    # be replaced silently by the rebuilt ones
+    for name in ("order3", "order3_inverse"):
+        with pytest.raises(ValueError, match=f"sample {name} needs q"):
+            ReducedOperator(1.0, 1.0, 1.0, 8, 0.1, **{name: np.ones(17)})
+    full = default_op(0.1, n=8)
+    op = ReducedOperator(1.0, 1.0, 1.0, 8, 0.1, q=full.q, order3=full.order3,
+                         order3_inverse=full.order3_inverse)
+    assert op.order3 is full.order3 and op.order3_inverse is full.order3_inverse
+    # with_eps and with_kernel carry q, so neither trips the rule
+    assert with_kernel(full, [3]).with_eps(0.2).order3 is full.order3
+
+
 def test_solve_kernel_mode_error():
     op = with_kernel(default_op(0.0, n=16), [3])
     with pytest.raises(KernelModeError) as exc:
