@@ -14,58 +14,56 @@ Subpackages:
 * :mod:`shellsym.reduced`  -- spectral solver for the reduced problem
   ``(A + eps^2 B) v = F`` on the circle;
 * :mod:`shellsym.cli`      -- configuration-driven command line front end.
+
+The names in ``__all__`` are loaded on first access (PEP 562), so importing
+the package, or one submodule such as ``shellsym.cli``, compiles no module
+that is not read.
 """
 
-from .geometry import (
-    DisplacementField,
-    ElasticityTensor,
-    MetricData,
-    MetricField,
-    curvature_change_tensor,
-    energy_forms,
-    frozen_chart,
-    frozen_point,
-    sphere_cap_chart,
-    strain_tensor,
-)
-from .layers import (
-    LayerMode,
-    bending_layer_energy,
-    bending_symbol_coefficient,
-    build_layer_modes,
-    frequency_cutoff,
-    layer_eigenvector,
-    layer_energy_coefficient,
-    matching_constants,
-    membrane_layer_energy,
-    rigidity_roots,
-    sublayer_scaling_check,
-)
-from .reduced import (
-    ReducedOperator,
-    SpectralField,
-    apply_variable_symbol,
-    build_default_operator,
-    coercivity_constant,
-    frequency_window,
-    no_distribution_limit_probe,
-    noninhibited_rescale,
-    sensitivity_probe,
-    solve,
-    va_norm_convergence,
-    with_kernel,
-)
-from .symbols import (
-    BoundaryConditionSet,
-    DNSystem,
-    SLReport,
-    builtin_boundary_conditions,
-    builtin_system,
-    characteristic_roots,
-    ellipticity_check,
-    principal_determinant,
-    sl_check,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each exported name and the submodule that defines it
+_EXPORTS = {
+    "DisplacementField": "geometry", "ElasticityTensor": "geometry",
+    "MetricData": "geometry", "MetricField": "geometry",
+    "curvature_change_tensor": "geometry", "energy_forms": "geometry",
+    "frozen_chart": "geometry", "frozen_point": "geometry",
+    "sphere_cap_chart": "geometry", "strain_tensor": "geometry",
+    "LayerMode": "layers", "bending_layer_energy": "layers",
+    "bending_symbol_coefficient": "layers", "build_layer_modes": "layers",
+    "frequency_cutoff": "layers", "layer_eigenvector": "layers",
+    "layer_energy_coefficient": "layers", "matching_constants": "layers",
+    "membrane_layer_energy": "layers", "rigidity_roots": "layers",
+    "sublayer_scaling_check": "layers",
+    "ReducedOperator": "reduced", "SpectralField": "reduced",
+    "apply_variable_symbol": "reduced", "build_default_operator": "reduced",
+    "coercivity_constant": "reduced", "frequency_window": "reduced",
+    "no_distribution_limit_probe": "reduced", "noninhibited_rescale": "reduced",
+    "sensitivity_probe": "reduced", "solve": "reduced",
+    "va_norm_convergence": "reduced", "with_kernel": "reduced",
+    "BoundaryConditionSet": "symbols", "DNSystem": "symbols", "SLReport": "symbols",
+    "builtin_boundary_conditions": "symbols", "builtin_system": "symbols",
+    "characteristic_roots": "symbols", "ellipticity_check": "symbols",
+    "principal_determinant": "symbols", "sl_check": "symbols",
+}
+
+# the submodules that ``from shellsym import *`` has always exported
+_SUBMODULES = ("geometry", "layers", "polymat", "reduced", "symbols")
+
+__all__ = sorted([*_EXPORTS, *_SUBMODULES])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # importing a submodule binds it here, so this runs once per name
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value     # later lookups skip this function
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -19,18 +19,20 @@ are text from ``_g17``, which formats each bit-distinct double of the
 command's float columns once, with the same rounding as
 ``format(x, ".17g")``; a spectrum writes the same values many times
 (``f(k) = f(-k)``, ``v(k) = v(-k)``, ``v_abs = |v_re|``).  A table of at
-least ``_KERNEL_MIN`` (256) distinct doubles, such as a reduced command's
-at ``N >= 128``, goes through ``_g17_kernel``, which writes the text in
-bulk with numpy.  It finds the 17 digits from an error-free double-double
-product and hands to ``format`` every value whose digits it cannot prove
-(zero, non-finite, outside ``[1e-280, 1e281)``, or within ``2**-30`` of a
-rounding tie), so its text equals ``format``'s byte for byte.  Smaller
-tables, among them every ``check-sl``, ``layer-modes`` and
-``check-ellipticity`` table, call ``format`` per value, which is faster
-there.  Int columns are text from ``str``.  In ``solve-reduced``,
-``v_abs`` is ``np.hypot(re, im)``, which matches the ``abs`` of a numpy
-complex scalar bit for bit, where the array ``np.abs`` of a complex array
-may differ in the last bit.
+least ``_KERNEL_MIN`` (256) distinct doubles goes through the bulk kernel of
+:mod:`shellsym._g17kernel`, imported on the first such table.  Int columns
+are text from ``str``.  In ``solve-reduced``, ``v_abs`` is
+``np.hypot(re, im)``, which matches the ``abs`` of a numpy complex scalar
+bit for bit, where the array ``np.abs`` of a complex array may differ in
+the last bit.
+
+A command imports only the modules it reads, so a one-shot run compiles no
+other: ``check-ellipticity`` and ``check-sl`` load ``geometry``,
+``symbols`` and ``polymat``; ``layer-modes`` adds ``layers``.  A reduced
+command loads ``reduced``, and ``layers`` (with ``symbols`` and
+``geometry``) only for an unset ``theta`` or ``zeta``.  ``main`` maps the
+numerical errors of the modules loaded so far to exit 3; an error can only
+come from a module that is loaded.
 
 Only ``check-ellipticity`` reads ``chart`` and ``chart_params``; the other
 commands work at the frozen point of ``b_coeffs`` and reject both.  The
@@ -57,12 +59,12 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import get_type_hints
+from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
-from . import geometry, layers, reduced, symbols
-from .polymat import _read_only
+if TYPE_CHECKING:
+    from . import geometry, reduced
 
 SCHEMA_LINE = "# schema=1"
 
@@ -133,13 +135,14 @@ class ExperimentConfig:
         # as in _operator: a reduced command reads b for an unset theta or zeta
         reads_layer = self.command in ("check-sl", "layer-modes") or (
             self.command != "check-ellipticity" and None in (self.theta, self.zeta))
-        if reads_layer:
-            try:
-                geometry.surface_elliptic_triple(self.b_coeffs)
-            except geometry.SurfaceEllipticityError:
-                raise ConfigError("b_coeffs must be surface-elliptic "
-                                  "for this command") from None
         if reads_layer or self.command == "check-ellipticity":
+            from . import geometry
+            if reads_layer:
+                try:
+                    geometry.surface_elliptic_triple(self.b_coeffs)
+                except geometry.SurfaceEllipticityError:
+                    raise ConfigError("b_coeffs must be surface-elliptic "
+                                      "for this command") from None
             try:
                 self.elasticity_tensor()
             except geometry.InvariantError as exc:
@@ -168,6 +171,7 @@ class ExperimentConfig:
     def elasticity_tensor(self) -> geometry.ElasticityTensor:
         if self.elasticity != "explicit":
             return _builtin_elasticity(self.elasticity)
+        from . import geometry
 
         def mat(vals):
             m = np.empty((3, 3))
@@ -181,6 +185,8 @@ class ExperimentConfig:
 @functools.cache
 def _builtin_elasticity(name: str) -> geometry.ElasticityTensor:
     """The built-in tensor ``name``, validated once, with read-only matrices."""
+    from . import geometry
+    from .polymat import _read_only
     tensor = {"identity": geometry.ElasticityTensor.identity,
               "frobenius": geometry.ElasticityTensor.frobenius_identity,
               "isotropic": geometry.ElasticityTensor.isotropic}[name]()
@@ -230,14 +236,15 @@ def _g17(*columns) -> list:
 
     Each bit-distinct double is formatted once, so ``-0.0`` keeps its
     ``-0`` and every NaN and infinity its own text.  From ``_KERNEL_MIN``
-    distinct doubles on, ``_g17_kernel`` writes the text of every value
+    distinct doubles on, the bulk kernel writes the text of every value
     whose digits it proves; ``format`` writes the rest.
     """
     bits = np.array(columns, dtype=np.float64).view(np.uint64)
     distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
     values = distinct.view(np.float64)
     if values.size >= _KERNEL_MIN:
-        text, handed = _g17_kernel(values)
+        from ._g17kernel import kernel
+        text, handed = kernel(values)
     else:
         text, handed = np.empty(values.size, dtype=object), slice(None)
     # map() with float.__format__ skips the per-value builtin lookup of a
@@ -247,155 +254,10 @@ def _g17(*columns) -> list:
     return text[inverse.reshape(bits.shape)].tolist()
 
 
-# From this many distinct doubles on, _g17_kernel is faster than format()
+# From this many distinct doubles on, the kernel is faster than format()
 # per value: on sensitivity tables (2-vCPU Xeon VM) both take 0.13 ms at 258
 # values, format() is 1.3x faster at 162 and the kernel 1.5x faster at 514
 _KERNEL_MIN = 256
-# decimal exponents E the kernel decides: |x| * 10**(16 - E) and the
-# Veltkamp splits of |x| and of 10**(16 - E) stay below 1e305, and the low
-# part of every power is a normal double
-_E_MIN, _E_MAX = -280, 280
-_VELTKAMP = 2.0 ** 27 + 1
-# the computed y differs from |x| * 10**(16 - E) by less than 2**-47 (the
-# error of the low part of the power and of two roundings in t); a fraction
-# within this of 1/2, true ties among them, goes to format()
-_TIE_WINDOW = 2.0 ** -30
-_WIDTH = 24     # the longest .17g text, "-1.2345678901234567e-123"
-_BLOCK = 1024   # rows of text assembled at once
-
-
-def _split(v: np.ndarray) -> tuple:
-    """Veltkamp split ``v = hi + lo`` into halves of at most 26 bits each."""
-    t = _VELTKAMP * v
-    hi = t - (t - v)
-    return hi, v - hi
-
-
-@functools.cache
-def _g17_tables() -> tuple:
-    """The read-only constants of ``_g17_kernel``, built on first use.
-
-    ``10**q`` for ``q`` in ``[_E_MIN, 16 - _E_MIN]`` as the pair ``hi + lo``
-    (``hi`` correctly rounded, ``lo`` the correctly rounded rest), with the
-    split of ``hi`` and the least double not below ``10**q``; the ASCII
-    bytes of each four-digit group and its count of trailing zeros; the
-    exponent suffixes; and the character layout of each (sign, notation,
-    significant-digit count) as byte offsets into the source row of
-    ``_g17_kernel``.
-    """
-    hi, lo = [], []
-    for q in range(_E_MIN, 17 - _E_MIN):
-        if q >= 0:
-            hi.append(float(10**q))
-            lo.append(float(10**q - int(hi[-1])))
-        else:
-            # 10**q - hi = (den - num * 10**-q) / (10**-q * den), one rounding
-            hi.append(1 / 10**-q)
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * 10**-q) / (10**-q * den))
-    hi, lo = np.array(hi), np.array(lo)
-    # lo has the sign of the exact rest
-    ceiling = np.where(lo > 0, np.nextafter(hi, np.inf), hi)
-    g = np.arange(10_000)
-    digits = sum((g // 10 ** (3 - i) % 10 + ord("0")).astype(np.uint64) << np.uint64(8 * i)
-                 for i in range(4))
-    trailing = sum((g % 10**k == 0).astype(np.int64) for k in range(1, 5))
-    suffix = np.array([int.from_bytes(f"e{e:+03d}".encode(), "little")
-                       for e in range(_E_MIN, _E_MAX + 2)], dtype=np.uint64)
-    rows = []
-    for notation, more in itertools.product(range(22), range(17)):
-        digit = list(range(7, 8 + more))     # the significant digits
-        exp = notation - 4
-        if notation == 21:      # scientific: exponent outside [-4, 16]
-            chars = digit[:1] + ([1] + digit[1:] if more else []) + list(range(24, 29))
-        elif exp < 0:
-            chars = [3, 1] + [3] * (-exp - 1) + digit
-        else:
-            chars = list(range(7, 8 + exp)) + ([1] + digit[exp + 1:] if more > exp else [])
-        rows += chars + [0] * (_WIDTH - 1 - len(chars))
-    unsigned = np.array(rows, dtype=np.intp).reshape(-1, _WIDTH - 1)
-    layouts = np.zeros((2, len(unsigned), _WIDTH), dtype=np.intp)
-    layouts[0, :, :-1] = unsigned
-    layouts[1, :, 0] = 2        # "-"
-    layouts[1, :, 1:] = unsigned
-    return _read_only(hi, lo, *_split(hi), ceiling, digits, trailing, suffix,
-                      layouts.reshape(-1, _WIDTH))
-
-
-def _g17_kernel(x: np.ndarray) -> tuple:
-    """The ``format(v, ".17g")`` text of ``x`` and the mask of the values handed back.
-
-    The text is an object array.  The 17 significant digits are
-    ``D = round(|x| * 10**(16 - E))`` with ``E = floor(log10|x|)``, exact
-    against a table of powers, from an error-free double-double product
-    (Dekker 1971), rounded to nearest.  A value whose digits this cannot
-    prove is handed back for ``format``, and its text here is meaningless:
-    zero, non-finite and ``E`` outside ``[_E_MIN, _E_MAX]``, and a fraction
-    within ``_TIE_WINDOW`` of 1/2.
-    """
-    pow_hi, pow_lo, pow_hi_hi, pow_hi_lo, ceiling, digits, trailing, suffix, layouts = \
-        _g17_tables()
-    a = np.abs(x)
-    with np.errstate(divide="ignore"):
-        e10 = np.floor(np.log10(a))
-    inside = (e10 >= _E_MIN) & (e10 <= _E_MAX)      # false for 0, inf and nan
-    exp = np.where(inside, e10, 0.0).astype(np.int64)
-    # log10 may round across a power of ten; the ceilings of 10**E decide
-    exp += a >= ceiling[exp + 1 - _E_MIN]
-    exp -= a < ceiling[exp - _E_MIN]
-    sure = inside & (exp >= _E_MIN) & (exp <= _E_MAX)
-    a = np.where(sure, a, 1.0)
-    exp[~sure] = 0
-    row = 16 - exp - _E_MIN
-    hi_hi, hi_lo = pow_hi_hi[row], pow_hi_lo[row]
-    # Dekker's product: p + err == a * hi exactly
-    p = a * pow_hi[row]
-    a_hi, a_lo = _split(a)
-    err = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
-    t = err + a * pow_lo[row]
-    # y = p + t lies in [10**16, 10**17), so p is an integer in [2**53, 2**57)
-    # and d, the nearest integer to y, in [10**16, 10**17]
-    t_floor = np.floor(t)
-    frac = t - t_floor
-    d = p.astype(np.int64) + t_floor.astype(np.int64) + (frac > 0.5)
-    sure &= np.abs(frac - 0.5) > _TIE_WINDOW
-    carry = d == 10**17
-    d[carry] = 10**16
-    exp += carry
-
-    # the lead digit and four groups of four; division by a scalar is the
-    # fast integer path
-    groups = []
-    for scale in (10**16, 10**12, 10**8, 10**4):
-        groups.append(d // scale)
-        d -= groups[-1] * scale
-    lead, g1, g2, g3, g4 = *groups, d
-    # trailing zeros of the 16 digits after the lead, group by group
-    zeros, run = trailing[g4], g4 == 0
-    for group in (g3, g2, g1):
-        zeros += run * trailing[group]
-        run &= group == 0
-    # the source row, 32 bytes: NUL . - 0 at 0-3, the 17 digits at 7-23
-    # and the exponent suffix at 24-28
-    src = np.empty((x.size, 4), dtype="<u8")
-    head = int.from_bytes(b"\0.-0", "little")
-    src[:, 0] = (lead + ord("0")).astype(np.uint64) << 56 | head
-    src[:, 1] = digits[g1] | digits[g2] << 32
-    src[:, 2] = digits[g3] | digits[g4] << 32
-    src[:, 3] = suffix[exp - _E_MIN]
-    notation = np.where((exp >= -4) & (exp <= 16), exp + 4, 21)
-    kind = (np.signbit(x) * 22 + notation) * 17 + 16 - zeros
-    text = np.empty(x.size, dtype=object)
-    # in blocks of rows, so that the allocator reuses the temporaries: the
-    # index and character arrays of a whole N = 4096 table (8 195 rows, 288
-    # bytes a row) cost that job and the jobs after it 500 to 1 000 fresh
-    # page faults each
-    for start in range(0, x.size, _BLOCK):
-        layout = layouts[kind[start:start + _BLOCK]]
-        layout += np.arange(0, 32 * len(layout), 32)[:, None]
-        chars = src[start:start + _BLOCK].view(np.uint8).ravel().take(layout)
-        text[start:start + _BLOCK] = chars.astype(np.uint32).view(f"U{_WIDTH}").ravel()
-    return text, ~sure
 
 
 def write_csv(path: str, header: str, columns: list):
@@ -412,6 +274,7 @@ def write_csv(path: str, header: str, columns: list):
 
 def _chart_points(cfg: ExperimentConfig) -> list:
     """(point_id, MetricData) samples for the configured chart."""
+    from . import geometry
     if cfg.chart == "frozen":
         b11, b12, b22 = cfg.b_coeffs
         return [("frozen", geometry.frozen_point(b11, b12, b22))]
@@ -423,6 +286,7 @@ def _chart_points(cfg: ExperimentConfig) -> list:
 
 
 def cmd_check_ellipticity(cfg: ExperimentConfig) -> tuple:
+    from . import geometry, symbols
     elastic = cfg.elasticity_tensor()
     eps = cfg.epsilon_list[0]
     records = []
@@ -451,6 +315,7 @@ _SL_CASES = (
 
 
 def cmd_check_sl(cfg: ExperimentConfig) -> tuple:
+    from . import geometry, symbols
     elastic = cfg.elasticity_tensor()
     point = geometry.frozen_point(*cfg.b_coeffs)
 
@@ -477,6 +342,7 @@ def cmd_check_sl(cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_layer_modes(cfg: ExperimentConfig) -> tuple:
+    from . import layers
     elastic = cfg.elasticity_tensor()
     b = cfg.b_coeffs
     # theta and zeta are constants of (b, A): one value for every row
@@ -492,9 +358,11 @@ def cmd_layer_modes(cfg: ExperimentConfig) -> tuple:
 
 
 def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
+    from . import reduced
     # one at a time: at an umbilic zeta exists while theta does not
     theta, zeta = cfg.theta, cfg.zeta
     if None in (theta, zeta):
+        from . import layers
         elastic = cfg.elasticity_tensor()
         if theta is None:
             theta = layers.layer_energy_coefficient(cfg.b_coeffs, elastic.membrane)
@@ -504,6 +372,7 @@ def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
 
 
 def _load(cfg: ExperimentConfig) -> reduced.SpectralField:
+    from . import reduced
     # validate() admits flat, smooth4 and delta:k with |k| <= N
     if cfg.f_profile == "flat":
         return reduced.flat_load(cfg.n_modes)
@@ -514,6 +383,7 @@ def _load(cfg: ExperimentConfig) -> reduced.SpectralField:
 
 
 def cmd_solve_reduced(cfg: ExperimentConfig) -> tuple:
+    from . import reduced
     op = _operator(cfg, cfg.epsilon_list[0])
     load = _load(cfg)
     v = reduced.solve(op, load)
@@ -524,6 +394,7 @@ def cmd_solve_reduced(cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_sweep_epsilon(cfg: ExperimentConfig) -> tuple:
+    from . import reduced
     load = _load(cfg)
     flat = reduced.flat_load(cfg.n_modes)
     base = _operator(cfg, cfg.epsilon_list[0])
@@ -546,6 +417,7 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_sensitivity(cfg: ExperimentConfig) -> tuple:
+    from . import reduced
     op = _operator(cfg, cfg.epsilon_list[0])
     k = np.arange(cfg.n_modes + 1)
     amp0 = reduced.sensitivity_probe(op.with_eps(0.0), k)
@@ -555,6 +427,7 @@ def cmd_sensitivity(cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_rescale_demo(cfg: ExperimentConfig) -> tuple:
+    from . import reduced
     op = reduced.with_kernel(_operator(cfg, cfg.epsilon_list[0]),
                              cfg.kernel_modes)
     load = _load(cfg)
@@ -585,6 +458,27 @@ _PARSER.add_argument("--config", required=True, help="flat key=value file")
 _PARSER.add_argument("--out", default="out.csv", help="output CSV path")
 
 
+# the errors of each module that main reports as a numerical failure
+_NUMERICAL_ERRORS = {
+    "symbols": ("EllipticityError",),
+    "layers": ("StructureError",),
+    "geometry": ("SurfaceEllipticityError", "InvariantError"),
+    "reduced": ("KernelModeError", "WindowResolutionError"),
+}
+
+
+def _numerical_errors() -> tuple:
+    """The numerical error classes of the modules loaded so far.
+
+    An except clause evaluates its expression only once an exception reaches
+    it, and an error can come only from a loaded module.
+    """
+    return tuple(getattr(module, name)
+                 for layer, names in _NUMERICAL_ERRORS.items()
+                 if (module := sys.modules.get(f"{__package__}.{layer}")) is not None
+                 for name in names)
+
+
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
@@ -602,9 +496,7 @@ def main(argv=None) -> int:
     except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (symbols.EllipticityError, layers.StructureError,
-            geometry.SurfaceEllipticityError, geometry.InvariantError,
-            reduced.KernelModeError, reduced.WindowResolutionError) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

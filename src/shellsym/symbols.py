@@ -50,9 +50,6 @@ from .geometry import ElasticityTensor, MetricData
 from .polymat import _dft, _read_only, poly_coefficients
 
 DET_RTOL = 1e-8       # relative threshold for "determinant is nonzero"
-# |1 / xi2| below which a pencil eigenvalue counts as infinite; the
-# index-2 infinite eigenvalues of mixed orders leak out near sqrt(eps_mach)
-INFINITE_RTOL = 1e-6
 
 
 class EllipticityError(ValueError):
@@ -496,7 +493,11 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
         raise EllipticityError(f"{system.name}: non-finite companion pencil "
                                f"(min |D| = {values.min():.3e})")
     mu = np.linalg.eigvals(pencil)
-    finite = np.abs(mu) > INFINITE_RTOL
+    # an elliptic system has exactly total_order finite roots (the leading
+    # coefficient D(0, 1) is nonzero): the largest |mu|.  The rest are
+    # infinite roots, whose Jordan blocks can leak far above sqrt(eps_mach)
+    finite = np.zeros(size, dtype=bool)
+    finite[np.argsort(np.abs(mu))[size - system.total_order:]] = True
     decaying = finite & (mu.imag < 0)       # Im xi2 > 0
     above, below = np.count_nonzero(decaying), np.count_nonzero(finite & (mu.imag > 0))
     if (above, below) != (m, m):

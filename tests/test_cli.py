@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellsym import cli, layers, reduced, symbols
+from shellsym import _g17kernel, cli, geometry, layers, reduced, symbols
 from shellsym.geometry import ElasticityTensor
 from shellsym.cli import (
     COMMANDS,
@@ -729,24 +729,26 @@ def test_g17_kernel_matches_per_value_formatting():
     # ties go to format() by design
     values = np.concatenate(columns[:-1])
     inside = values[(np.abs(values) >= 1e-250) & (np.abs(values) <= 1e250)]
-    _, handed = cli._g17_kernel(inside)
+    _, handed = _g17kernel.kernel(inside)
     assert inside.size > 4000
     assert np.count_nonzero(handed) <= 0.01 * inside.size
 
 
 def test_g17_tables_are_built_on_first_large_table():
-    # a fresh interpreter builds no kernel table on import or for a table
-    # below _KERNEL_MIN (the small first job of a run); the first large
-    # table builds them once, and they cannot be written
-    code = ("import numpy as np\n"
+    # a fresh interpreter does not import the kernel module on import or for
+    # a table below _KERNEL_MIN (the small first job of a run); the first
+    # large table imports it and builds its tables once, and they cannot be
+    # written
+    code = ("import sys\n"
+            "import numpy as np\n"
             "import shellsym.cli as cli\n"
-            "built = cli._g17_tables.cache_info\n"
-            "assert built().currsize == 0\n"
+            "assert 'shellsym._g17kernel' not in sys.modules\n"
             "cli._g17(np.arange(cli._KERNEL_MIN - 1.0))\n"
-            "assert built().currsize == 0\n"
+            "assert 'shellsym._g17kernel' not in sys.modules\n"
             "cli._g17(np.arange(cli._KERNEL_MIN) / 7, np.arange(cli._KERNEL_MIN) * 1e30)\n"
-            "assert built().currsize == 1\n"
-            "for table in cli._g17_tables():\n"
+            "from shellsym import _g17kernel\n"
+            "assert _g17kernel.tables.cache_info().currsize == 1\n"
+            "for table in _g17kernel.tables():\n"
             "    try:\n"
             "        table[...] = 0\n"
             "    except ValueError as exc:\n"
@@ -757,6 +759,33 @@ def test_g17_tables_are_built_on_first_large_table():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_main_maps_the_six_numerical_errors_to_exit_3():
+    # with every module loaded, main's exit-3 classes are exactly these
+    assert set(cli._numerical_errors()) == {
+        symbols.EllipticityError, layers.StructureError,
+        geometry.SurfaceEllipticityError, geometry.InvariantError,
+        reduced.KernelModeError, reduced.WindowResolutionError}
+
+
+def test_check_sl_counts_the_finite_roots_at_a_large_curvature(tmp_path):
+    # eps * max|b| = 318: an infinite root of the Koiter pencil's Jordan
+    # blocks computes to |mu| = 3.5e-4, which a fixed |mu| threshold counted
+    # as a fifth root below, while check-ellipticity reads Koiter elliptic
+    b = (1588.57, -936.54, 1646.24)
+    cfg = tmp_path / "large_b.cfg"
+    cfg.write_text("b_coeffs = 1588.57,-936.54,1646.24\nelasticity = isotropic\n"
+                   "epsilon_list = 0.193\nxi1_list = 1\n")
+    for command in ("check-ellipticity", "check-sl"):
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / f"{command}.csv")]) == 0
+    point = geometry.frozen_point(*b)
+    system = symbols.builtin_system("koiter", point, ElasticityTensor.isotropic(), 0.193)
+    for xi1 in (1.0, -1.0):
+        roots = symbols.decaying_solution_basis(system, point, xi1).roots
+        assert roots.size == 8
+        assert (roots[:4].imag > 0).all() and (roots[4:].imag < 0).all()
 
 
 @pytest.mark.parametrize("b_coeffs", ["1e-160,0,1e-160", "1e-161,2e-162,3e-161"])

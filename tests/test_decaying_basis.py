@@ -10,10 +10,12 @@ from scipy.linalg import ordqz
 
 from shellsym.geometry import ElasticityTensor, frozen_point
 from shellsym.polymat import poly_coefficients
-from shellsym.symbols import INFINITE_RTOL, builtin_system, decaying_solution_basis
+from shellsym.symbols import builtin_system, decaying_solution_basis
 
 SYSTEMS = ("rigidity", "membrane_tension", "membrane", "koiter")
 GAP_TOL = 1e-11
+# |beta / alpha| below which the reference QZ counts an eigenvalue as infinite
+INFINITE_RTOL = 1e-6
 
 
 def _reference_basis(system, pt, s):
