@@ -13,7 +13,8 @@ Subpackages:
   the boundary energy coefficients;
 * :mod:`shellsym.reduced`  -- spectral solver for the reduced problem
   ``(A + eps^2 B) v = F`` on the circle;
-* :mod:`shellsym.cli`      -- configuration-driven command line front end.
+* :mod:`shellsym.cli`      -- configuration-driven command line front end,
+  which exits 3 on a :class:`NumericalError`, the base of numerical failures.
 
 The names in ``__all__`` are loaded on first access (PEP 562), so importing
 the package, or one submodule such as ``shellsym.cli``, compiles no module
@@ -21,6 +22,11 @@ that is not read.
 """
 
 import importlib
+
+
+class NumericalError(ValueError):
+    """Base of the errors that the command line reports as a numerical failure."""
+
 
 # each exported name and the submodule that defines it
 _EXPORTS = {

@@ -30,14 +30,14 @@ A command imports only the modules it reads, so a one-shot run compiles no
 other: ``check-ellipticity`` and ``check-sl`` load ``geometry``,
 ``symbols`` and ``polymat``; ``layer-modes`` adds ``layers``.  A reduced
 command loads ``reduced``, and ``layers`` (with ``symbols`` and
-``geometry``) only for an unset ``theta`` or ``zeta``.  ``main`` maps the
-numerical errors of the modules loaded so far to exit 3; an error can only
-come from a module that is loaded.
+``geometry``) only for an unset ``theta`` or ``zeta``.  ``main`` maps every
+:class:`shellsym.NumericalError` to exit 3, whichever module raised it.
 
 Only ``check-ellipticity`` reads ``chart`` and ``chart_params``; the other
 commands work at the frozen point of ``b_coeffs`` and reject both.  The
 ``frozen`` chart takes no ``chart_params``; ``sphere-cap`` takes one, its
-radius.
+radius, whose square must be a finite, nonzero double.  Only the
+``explicit`` rigidity takes ``elasticity_membrane`` and ``elasticity_bending``.
 
 ``check-sl`` and ``layer-modes`` read the curvature ``b_coeffs`` and the
 rigidity.  A reduced command (``solve-reduced``, ``sweep-epsilon``,
@@ -62,6 +62,8 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
+
+from . import NumericalError
 
 if TYPE_CHECKING:
     from . import geometry, reduced
@@ -111,6 +113,9 @@ class ExperimentConfig:
             raise ConfigError("the frozen chart takes no chart_params")
         if self.chart == "sphere-cap" and self.chart_params[:1] == (0.0,):
             raise ConfigError("sphere-cap radius must be nonzero")
+        if self.chart == "sphere-cap" and not all(
+                0.0 < r * r < math.inf for r in self.chart_params[:1]):
+            raise ConfigError("sphere-cap radius must have a finite, nonzero square")
         if self.chart == "sphere-cap" and len(self.chart_params) > 1:
             raise ConfigError("sphere-cap takes one chart_params value, the radius")
         if len(self.b_coeffs) != 3:
@@ -128,6 +133,10 @@ class ExperimentConfig:
         if self.elasticity == "explicit" and (
                 len(self.elasticity_membrane) != 6 or len(self.elasticity_bending) != 6):
             raise ConfigError("explicit elasticity needs 6+6 upper-triangle entries")
+        if self.elasticity != "explicit" and (
+                self.elasticity_membrane or self.elasticity_bending):
+            raise ConfigError("elasticity_membrane and elasticity_bending apply "
+                              "only to elasticity = explicit")
         if 0 in self.xi1_list:
             raise ConfigError("xi1 values must be nonzero")
         if self.command in ("check-sl", "layer-modes") and not self.xi1_list:
@@ -458,27 +467,6 @@ _PARSER.add_argument("--config", required=True, help="flat key=value file")
 _PARSER.add_argument("--out", default="out.csv", help="output CSV path")
 
 
-# the errors of each module that main reports as a numerical failure
-_NUMERICAL_ERRORS = {
-    "symbols": ("EllipticityError",),
-    "layers": ("StructureError",),
-    "geometry": ("SurfaceEllipticityError", "InvariantError"),
-    "reduced": ("KernelModeError", "WindowResolutionError"),
-}
-
-
-def _numerical_errors() -> tuple:
-    """The numerical error classes of the modules loaded so far.
-
-    An except clause evaluates its expression only once an exception reaches
-    it, and an error can come only from a loaded module.
-    """
-    return tuple(getattr(module, name)
-                 for layer, names in _NUMERICAL_ERRORS.items()
-                 if (module := sys.modules.get(f"{__package__}.{layer}")) is not None
-                 for name in names)
-
-
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
@@ -496,7 +484,7 @@ def main(argv=None) -> int:
     except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except _numerical_errors() as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

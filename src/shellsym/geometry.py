@@ -35,8 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import NumericalError
 
-class InvariantError(ValueError):
+
+class InvariantError(NumericalError):
     """Input data violates a structural invariant (symmetry, positivity)."""
 
 
@@ -44,7 +46,7 @@ class GridMismatchError(ValueError):
     """Fields are sampled on incompatible grids."""
 
 
-class SurfaceEllipticityError(ValueError):
+class SurfaceEllipticityError(NumericalError):
     """The second fundamental form is not elliptic (b11*b22 - b12^2 <= 0)."""
 
 
@@ -204,8 +206,8 @@ def sphere_cap_chart(radius: float = 1.0, shape: tuple = (24, 24),
     ``b = a / R``, ``Gamma^1_22 = -sin th cos th``,
     ``Gamma^2_12 = cos th / sin th``.
     """
-    if radius == 0 or not np.isfinite(radius):
-        raise InvariantError("radius must be finite and nonzero")
+    if not 0.0 < float(radius) * float(radius) < np.inf:   # the metric holds radius ** 2
+        raise InvariantError("radius must have a finite, nonzero square")
     if not 0 < theta0 < np.pi / 2:
         raise InvariantError("theta0 must lie in (0, pi/2)")
     n1, n2 = shape

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import NumericalError
 from .geometry import frozen_point, surface_elliptic_triple
 from .symbols import _coefficients_at, _gram, builtin_system
 
@@ -55,7 +56,7 @@ class DegenerateModeError(ValueError):
     """A mode construction hit a numerically defective configuration."""
 
 
-class StructureError(ValueError):
+class StructureError(NumericalError):
     """Eigenstructure does not match the expected simple/Jordan layout."""
 
 

@@ -38,12 +38,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import NumericalError
 
 # q(0) / zeta: keeps B strictly positive on constants
 Q_FLOOR = 1e-2
 
 
-class KernelModeError(ValueError):
+class KernelModeError(NumericalError):
     """Diagonal solve hit zero symbol values at eps = 0."""
 
     def __init__(self, modes):
@@ -59,7 +60,7 @@ class KernelModeError(ValueError):
             "use the non-inhibited rescaling")
 
 
-class WindowResolutionError(ValueError):
+class WindowResolutionError(NumericalError):
     """No symbol crossover below the mode cutoff."""
 
 

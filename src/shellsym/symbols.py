@@ -46,13 +46,14 @@ from typing import Callable
 
 import numpy as np
 
+from . import NumericalError
 from .geometry import ElasticityTensor, MetricData
 from .polymat import _dft, _read_only, poly_coefficients
 
 DET_RTOL = 1e-8       # relative threshold for "determinant is nonzero"
 
 
-class EllipticityError(ValueError):
+class EllipticityError(NumericalError):
     """The system fails Douglis-Nirenberg ellipticity where it is required."""
 
 

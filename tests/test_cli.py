@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellsym import _g17kernel, cli, geometry, layers, reduced, symbols
+from shellsym import NumericalError, _g17kernel, cli, geometry, layers, reduced, symbols
 from shellsym.geometry import ElasticityTensor
 from shellsym.cli import (
     COMMANDS,
@@ -291,6 +291,51 @@ def test_indefinite_explicit_rigidity_is_a_config_error(tmp_path, capsys):
     # given theta and zeta, a reduced command does not read the rigidity
     cfg.write_text(text + "theta = 1\nzeta = 1\n")
     assert main(["solve-reduced", "--config", str(cfg), "--out", out]) == 0
+
+
+def test_explicit_rigidity_keys_need_the_explicit_rigidity(tmp_path, capsys):
+    # elasticity_membrane and elasticity_bending used to be ignored for a
+    # built-in rigidity: check-sl exited 0 on an indefinite bending matrix,
+    # and layer-modes never saw that a 3-value one is malformed
+    cfg = tmp_path / "keys.cfg"
+    out = tmp_path / "x.csv"
+    for command, text in (
+            ("check-sl", "elasticity = identity\nelasticity_bending = -1,0,0,1,0,1\n"),
+            ("layer-modes", "elasticity = isotropic\nelasticity_bending = 1,0,1\n"),
+            ("check-ellipticity", "elasticity_membrane = 2,0.5,0,2,0,1\n"),
+            ("solve-reduced", "elasticity = frobenius\ntheta = 1\nzeta = 1\n"
+             "elasticity_membrane = 2,0.5,0,2,0,1\n")):
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, text
+        assert capsys.readouterr().err == (
+            "configuration error: elasticity_membrane and elasticity_bending "
+            "apply only to elasticity = explicit\n")
+        assert not out.exists()
+
+
+def test_sphere_cap_radius_needs_a_finite_nonzero_square(tmp_path, capsys):
+    # radius ** 2 raised OverflowError (exit 1, a traceback) from 1e155 on,
+    # and underflowed to 0.0 at 1e-170, which the metric check reported as
+    # a numerical failure (exit 3)
+    cfg = tmp_path / "cap.cfg"
+    out = tmp_path / "x.csv"
+    for radius in ("1e155", "-1e200", "-1e-170", "1e-200"):
+        cfg.write_text(f"chart = sphere-cap\nchart_params = {radius}\n")
+        assert main(["check-ellipticity", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("configuration error: sphere-cap radius "
+                                           "must have a finite, nonzero square\n")
+        assert not out.exists()
+        with pytest.raises(geometry.InvariantError, match="finite, nonzero square"):
+            geometry.sphere_cap_chart(radius=float(radius))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(geometry.InvariantError):
+            geometry.sphere_cap_chart(radius=np.float64(1e200))
+    # radii near both ends of the double range stay valid
+    for radius in ("1e154", "-1e-155"):
+        config = parse_config(f"chart = sphere-cap\nchart_params = {radius}\n")
+        config.command = "check-ellipticity"
+        config.validate()
 
 
 def test_cli_determinism(tmp_path, cfg_path):
@@ -761,12 +806,32 @@ def test_g17_tables_are_built_on_first_large_table():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_main_maps_the_six_numerical_errors_to_exit_3():
-    # with every module loaded, main's exit-3 classes are exactly these
-    assert set(cli._numerical_errors()) == {
+def test_main_maps_every_numerical_error_to_exit_3(tmp_path, monkeypatch, capsys,
+                                                   cfg_path):
+    # the NumericalError subclasses the layer modules define are exactly these six
+    defined = {obj for module in (symbols, layers, geometry, reduced)
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, NumericalError)
+               and obj.__module__ == module.__name__}
+    assert defined == {
         symbols.EllipticityError, layers.StructureError,
         geometry.SurfaceEllipticityError, geometry.InvariantError,
         reduced.KernelModeError, reduced.WindowResolutionError}
+    out = tmp_path / "x.csv"
+    for cls in defined:
+        exc = cls([3, -3]) if cls is reduced.KernelModeError else cls("no answer")
+
+        def fail(cfg, exc=exc):
+            raise exc
+        monkeypatch.setitem(cli._DISPATCH, "solve-reduced", fail)
+        assert main(["solve-reduced", "--config", cfg_path, "--out", str(out)]) == 3, cls
+        assert capsys.readouterr().err == f"numerical failure: {exc}\n"
+        assert not out.exists()
+    # any other ValueError is a fault of the program, not a numerical failure
+    monkeypatch.setitem(cli._DISPATCH, "solve-reduced",
+                        lambda cfg: int("not a number"))
+    with pytest.raises(ValueError, match="invalid literal"):
+        main(["solve-reduced", "--config", cfg_path, "--out", str(out)])
 
 
 def test_check_sl_counts_the_finite_roots_at_a_large_curvature(tmp_path):
