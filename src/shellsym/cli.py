@@ -36,8 +36,9 @@ command loads ``reduced``, and ``layers`` (with ``symbols`` and
 Only ``check-ellipticity`` reads ``chart`` and ``chart_params``; the other
 commands work at the frozen point of ``b_coeffs`` and reject both.  The
 ``frozen`` chart takes no ``chart_params``; ``sphere-cap`` takes one, its
-radius, whose square must be a finite, nonzero double.  Only the
-``explicit`` rigidity takes ``elasticity_membrane`` and ``elasticity_bending``.
+radius, for which every entry of the chart's metric must be a finite,
+nonzero double.  Only the ``explicit`` rigidity takes ``elasticity_membrane``
+and ``elasticity_bending``, and only a reduced command ``theta`` and ``zeta``.
 
 ``check-sl`` and ``layer-modes`` read the curvature ``b_coeffs`` and the
 rigidity.  A reduced command (``solve-reduced``, ``sweep-epsilon``,
@@ -113,9 +114,10 @@ class ExperimentConfig:
             raise ConfigError("the frozen chart takes no chart_params")
         if self.chart == "sphere-cap" and self.chart_params[:1] == (0.0,):
             raise ConfigError("sphere-cap radius must be nonzero")
-        if self.chart == "sphere-cap" and not all(
-                0.0 < r * r < math.inf for r in self.chart_params[:1]):
-            raise ConfigError("sphere-cap radius must have a finite, nonzero square")
+        if self.chart == "sphere-cap" and self.chart_params:
+            from . import geometry     # the rule of the chart _chart_points builds
+            if not geometry._cap_radius_fits(self.chart_params[0]):
+                raise ConfigError("sphere-cap radius must have a finite, nonzero square")
         if self.chart == "sphere-cap" and len(self.chart_params) > 1:
             raise ConfigError("sphere-cap takes one chart_params value, the radius")
         if len(self.b_coeffs) != 3:
@@ -141,9 +143,8 @@ class ExperimentConfig:
             raise ConfigError("xi1 values must be nonzero")
         if self.command in ("check-sl", "layer-modes") and not self.xi1_list:
             raise ConfigError("xi1_list must not be empty")
-        # as in _operator: a reduced command reads b for an unset theta or zeta
-        reads_layer = self.command in ("check-sl", "layer-modes") or (
-            self.command != "check-ellipticity" and None in (self.theta, self.zeta))
+        # as in _coefficients, which check-sl and layer-modes call with neither set
+        reads_layer = self.command != "check-ellipticity" and None in (self.theta, self.zeta)
         if reads_layer or self.command == "check-ellipticity":
             from . import geometry
             if reads_layer:
@@ -158,6 +159,9 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from None
         for name in ("theta", "zeta"):
             value = getattr(self, name)
+            if value is not None and self.command in ("check-ellipticity", "check-sl",
+                                                      "layer-modes"):
+                raise ConfigError("theta and zeta apply only to the reduced commands")
             if value is not None and not value > 0:
                 raise ConfigError(f"{name} must be positive")
         if self.f_profile.startswith("delta:"):
@@ -350,24 +354,8 @@ def cmd_check_sl(cfg: ExperimentConfig) -> tuple:
              [str(rep.satisfied).lower() for rep in reps]])
 
 
-def cmd_layer_modes(cfg: ExperimentConfig) -> tuple:
-    from . import layers
-    elastic = cfg.elasticity_tensor()
-    b = cfg.b_coeffs
-    # theta and zeta are constants of (b, A): one value for every row
-    theta = layers.layer_energy_coefficient(b, elastic.membrane)
-    zeta = layers.bending_symbol_coefficient(b, elastic.bending)
-    values = []
-    for xi1 in cfg.xi1_list:
-        lam_p, lam_m = layers.rigidity_roots(*b, xi1)
-        values.append((xi1, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag,
-                       theta, zeta))
-    return ("xi1,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,theta,zeta",
-            _g17(*zip(*values)))
-
-
-def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
-    from . import reduced
+def _coefficients(cfg: ExperimentConfig) -> tuple:
+    """``(theta, zeta)``, each one the configuration leaves unset from the layer data."""
     # one at a time: at an umbilic zeta exists while theta does not
     theta, zeta = cfg.theta, cfg.zeta
     if None in (theta, zeta):
@@ -377,7 +365,25 @@ def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
             theta = layers.layer_energy_coefficient(cfg.b_coeffs, elastic.membrane)
         if zeta is None:
             zeta = layers.bending_symbol_coefficient(cfg.b_coeffs, elastic.bending)
-    return reduced.build_default_operator(theta, zeta, cfg.d, cfg.n_modes, eps)
+    return theta, zeta
+
+
+def cmd_layer_modes(cfg: ExperimentConfig) -> tuple:
+    from . import layers
+    # theta and zeta are constants of (b, A): one value for every row
+    theta, zeta = _coefficients(cfg)
+    values = []
+    for xi1 in cfg.xi1_list:
+        lam_p, lam_m = layers.rigidity_roots(*cfg.b_coeffs, xi1)
+        values.append((xi1, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag,
+                       theta, zeta))
+    return ("xi1,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,theta,zeta",
+            _g17(*zip(*values)))
+
+
+def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
+    from . import reduced
+    return reduced.build_default_operator(*_coefficients(cfg), cfg.d, cfg.n_modes, eps)
 
 
 def _load(cfg: ExperimentConfig) -> reduced.SpectralField:

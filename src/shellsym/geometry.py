@@ -197,8 +197,19 @@ def frozen_chart(b11: float, b12: float, b22: float,
     return MetricField(a, b, b.copy(), np.zeros((2, 2, 2) + tuple(shape)), h)
 
 
-def sphere_cap_chart(radius: float = 1.0, shape: tuple = (24, 24),
-                     h: float = 0.02, theta0: float = 0.7) -> MetricField:
+_CAP_SHAPE, _CAP_H, _CAP_THETA0 = (24, 24), 0.02, 0.7     # the default sphere-cap grid
+
+
+def _cap_radius_fits(radius: float, n1: int = _CAP_SHAPE[0], h: float = _CAP_H,
+                     theta0: float = _CAP_THETA0) -> bool:
+    """Whether ``diag(R^2, (R sin th)^2)`` on rows ``theta0 + i*h`` is finite and nonzero."""
+    r = float(radius)
+    low = r * float(np.sin(theta0 + h * np.arange(n1)).min())   # R^2 is the largest entry
+    return low * low > 0.0 and r * r < np.inf
+
+
+def sphere_cap_chart(radius: float = 1.0, shape: tuple = _CAP_SHAPE,
+                     h: float = _CAP_H, theta0: float = _CAP_THETA0) -> MetricField:
     """Spherical cap in colatitude/longitude coordinates ``(y1, y2)``.
 
     ``y1 = theta0 + i*h`` is the colatitude, ``y2 = j*h`` the longitude.  All
@@ -206,14 +217,14 @@ def sphere_cap_chart(radius: float = 1.0, shape: tuple = (24, 24),
     ``b = a / R``, ``Gamma^1_22 = -sin th cos th``,
     ``Gamma^2_12 = cos th / sin th``.
     """
-    if not 0.0 < float(radius) * float(radius) < np.inf:   # the metric holds radius ** 2
-        raise InvariantError("radius must have a finite, nonzero square")
     if not 0 < theta0 < np.pi / 2:
         raise InvariantError("theta0 must lie in (0, pi/2)")
     n1, n2 = shape
     theta = theta0 + h * np.arange(n1)
     if theta.max() >= np.pi:
         raise InvariantError("chart extends past the south pole")
+    if not _cap_radius_fits(radius, n1, h, theta0):
+        raise InvariantError("radius must have a finite, nonzero square")
     sin_t = np.sin(theta)[:, None] * np.ones((1, n2))
     cos_t = np.cos(theta)[:, None] * np.ones((1, n2))
     a = np.zeros((2, 2, n1, n2))

@@ -19,21 +19,23 @@ The default model symbols are
 with ``theta, zeta`` the boundary energy coefficients and ``d`` the
 transmission decay rate; :func:`build_default_operator` takes all three,
 with ``N`` and ``eps``, as required arguments, and ``Q_FLOOR = 1e-2``.  A
-:class:`ReducedOperator` is these parameters and the eps-independent
-samples of the symbols on ``k = -N..N``, taken once; the crossover
-``s(k) = eps^2 q(k)`` is found from the closed-form log gap, so it resolves
-at every ``eps > 0``.  The module exposes the phenomena that make the limit
-problem sensitive: the balance window ``|k| ~ log(1/eps)``, strong
-convergence in the ``A``-norm for every load, exponential amplification of
-single-mode load perturbations at ``eps = 0``, divergence of truncated
-limit solutions in every polynomially weighted norm, and the rescaled limit
-in the non-inhibited (kernel) case.
+:class:`ReducedOperator` is these parameters and the read-only samples on
+``k = -N..N``, taken once, of the symbols and of ``total = s + eps^2 q``,
+which every solve divides by.  The crossover ``s(k) = eps^2 q(k)`` is found
+from the closed-form log gap, so it resolves at every ``eps > 0``.  The
+module exposes the phenomena that make the limit problem sensitive: the
+balance window ``|k| ~ log(1/eps)``, strong convergence in the ``A``-norm
+for every load, exponential amplification of single-mode load perturbations
+at ``eps = 0``, divergence of truncated limit solutions in every
+polynomially weighted norm, and the rescaled limit in the non-inhibited
+(kernel) case.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -156,13 +158,10 @@ class ReducedOperator:
     (the non-inhibited model of :func:`with_kernel`).  The kernel rule lives
     here, so direct construction, :func:`with_kernel` and :meth:`with_eps`
     all meet it: integral modes within the cutoff ``N``, kept as their
-    sorted distinct ``|k|``.  The eps-independent samples ``s``, ``q`` and
-    the order-3 weights ``(1 + k^2)^(3/2)``, ``(1 + k^2)^(-3/2)`` are taken
-    on construction from :meth:`s_symbol` and :meth:`q_symbol`;
-    :meth:`with_eps` hands the same arrays over, so an eps sweep samples
-    them once.  A sample handed to the constructor must have one value per
-    mode, and ``s`` must vanish on the kernel modes; ``order3`` and
-    ``order3_inverse`` are handed over only with ``q``.
+    sorted distinct ``|k|``.  Construction samples ``s``, ``q``, the weights
+    ``order3 = (1 + k^2)^(3/2)`` and ``order3_inverse`` and ``total = s +
+    eps^2 q`` once, read-only.  :meth:`with_eps` shares the first four and
+    forms ``total``; :func:`with_kernel` shares all but ``s`` and ``total``.
     """
 
     theta: float
@@ -171,43 +170,35 @@ class ReducedOperator:
     n_modes: int
     eps: float
     kernel: tuple = ()
-    s: np.ndarray = field(default=None, repr=False)
-    q: np.ndarray = field(default=None, repr=False)
-    order3: np.ndarray = field(default=None, repr=False)
-    order3_inverse: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.d <= 0:
             raise ValueError("transmission decay rate d must be positive")
         if self.theta <= 0 or self.zeta <= 0:
             raise ValueError("theta and zeta must be positive")
-        if self.eps < 0:
+        k = self.wavenumbers
+        weight = 1.0 + k.astype(float) ** 2
+        vars(self).update(q=self.q_symbol(k), order3=weight ** 1.5,
+                          order3_inverse=weight ** -1.5)
+        self._settle(self.eps, self.kernel)
+
+    def _settle(self, eps: float, kernel) -> "ReducedOperator":
+        """Set ``eps`` and ``kernel``, with ``s`` for a new kernel and ``total``."""
+        if eps < 0:
             raise ValueError("eps must be nonnegative")
-        if not all(float(m).is_integer() for m in self.kernel):
-            raise ValueError(f"kernel modes {self.kernel} must be integers")
-        kernel = tuple(sorted({abs(int(m)) for m in self.kernel}))
+        if not all(float(m).is_integer() for m in kernel):
+            raise ValueError(f"kernel modes {kernel} must be integers")
+        kernel = tuple(sorted({abs(int(m)) for m in kernel}))
         if kernel and kernel[-1] > self.n_modes:
             raise ValueError(f"kernel mode |k| = {kernel[-1]} exceeds the cutoff "
                              f"N = {self.n_modes}")
-        object.__setattr__(self, "kernel", kernel)
-        k = self.wavenumbers
-        if self.s is None:     # on construction and after with_kernel
-            object.__setattr__(self, "s", self.s_symbol(k))
-        if self.q is None:
-            for name in ("order3", "order3_inverse"):
-                if getattr(self, name) is not None:
-                    raise ValueError(f"sample {name} needs q: the order-3 "
-                                     "weights are taken with q")
-            weight = 1.0 + k.astype(float) ** 2
-            object.__setattr__(self, "q", self.q_symbol(k))
-            object.__setattr__(self, "order3", weight ** 1.5)
-            object.__setattr__(self, "order3_inverse", weight ** -1.5)
-        for name in ("s", "q", "order3", "order3_inverse"):
-            shape = np.shape(getattr(self, name))
-            if shape != k.shape:
-                raise ValueError(f"sample {name} must have shape {k.shape}, not {shape}")
-        if kernel and np.any(self.s[self.n_modes + np.outer(kernel, (1, -1))]):
-            raise ValueError(f"sample s must vanish on the kernel modes {kernel}")
+        if kernel != self.kernel or "s" not in vars(self):
+            vars(self)["kernel"] = kernel     # s_symbol reads it
+            vars(self)["s"] = self.s_symbol(self.wavenumbers)
+        vars(self).update(eps=eps, total=self.s + eps ** 2 * self.q)
+        for sample in (self.s, self.q, self.order3, self.order3_inverse, self.total):
+            sample.flags.writeable = False
+        return self
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -215,7 +206,7 @@ class ReducedOperator:
 
     def with_eps(self, eps: float) -> "ReducedOperator":
         """The same operator at another ``eps``, sharing the samples."""
-        return replace(self, eps=eps)
+        return copy.copy(self)._settle(eps, self.kernel)
 
     def s_symbol(self, k) -> np.ndarray:
         """``theta (1 + k^2)^(1/2) exp(-2 d |k|)``, zero on the kernel set."""
@@ -253,10 +244,9 @@ def with_kernel(op: ReducedOperator, kernel_modes: Sequence[int]) -> ReducedOper
     The set must be nonempty; :class:`ReducedOperator` checks and
     normalises its modes.
     """
-    kernel = tuple(kernel_modes)
-    if not kernel:
+    if not len(kernel_modes):
         raise ValueError("kernel set must be nonempty")
-    return replace(op, kernel=kernel, s=None)
+    return copy.copy(op)._settle(op.eps, tuple(kernel_modes))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +274,7 @@ def solve(op: ReducedOperator, load: SpectralField) -> SpectralField:
     symbol value raises :class:`KernelModeError` listing the dead modes.
     """
     _same_modes(op, load)
-    return SpectralField(load.coeffs
-                         / _positive(op.s + op.eps ** 2 * op.q, op.wavenumbers))
+    return SpectralField(load.coeffs / _positive(op.total, op.wavenumbers))
 
 
 def coercivity_constant(op: ReducedOperator) -> float:
@@ -295,7 +284,7 @@ def coercivity_constant(op: ReducedOperator) -> float:
     order-3 lower bound; it is the discrete coercivity constant of the
     quadratic form.
     """
-    return float(((op.s + op.eps ** 2 * op.q) / op.order3).min())
+    return float((op.total / op.order3).min())
 
 
 def frequency_window(op: ReducedOperator) -> float:
@@ -365,11 +354,11 @@ def va_norm_convergence(op: ReducedOperator, eps_list: Sequence[float],
     limit ``v_0`` is the eps = 0 diagonal solve.
     """
     _same_modes(op, load)
-    s, q, weight = _positive(op.s, op.wavenumbers), op.q, op.order3_inverse
+    _positive(op.s, op.wavenumbers)
     rows = []
     for eps in eps_list:
-        b_part = load.coeffs * (eps ** 2 * q) / (s + eps ** 2 * q)   # eps^2 q v_eps
-        norm = float(np.sqrt(np.sum(weight * np.abs(b_part) ** 2)))
+        b_part = eps ** 2 * op.q * load.coeffs / op.with_eps(eps).total   # eps^2 q v_eps
+        norm = float(np.sqrt(np.sum(op.order3_inverse * np.abs(b_part) ** 2)))
         rows.append(ConvergenceRow(float(eps), norm, norm))
     return rows
 
@@ -389,7 +378,7 @@ def sensitivity_probe(op: ReducedOperator, k_probe):
     if np.any(np.abs(k) > op.n_modes):
         raise ValueError("probe mode beyond cutoff")
     i = k + op.n_modes
-    amp = 1.0 / _positive(op.s[i] + op.eps ** 2 * op.q[i], k)
+    amp = 1.0 / _positive(op.total[i], k)
     return float(amp) if amp.ndim == 0 else amp
 
 
@@ -475,16 +464,16 @@ def noninhibited_rescale(op: ReducedOperator, load: SpectralField,
     if not op.kernel:
         raise ValueError("kernel set is empty; use va_norm_convergence")
     _same_modes(op, load)
-    k, s, q = op.wavenumbers, op.s, op.q
+    k = op.wavenumbers
     on_kernel = np.isin(np.abs(k), op.kernel)
-    _positive(s[~on_kernel], k[~on_kernel])
+    _positive(op.s[~on_kernel], k[~on_kernel])
 
-    limit = np.where(on_kernel, load.coeffs / q, 0.0)
+    limit = np.where(on_kernel, load.coeffs / op.q, 0.0)
     rows = []
     for eps in eps_list:
         if eps <= 0:
             raise ValueError("eps values must be positive")
-        w = eps ** 2 * load.coeffs / (s + eps ** 2 * q)
+        w = eps ** 2 * load.coeffs / op.with_eps(eps).total
         kernel_err = float(np.abs(w[on_kernel] - limit[on_kernel]).max())
         off = np.abs(w[~on_kernel])
         rows.append(RescaleRow(float(eps), kernel_err,

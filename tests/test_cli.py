@@ -266,12 +266,12 @@ def test_curvature_is_refused_only_where_a_command_reads_it(tmp_path, capsys):
     cfg.write_text(base + "theta = 1\nzeta = 1\n")
     for command in REDUCED_COMMANDS:
         assert main([command, "--config", str(cfg), "--out", out]) == 0, command
-    for command in ("check-sl", "layer-modes"):
-        assert main([command, "--config", str(cfg), "--out", out]) == 2, command
-    capsys.readouterr()
+    # the symbol commands take neither theta nor zeta, so they meet b_coeffs
+    # only with both unset
     for unset in ("theta = 1\n", "zeta = 1\n", ""):
         cfg.write_text(base + unset)
-        for command in REDUCED_COMMANDS:
+        symbol = () if unset else ("check-sl", "layer-modes")
+        for command in REDUCED_COMMANDS + symbol:
             assert main([command, "--config", str(cfg), "--out", out]) == 2, \
                 (command, unset)
             assert capsys.readouterr().err == ("configuration error: b_coeffs must "
@@ -313,13 +313,30 @@ def test_explicit_rigidity_keys_need_the_explicit_rigidity(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_theta_and_zeta_apply_only_to_the_reduced_commands(tmp_path, capsys):
+    # check-ellipticity, check-sl and layer-modes used to ignore both keys:
+    # layer-modes given theta = 2 wrote the computed theta = 1.5
+    cfg = tmp_path / "coef.cfg"
+    out = tmp_path / "x.csv"
+    for command in ("check-ellipticity", "check-sl", "layer-modes"):
+        for text in ("theta = 2\nzeta = 3\n", "theta = 2\n", "zeta = 3\nN = 16\n"):
+            cfg.write_text(text)
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, text
+            assert capsys.readouterr().err == ("configuration error: theta and zeta "
+                                               "apply only to the reduced commands\n")
+            assert not out.exists()
+        cfg.write_text("theta = none\nzeta = none\n")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        out.unlink()
+
+
 def test_sphere_cap_radius_needs_a_finite_nonzero_square(tmp_path, capsys):
     # radius ** 2 raised OverflowError (exit 1, a traceback) from 1e155 on,
     # and underflowed to 0.0 at 1e-170, which the metric check reported as
     # a numerical failure (exit 3)
     cfg = tmp_path / "cap.cfg"
     out = tmp_path / "x.csv"
-    for radius in ("1e155", "-1e200", "-1e-170", "1e-200"):
+    for radius in ("1e155", "-1e200", "-1e-170", "1e-200", "1.6e-162", "2.3e-162"):
         cfg.write_text(f"chart = sphere-cap\nchart_params = {radius}\n")
         assert main(["check-ellipticity", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == ("configuration error: sphere-cap radius "

@@ -164,35 +164,29 @@ def test_operator_constructor_owns_the_kernel_rule():
         with_kernel(op, [])
 
 
-def test_operator_refuses_foreign_samples():
-    # a sample of another length used to fail only in solve, with numpy's
-    # broadcast error; a full s handed to a kernel operator zeroed no mode
-    with pytest.raises(ValueError, match=r"sample s must have shape \(17,\)"):
-        ReducedOperator(1.0, 1.0, 1.0, 8, 0.1, s=np.ones(3))
-    for name in ("q", "order3", "order3_inverse"):
-        with pytest.raises(ValueError, match=f"sample {name} must have shape"):
-            dataclasses.replace(default_op(0.1, n=8), **{name: np.ones(15)})
-    full = default_op(0.0, n=8)
-    with pytest.raises(ValueError, match="sample s must vanish on the kernel"):
-        ReducedOperator(1.0, 1.0, 1.0, 8, 0.0, kernel=(3,), s=full.s)
-    op = with_kernel(full, [3])
-    assert op.with_eps(0.1).s is op.s
-    assert np.array_equal(ReducedOperator(1.0, 1.0, 1.0, 8, 0.0, kernel=(3,),
-                                          s=op.s).s, op.s)
+def test_operator_samples_are_read_only():
+    op = default_op(1e-2, n=8)
+    opk = with_kernel(op, [3])
+    for copy in (op, op.with_eps(0.1), opk, opk.with_eps(0.2)):
+        for name in ("s", "q", "order3", "order3_inverse", "total"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(copy, name)[0] = 1.0
+    # a kernel operator's eps copies share its s, and every copy the weights
+    assert opk.with_eps(0.2).s is opk.s and opk.with_eps(0.2).order3 is op.order3
+    assert [f.name for f in dataclasses.fields(ReducedOperator)] == [
+        "theta", "zeta", "d", "n_modes", "eps", "kernel"]
 
 
-def test_operator_refuses_order3_weights_without_q():
-    # the order-3 weights are taken with q; handed without it they used to
-    # be replaced silently by the rebuilt ones
-    for name in ("order3", "order3_inverse"):
-        with pytest.raises(ValueError, match=f"sample {name} needs q"):
-            ReducedOperator(1.0, 1.0, 1.0, 8, 0.1, **{name: np.ones(17)})
-    full = default_op(0.1, n=8)
-    op = ReducedOperator(1.0, 1.0, 1.0, 8, 0.1, q=full.q, order3=full.order3,
-                         order3_inverse=full.order3_inverse)
-    assert op.order3 is full.order3 and op.order3_inverse is full.order3_inverse
-    # with_eps and with_kernel carry q, so neither trips the rule
-    assert with_kernel(full, [3]).with_eps(0.2).order3 is full.order3
+def test_operator_total_is_the_total_symbol():
+    for op in (default_op(1e-3, n=64), with_kernel(default_op(0.2, n=16), [2, 5]),
+               build_default_operator(0.7, 1.9, 0.05, 4096, 0.0)):
+        assert np.array_equal(op.total, op.total_symbol(op.wavenumbers))
+        for eps in (0.0, 1e-300, 1e-4, 0.3):
+            fresh = ReducedOperator(op.theta, op.zeta, op.d, op.n_modes, eps,
+                                    op.kernel)
+            assert np.array_equal(op.with_eps(eps).total, fresh.total)
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        default_op(1e-3).with_eps(-1e-3)
 
 
 def test_solve_kernel_mode_error():
