@@ -18,7 +18,7 @@ Subpackages:
 
 The names in ``__all__`` are loaded on first access (PEP 562), so importing
 the package, or one submodule such as ``shellsym.cli``, compiles no module
-that is not read.
+that is not read.  ``_read_only`` makes every read-only array of the package.
 """
 
 import importlib
@@ -26,6 +26,13 @@ import importlib
 
 class NumericalError(ValueError):
     """Base of the errors that the command line reports as a numerical failure."""
+
+
+def _read_only(*arrays) -> tuple:
+    """``arrays``, made read-only: a cached constant or a shared sample cannot be written."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 # each exported name and the submodule that defines it

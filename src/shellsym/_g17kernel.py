@@ -24,7 +24,7 @@ import itertools
 
 import numpy as np
 
-from .polymat import _read_only
+from . import _read_only
 
 # decimal exponents E the kernel decides: |x| * 10**(16 - E) and the
 # Veltkamp splits of |x| and of 10**(16 - E) stay below 1e305, and the low

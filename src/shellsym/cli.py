@@ -29,8 +29,9 @@ the last bit.
 A command imports only the modules it reads, so a one-shot run compiles no
 other: ``check-ellipticity`` and ``check-sl`` load ``geometry``,
 ``symbols`` and ``polymat``; ``layer-modes`` adds ``layers``.  A reduced
-command loads ``reduced``, and ``layers`` (with ``symbols`` and
-``geometry``) only for an unset ``theta`` or ``zeta``.  ``main`` maps every
+command loads ``reduced``, ``_g17kernel`` for a large table, and ``layers``
+(with ``symbols``, ``polymat`` and ``geometry``) only for an unset
+``theta`` or ``zeta``.  ``main`` maps every
 :class:`shellsym.NumericalError` to exit 3, whichever module raised it.
 
 Only ``check-ellipticity`` reads ``chart`` and ``chart_params``; the other
@@ -198,8 +199,7 @@ class ExperimentConfig:
 @functools.cache
 def _builtin_elasticity(name: str) -> geometry.ElasticityTensor:
     """The built-in tensor ``name``, validated once, with read-only matrices."""
-    from . import geometry
-    from .polymat import _read_only
+    from . import _read_only, geometry
     tensor = {"identity": geometry.ElasticityTensor.identity,
               "frobenius": geometry.ElasticityTensor.frobenius_identity,
               "isotropic": geometry.ElasticityTensor.isotropic}[name]()

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import NumericalError
+from . import NumericalError, _read_only
 
 
 class InvariantError(NumericalError):
@@ -176,9 +176,7 @@ class MetricField:
         bb = np.einsum("laxy,lbxy->abxy", bm, self.b_cov)
         a = self.a_cov
         area = np.sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-        for x in (bcov, bb, area):
-            x.flags.writeable = False
-        return ChartTerms(bcov, bb, area)
+        return ChartTerms(*_read_only(bcov, bb, area))
 
     def area_element(self) -> np.ndarray:
         return self.chart_terms.area
@@ -319,9 +317,7 @@ class DisplacementField:
 
     def __post_init__(self):
         for name in ("u1", "u2", "u3"):
-            view = np.asarray(getattr(self, name)).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name)).view())[0])
         object.__setattr__(self, "_strain_cache", (None, None))   # (chart, vectors)
         if self.h <= 0:
             raise InvariantError("grid spacing must be positive")

@@ -267,8 +267,9 @@ def layer_energy_coefficient(b, a_membrane: np.ndarray) -> float:
     _, _, r, _ = _jordan_chain(lam_m, w, a_membrane, 1.0, b)
     theta = _edge_amplitude(*b, 1.0) ** 2 \
         * float(np.vdot(r, np.asarray(a_membrane) @ r).real) / (2.0 * abs(lam_m.real))
-    if theta <= 0:
-        raise StructureError("layer energy coefficient must be positive")
+    if not 0 < theta < np.inf:      # a nan is not positive
+        raise StructureError("layer energy coefficient must be "
+                             + ("finite" if theta > 0 else "positive"))
     return theta
 
 
@@ -301,8 +302,9 @@ def bending_symbol_coefficient(b, b_bending: np.ndarray) -> float:
     rho_unit = np.array([-1.0, mu ** 2, -2j * mu], dtype=complex)
     zeta = float(np.vdot(rho_unit, np.asarray(b_bending) @ rho_unit).real) \
         / (2.0 * abs(mu.real))
-    if zeta <= 0:
-        raise StructureError("bending symbol coefficient must be positive")
+    if not 0 < zeta < np.inf:
+        raise StructureError("bending symbol coefficient must be "
+                             + ("finite" if zeta > 0 else "positive"))
     return zeta
 
 

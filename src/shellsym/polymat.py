@@ -16,12 +16,7 @@ import functools
 
 import numpy as np
 
-
-def _read_only(*arrays) -> tuple:
-    """``arrays``, made read-only: a cached constant cannot be written."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+from . import _read_only
 
 
 @functools.cache

@@ -19,9 +19,10 @@ The default model symbols are
 with ``theta, zeta`` the boundary energy coefficients and ``d`` the
 transmission decay rate; :func:`build_default_operator` takes all three,
 with ``N`` and ``eps``, as required arguments, and ``Q_FLOOR = 1e-2``.  A
-:class:`ReducedOperator` is these parameters and the read-only samples on
-``k = -N..N``, taken once, of the symbols and of ``total = s + eps^2 q``,
-which every solve divides by.  The crossover ``s(k) = eps^2 q(k)`` is found
+:class:`ReducedOperator` is these parameters and three read-only samples on
+``k = -N..N``, taken once: ``s``, ``q`` and ``total = s + eps^2 q``, which
+every solve divides by.  The order-3 weights ``(1 + k^2)^(+-3/2)`` are
+formed where they are read.  The crossover ``s(k) = eps^2 q(k)`` is found
 from the closed-form log gap, so it resolves at every ``eps > 0``.  The
 module exposes the phenomena that make the limit problem sensitive: the
 balance window ``|k| ~ log(1/eps)``, strong convergence in the ``A``-norm
@@ -40,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import NumericalError
+from . import NumericalError, _read_only
 
 # q(0) / zeta: keeps B strictly positive on constants
 Q_FLOOR = 1e-2
@@ -158,10 +159,10 @@ class ReducedOperator:
     (the non-inhibited model of :func:`with_kernel`).  The kernel rule lives
     here, so direct construction, :func:`with_kernel` and :meth:`with_eps`
     all meet it: integral modes within the cutoff ``N``, kept as their
-    sorted distinct ``|k|``.  Construction samples ``s``, ``q``, the weights
-    ``order3 = (1 + k^2)^(3/2)`` and ``order3_inverse`` and ``total = s +
-    eps^2 q`` once, read-only.  :meth:`with_eps` shares the first four and
-    forms ``total``; :func:`with_kernel` shares all but ``s`` and ``total``.
+    sorted distinct ``|k|``.  ``theta``, ``zeta`` and ``d`` must be positive
+    and finite.  Construction samples ``s``, ``q`` and ``total = s + eps^2 q``
+    once, read-only.  :meth:`with_eps` shares ``s`` and ``q`` and forms
+    ``total``; :func:`with_kernel` shares ``q`` and resamples the other two.
     """
 
     theta: float
@@ -172,14 +173,11 @@ class ReducedOperator:
     kernel: tuple = ()
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError("transmission decay rate d must be positive")
-        if self.theta <= 0 or self.zeta <= 0:
-            raise ValueError("theta and zeta must be positive")
-        k = self.wavenumbers
-        weight = 1.0 + k.astype(float) ** 2
-        vars(self).update(q=self.q_symbol(k), order3=weight ** 1.5,
-                          order3_inverse=weight ** -1.5)
+        if not 0 < self.d < math.inf:
+            raise ValueError("transmission decay rate d must be positive and finite")
+        if not (0 < self.theta < math.inf and 0 < self.zeta < math.inf):
+            raise ValueError("theta and zeta must be positive and finite")
+        vars(self)["q"] = self.q_symbol(self.wavenumbers)
         self._settle(self.eps, self.kernel)
 
     def _settle(self, eps: float, kernel) -> "ReducedOperator":
@@ -196,8 +194,7 @@ class ReducedOperator:
             vars(self)["kernel"] = kernel     # s_symbol reads it
             vars(self)["s"] = self.s_symbol(self.wavenumbers)
         vars(self).update(eps=eps, total=self.s + eps ** 2 * self.q)
-        for sample in (self.s, self.q, self.order3, self.order3_inverse, self.total):
-            sample.flags.writeable = False
+        _read_only(self.s, self.q, self.total)
         return self
 
     @property
@@ -284,7 +281,7 @@ def coercivity_constant(op: ReducedOperator) -> float:
     order-3 lower bound; it is the discrete coercivity constant of the
     quadratic form.
     """
-    return float((op.total / op.order3).min())
+    return float((op.total / (1.0 + op.wavenumbers.astype(float) ** 2) ** 1.5).min())
 
 
 def frequency_window(op: ReducedOperator) -> float:
@@ -355,10 +352,11 @@ def va_norm_convergence(op: ReducedOperator, eps_list: Sequence[float],
     """
     _same_modes(op, load)
     _positive(op.s, op.wavenumbers)
+    weight = (1.0 + op.wavenumbers.astype(float) ** 2) ** -1.5
     rows = []
     for eps in eps_list:
         b_part = eps ** 2 * op.q * load.coeffs / op.with_eps(eps).total   # eps^2 q v_eps
-        norm = float(np.sqrt(np.sum(op.order3_inverse * np.abs(b_part) ** 2)))
+        norm = float(np.sqrt(np.sum(weight * np.abs(b_part) ** 2)))
         rows.append(ConvergenceRow(float(eps), norm, norm))
     return rows
 

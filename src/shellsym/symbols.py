@@ -46,9 +46,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import NumericalError
+from . import NumericalError, _read_only
 from .geometry import ElasticityTensor, MetricData
-from .polymat import _dft, _read_only, poly_coefficients
+from .polymat import _dft, poly_coefficients
 
 DET_RTOL = 1e-8       # relative threshold for "determinant is nonzero"
 
@@ -140,7 +140,6 @@ class SLReport:
     xi1: float
     half_order: int
     decaying_roots: np.ndarray
-    sl_matrix: np.ndarray
     sl_determinant: complex
     margin: float
     satisfied: bool
@@ -158,10 +157,14 @@ def _degree_matrix(rows: tuple, t_indices: tuple) -> tuple:
 
 
 @functools.cache
-def _exponent_table(degrees: tuple, length: int) -> tuple:
-    """The powers ``max(d_kj - m, 0)`` of ``xi1`` in ``C_m``, ``(-1.0)`` to them, and their max."""
-    exponents = np.maximum(np.array(degrees) - np.arange(length)[:, None, None], 0)
-    return (*_read_only(exponents, (-1.0) ** exponents), int(exponents.max()))
+def _exponent_table(degrees: tuple, length: int) -> np.ndarray:
+    """The powers ``max(d_kj - m, 0)`` of ``xi1`` in ``C_m``, read-only."""
+    return _read_only(np.maximum(np.array(degrees) - np.arange(length)[:, None, None], 0))[0]
+
+
+def _scaled(coeffs, degrees: tuple, x1) -> np.ndarray:
+    """``C_m x1^(d_kj - m)``, stacked over the shape of ``x1``."""
+    return coeffs * np.asarray(x1)[..., None, None, None] ** _exponent_table(degrees, len(coeffs))
 
 
 def _coefficients_at(symbol, point: MetricData, xi1: float) -> np.ndarray:
@@ -169,26 +172,21 @@ def _coefficients_at(symbol, point: MetricData, xi1: float) -> np.ndarray:
     coeffs = symbol.coefficients(point)
     if xi1 == 1.0:     # the stack holds the coefficients of L'(x, (1, z))
         return coeffs
-    exponents, signs, _ = _exponent_table(symbol.degrees, len(coeffs))
-    return coeffs * (signs if xi1 == -1.0 else float(xi1) ** exponents)
+    return _scaled(coeffs, symbol.degrees, float(xi1))
 
 
 def _evaluate(coeffs, degrees, x1, x2) -> np.ndarray:
     """``sum_m C_m x1^(d_kj - m) x2^m``, stacked over the shape of ``(x1, x2)``.
 
-    The powers of ``x1`` come from a table of repeated products and the sum
-    by Horner's rule in ``x2``.  Every operation is elementwise on arrays,
-    so a stacked evaluation rounds exactly as the scalar one.
+    The coefficients in ``x2`` are those :func:`_coefficients_at` reads, and
+    the sum is Horner's rule in ``x2``.  Every operation is elementwise on
+    arrays, so a stacked evaluation rounds exactly as the scalar one.
     """
-    exponents, _, top = _exponent_table(tuple(map(tuple, degrees)), len(coeffs))
-    x1, x2 = np.asarray(x1)[..., None], np.asarray(x2)[..., None, None]
-    table = [np.ones_like(x1)]
-    for _ in range(top):
-        table.append(table[-1] * x1)
-    powers = np.concatenate(table, axis=-1)[..., exponents]
+    scaled = _scaled(coeffs, tuple(map(tuple, degrees)), x1)
+    x2 = np.asarray(x2)[..., None, None]
     out = 0.0
     for m in range(len(coeffs) - 1, -1, -1):
-        out = out * x2 + coeffs[m] * powers[..., m, :, :]
+        out = out * x2 + scaled[..., m, :, :]
     return out
 
 
@@ -564,9 +562,8 @@ def sl_verdict(decaying: DecayingBasis, bc: BoundaryConditionSet, xi1: float,
         powers = np.arange(deg)[:, None] - np.asarray(system.t_indices)
         witness = (decaying.basis @ vh[-1].conj()) * (abs(float(xi1)) ** powers).ravel()
     return SLReport(point_id or f"b={point.b_triple}", float(xi1), m,
-                    abs(xi1) * decaying.roots[:m], sl_matrix,
-                    complex(np.linalg.det(sl_matrix)), margin, bool(satisfied),
-                    witness)
+                    abs(xi1) * decaying.roots[:m], complex(np.linalg.det(sl_matrix)),
+                    margin, bool(satisfied), witness)
 
 
 def sl_check(system: DNSystem, bc: BoundaryConditionSet, point: MetricData,

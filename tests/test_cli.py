@@ -870,6 +870,29 @@ def test_check_sl_counts_the_finite_roots_at_a_large_curvature(tmp_path):
         assert (roots[:4].imag > 0).all() and (roots[4:].imag < 0).all()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, cfg_text, message", [
+    # theta and zeta overflow to nan; layer-modes computes theta first
+    ("layer-modes", "b_coeffs = 1e200,0,1e150\n", "layer energy coefficient must be positive"),
+    # theta overflows to inf
+    ("solve-reduced", "b_coeffs = 1e200,0.5,1e100\nN = 16\nzeta = 2\n",
+     "layer energy coefficient must be finite"),
+    # zeta overflows to nan
+    ("solve-reduced", "b_coeffs = 1e155,0,1e155\nN = 16\ntheta = 2\n",
+     "bending symbol coefficient must be positive"),
+])
+def test_non_finite_layer_coefficients_are_numerical_failures(tmp_path, capsys, command,
+                                                              cfg_text, message):
+    # the layer formulas overflow to nan or inf here: the command reports one
+    # numerical failure and writes no rows (the numpy warnings are ignored)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"numerical failure: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("b_coeffs", ["1e-160,0,1e-160", "1e-161,2e-162,3e-161"])
 def test_subnormal_membrane_determinant_is_a_numerical_failure(tmp_path, capsys,
                                                                b_coeffs):

@@ -63,7 +63,7 @@ def _package_modules(tmp_path, command, cfg_text) -> set:
     # a table of at least _KERNEL_MIN distinct doubles loads the kernel, and
     # the kernel does not compile the front end a second time
     ("sensitivity", "N = 512\nd = 0.05\n" + EXPLICIT,
-     {"shellsym", "shellsym.reduced", "shellsym.polymat", "shellsym._g17kernel"}),
+     {"shellsym", "shellsym.reduced", "shellsym._g17kernel"}),
 ])
 def test_command_loads_only_the_modules_it_reads(tmp_path, command, cfg_text, loaded):
     assert _package_modules(tmp_path, command, cfg_text) == loaded

@@ -407,6 +407,21 @@ def test_zeta_positive_and_round_value(rng):
         assert bending_symbol_coefficient(b, bb) > 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_coefficients_are_refused():
+    # at these curvatures the layer formulas overflow: theta and zeta read
+    # nan at the first two, and theta reads inf at the last.  A comparison
+    # with nan is false, so the guard must hold 0 < x < inf, not refuse x <= 0;
+    # a nan, like an underflow to 0, reads "must be positive"
+    for b in ((1e155, 0.0, 1e155), (1e200, 0.0, 1e150)):
+        with pytest.raises(StructureError, match="layer energy coefficient must be positive$"):
+            layer_energy_coefficient(b, A_ID)
+        with pytest.raises(StructureError, match="bending symbol coefficient must be positive$"):
+            bending_symbol_coefficient(b, A_ID)
+    with pytest.raises(StructureError, match="layer energy coefficient must be finite$"):
+        layer_energy_coefficient((1e200, 0.5, 1e100), A_ID)
+
+
 # ---------------------------------------------------------------------------
 # sublayer scaling
 # ---------------------------------------------------------------------------

@@ -83,8 +83,6 @@ def test_operator_copies_share_samples():
     assert opk.kernel == (3, 5)
     for copy in (op.with_eps(0.0), opk):
         assert copy.q is op.q
-        assert copy.order3 is op.order3
-        assert copy.order3_inverse is op.order3_inverse
     assert op.with_eps(0.0).s is op.s
     on_kernel = np.isin(np.abs(op.wavenumbers), [3, 5])
     assert np.array_equal(opk.s, np.where(on_kernel, 0.0, op.s))
@@ -168,13 +166,27 @@ def test_operator_samples_are_read_only():
     op = default_op(1e-2, n=8)
     opk = with_kernel(op, [3])
     for copy in (op, op.with_eps(0.1), opk, opk.with_eps(0.2)):
-        for name in ("s", "q", "order3", "order3_inverse", "total"):
+        for name in ("s", "q", "total"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(copy, name)[0] = 1.0
-    # a kernel operator's eps copies share its s, and every copy the weights
-    assert opk.with_eps(0.2).s is opk.s and opk.with_eps(0.2).order3 is op.order3
+    # a kernel operator's eps copies share its s, and every copy q
+    assert opk.with_eps(0.2).s is opk.s and opk.with_eps(0.2).q is op.q
     assert [f.name for f in dataclasses.fields(ReducedOperator)] == [
         "theta", "zeta", "d", "n_modes", "eps", "kernel"]
+    # the samples are s, q and total; the order-3 weights are formed where read
+    assert set(vars(op)) - {f.name for f in dataclasses.fields(op)} == {"s", "q", "total"}
+
+
+def test_operator_parameters_must_be_positive_and_finite():
+    # an infinite theta would make s = theta * ... * exp(-2 d |k|) nan wherever
+    # the exponential underflows, and a nan fails no "<= 0" test
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="theta and zeta must be positive and finite"):
+            ReducedOperator(bad, 1.0, 1.0, 8, 0.1)
+        with pytest.raises(ValueError, match="theta and zeta must be positive and finite"):
+            ReducedOperator(1.0, bad, 1.0, 8, 0.1)
+        with pytest.raises(ValueError, match="d must be positive and finite"):
+            ReducedOperator(1.0, 1.0, bad, 8, 0.1)
 
 
 def test_operator_total_is_the_total_symbol():
@@ -390,12 +402,13 @@ def test_va_distance_is_the_eps2_b_norm_bit_for_bit():
     rng = np.random.default_rng(5)
     op = default_op(1e-2, n=64, d=0.3)
     eps_list = [1e-1, 1e-3, 1e-6, 1e-9]
+    weight = (1.0 + op.wavenumbers.astype(float) ** 2) ** -1.5
     for f in (smooth_load(64), flat_load(64),
               SpectralField(rng.normal(size=129) + 1j * rng.normal(size=129))):
         rows = va_norm_convergence(op, eps_list, f)
         for eps, row in zip(eps_list, rows):
             a_diff = -f.coeffs * (eps ** 2 * op.q) / (op.s + eps ** 2 * op.q)
-            want = float(np.sqrt(np.sum(op.order3_inverse * np.abs(a_diff) ** 2)))
+            want = float(np.sqrt(np.sum(weight * np.abs(a_diff) ** 2)))
             assert row.va_distance == row.eps2_b_norm == want
 
 

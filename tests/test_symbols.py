@@ -344,6 +344,25 @@ def test_determinant_scan_is_within_a_few_rounding_errors(rng):
             assert gap <= 10 * np.finfo(float).eps * scale, (system.name, sign)
 
 
+def test_symbol_gen_is_horner_over_the_pencil_coefficients(rng):
+    # the evaluator and the pencil path read a stack at xi1 by one rule:
+    # L'(x, (x1, z)) is Horner's rule in z over the coefficients at x1, bit
+    # for bit, at both signs and at a random x1
+    pt = frozen_point(*random_elliptic_b(rng))
+    zs = rng.normal(size=3) + 1j * rng.normal(size=3)
+    for e in ELASTICITIES:
+        stacks = [builtin_system(name, pt, e, eps=0.07) for name in SYSTEM_NAMES]
+        stacks += [builtin_boundary_conditions(name, e) for name in BC_NAMES]
+        for sym in stacks:
+            for x1 in (1.0, -1.0, rng.uniform(-5.0, 5.0)):
+                coeffs = symbols._coefficients_at(sym, pt, x1)
+                for z in zs:
+                    want = 0.0
+                    for c in coeffs[::-1]:
+                        want = want * z + c
+                    assert np.array_equal(sym.symbol_gen(pt, (x1, z)), want), sym.name
+
+
 def test_ellipticity_check_evaluates_no_symbol(monkeypatch):
     # the report and the verdict come from the closed-form coefficients and
     # the T + 1 determinants of their interpolation, with no symbol evaluation
@@ -712,7 +731,7 @@ def test_cached_constants_are_read_only_and_few(rng):
     pt = frozen_point(1.3, 0.4, 0.8)
     constants = [*polymat._dft(5), symbols._vandermonde(5, 3), *symbols._CIRCLE,
                  *symbols._circle_powers(4, -1.0),
-                 *symbols._exponent_table(builtin_system("koiter", pt, IDENTITY).degrees, 3)[:2]]
+                 symbols._exponent_table(builtin_system("koiter", pt, IDENTITY).degrees, 3)]
     for name in ("identity", "frobenius", "isotropic"):
         tensor = cli._builtin_elasticity(name)
         constants += [tensor.membrane, tensor.bending]
