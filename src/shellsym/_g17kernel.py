@@ -1,16 +1,19 @@
 """Exact ``format(x, ".17g")`` text of many doubles at once, in bulk with numpy.
 
-``shellsym.cli`` formats each bit-distinct double of a command's float
-columns once.  A table of at least its ``_KERNEL_MIN`` (256) distinct
-doubles, such as a reduced command's at ``N >= 128``, goes through
-:func:`kernel`; smaller tables, among them every ``check-sl``,
-``layer-modes`` and ``check-ellipticity`` table, call ``format`` per value,
-which is faster there, and never import this module.  The kernel finds the
-17 digits from an error-free double-double product and hands to ``format``
-every value whose digits it cannot prove (zero, non-finite, outside
+``shellsym.cli`` formats each bit-distinct double of a table's float
+columns once.  A table of at least its ``_KERNEL_MIN`` (512) distinct
+doubles, such as a reduced command's at ``N >= 256``, goes through
+:func:`kernel` and is written as one byte grid; smaller tables, among them
+every ``check-ellipticity`` table and the ``check-sl`` and ``layer-modes``
+tables of at most 100 ``xi1`` values, call ``format`` per value, which is
+faster there, and never import this module.  The kernel finds the 17 digits
+from an error-free double-double product and hands to ``format`` every
+value whose digits it cannot prove (zero, non-finite, outside
 ``[1e-280, 1e281)``, or within ``2**-30`` of a rounding tie), so its text
-equals ``format``'s byte for byte.  Its tables are built on the first call
-and kept read-only.
+equals ``format``'s byte for byte.  It returns the text as fixed-width
+rows of bytes padded with NUL, with the length of each, and makes no
+Python object per value.  Its tables are built on the first call and kept
+read-only.
 
 This module imports nothing from ``shellsym.cli``: run as ``python -m
 shellsym.cli``, the front end is ``__main__``, and importing it by name would
@@ -56,7 +59,7 @@ def tables() -> tuple:
     bytes of each four-digit group and its count of trailing zeros; the
     exponent suffixes; and the character layout of each (sign, notation,
     significant-digit count) as byte offsets into the source row of
-    ``kernel``.
+    ``kernel``, with its count of characters.
     """
     hi, lo = [], []
     for q in range(_E_MIN, 17 - _E_MIN):
@@ -93,23 +96,25 @@ def tables() -> tuple:
     layouts[0, :, :-1] = unsigned
     layouts[1, :, 0] = 2        # "-"
     layouts[1, :, 1:] = unsigned
+    layouts = layouts.reshape(-1, _WIDTH)
     return _read_only(hi, lo, *_split(hi), ceiling, digits, trailing, suffix,
-                      layouts.reshape(-1, _WIDTH))
+                      layouts, np.count_nonzero(layouts, axis=1))
 
 
 def kernel(x: np.ndarray) -> tuple:
-    """The ``format(v, ".17g")`` text of ``x`` and the mask of the values handed back.
+    """The ``format(v, ".17g")`` text of ``x``, its lengths and the values handed back.
 
-    The text is an object array.  The 17 significant digits are
+    The text is an ``(x.size, 24)`` uint8 array of ASCII rows, each padded
+    with NUL after its last character.  The 17 significant digits are
     ``D = round(|x| * 10**(16 - E))`` with ``E = floor(log10|x|)``, exact
     against a table of powers, from an error-free double-double product
     (Dekker 1971), rounded to nearest.  A value whose digits this cannot
-    prove is handed back for ``format``, and its text here is meaningless:
-    zero, non-finite and ``E`` outside ``[_E_MIN, _E_MAX]``, and a fraction
-    within ``_TIE_WINDOW`` of 1/2.
+    prove is handed back for ``format``, and its text and length here are
+    meaningless: zero, non-finite and ``E`` outside ``[_E_MIN, _E_MAX]``,
+    and a fraction within ``_TIE_WINDOW`` of 1/2.
     """
-    pow_hi, pow_lo, pow_hi_hi, pow_hi_lo, ceiling, digits, trailing, suffix, layouts = \
-        tables()
+    pow_hi, pow_lo, pow_hi_hi, pow_hi_lo, ceiling, digits, trailing, suffix, layouts, \
+        lengths = tables()
     a = np.abs(x)
     with np.errstate(divide="ignore"):
         e10 = np.floor(np.log10(a))
@@ -160,14 +165,14 @@ def kernel(x: np.ndarray) -> tuple:
     src[:, 3] = suffix[exp - _E_MIN]
     notation = np.where((exp >= -4) & (exp <= 16), exp + 4, 21)
     kind = (np.signbit(x) * 22 + notation) * 17 + 16 - zeros
-    text = np.empty(x.size, dtype=object)
-    # in blocks of rows, so that the allocator reuses the temporaries: the
-    # index and character arrays of a whole N = 4096 table (8 195 rows, 288
-    # bytes a row) cost that job and the jobs after it 500 to 1 000 fresh
-    # page faults each
+    text = np.empty((x.size, _WIDTH), dtype=np.uint8)
+    # in blocks of rows, so that the allocator reuses the temporaries: with
+    # the index array of a whole N = 4096 table (8 195 rows, 192 bytes a
+    # row) a call took 815 fresh page faults, in blocks of 1 024 rows 496
     for start in range(0, x.size, _BLOCK):
         layout = layouts[kind[start:start + _BLOCK]]
         layout += np.arange(0, 32 * len(layout), 32)[:, None]
-        chars = src[start:start + _BLOCK].view(np.uint8).ravel().take(layout)
-        text[start:start + _BLOCK] = chars.astype(np.uint32).view(f"U{_WIDTH}").ravel()
-    return text, ~sure
+        src[start:start + _BLOCK].view(np.uint8).ravel().take(
+            layout, out=text[start:start + _BLOCK])
+    # a layout counts five suffix bytes, of which "e-05" fills four
+    return text, lengths[kind] - ((notation == 21) & (np.abs(exp) < 100)), ~sure

@@ -12,16 +12,21 @@ comma-separated.  Outputs are CSV files with a ``# schema=1`` header line,
 17-significant-digit floats, '.' decimal separator and LF line endings, so
 repeated runs of the same configuration are byte-identical.  This module is
 the only one that knows the output format.  Each command is a function of
-the configuration alone that returns its header and its columns as text,
-one list per column; ``main`` writes them to the ``--out`` path (default
-``out.csv``) through ``write_csv``, which renders every row.  Float columns
-are text from ``_g17``, which formats each bit-distinct double of the
-command's float columns once, with the same rounding as
+the configuration alone that returns its header and its typed columns: float
+arrays, int arrays and lists of text.  ``main`` writes them to the ``--out``
+path (default ``out.csv``) through ``write_csv``, the one renderer.  It
+formats all float columns of a table together through ``_g17``, which
+formats each bit-distinct double once, with the same rounding as
 ``format(x, ".17g")``; a spectrum writes the same values many times
-(``f(k) = f(-k)``, ``v(k) = v(-k)``, ``v_abs = |v_re|``).  A table of at
-least ``_KERNEL_MIN`` (256) distinct doubles goes through the bulk kernel of
-:mod:`shellsym._g17kernel`, imported on the first such table.  Int columns
-are text from ``str``.  In ``solve-reduced``, ``v_abs`` is
+(``f(k) = f(-k)``, ``v(k) = v(-k)``, ``v_abs = |v_re|``).  A table below
+``_KERNEL_MIN`` (512) distinct doubles, such as a ``check-ellipticity``
+table or a ``check-sl`` or ``layer-modes`` table of at most 100 ``xi1``
+values, is written as str cells,
+``format`` per double and ``str`` per int, and a ``",".join`` per row.  From
+``_KERNEL_MIN`` on, as a reduced command's table at ``N >= 256``, the bulk
+kernel of :mod:`shellsym._g17kernel`, imported on the first such table,
+writes the doubles as fixed-width bytes, and the whole body is one byte
+grid, written in binary.  In ``solve-reduced``, ``v_abs`` is
 ``np.hypot(re, im)``, which matches the ``abs`` of a numpy complex scalar
 bit for bit, where the array ``np.abs`` of a complex array may differ in
 the last bit.
@@ -244,41 +249,104 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _g17(*columns) -> list:
-    """The ``format(x, ".17g")`` text of equal-length float columns, one list each.
+def _g17(*columns):
+    """The ``format(x, ".17g")`` text of equal-length float columns, one entry each.
 
     Each bit-distinct double is formatted once, so ``-0.0`` keeps its
-    ``-0`` and every NaN and infinity its own text.  From ``_KERNEL_MIN``
-    distinct doubles on, the bulk kernel writes the text of every value
-    whose digits it proves; ``format`` writes the rest.
+    ``-0`` and every NaN and infinity its own text.  Below ``_KERNEL_MIN``
+    distinct doubles an entry is a list of str, from ``format`` per value.
+    From it on, it is a ``(rows, width)`` uint8 array of ASCII cells padded
+    with NUL, as wide as the column's longest text: the bulk kernel writes
+    every value whose digits it proves, ``format`` the rest.
     """
     bits = np.array(columns, dtype=np.float64).view(np.uint64)
     distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    inverse = inverse.reshape(bits.shape)
     values = distinct.view(np.float64)
-    if values.size >= _KERNEL_MIN:
-        from ._g17kernel import kernel
-        text, handed = kernel(values)
-    else:
-        text, handed = np.empty(values.size, dtype=object), slice(None)
+    if values.size < _KERNEL_MIN:
+        text = np.array(_format(values), dtype=object)
+        return text[inverse].tolist()
+    from ._g17kernel import kernel
+    text, length, handed = kernel(values)
+    formatted = _format(values[handed])
+    width = text.shape[1]
+    text[handed] = np.array(formatted, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    length[handed] = list(map(len, formatted))
+    return [text[row, :length[row].max()] for row in inverse]
+
+
+def _format(values: np.ndarray) -> list:
     # map() with float.__format__ skips the per-value builtin lookup of a
     # comprehension; the formatting itself is most of the cost
-    text[handed] = list(map(float.__format__, values[handed].tolist(),
-                            itertools.repeat(".17g")))
-    return text[inverse.reshape(bits.shape)].tolist()
+    return list(map(float.__format__, values.tolist(), itertools.repeat(".17g")))
 
 
-# From this many distinct doubles on, the kernel is faster than format()
-# per value: on sensitivity tables (2-vCPU Xeon VM) both take 0.13 ms at 258
-# values, format() is 1.3x faster at 162 and the kernel 1.5x faster at 514
-_KERNEL_MIN = 256
+# From this many distinct doubles on, the byte grid writes a table faster
+# than str cells and row joins (2-vCPU Xeon VM, write_csv with the file
+# write): on sensitivity tables the two are even near 500, str cells 1.3x
+# faster at 258 and the grid 1.3x faster at 802; on solve-reduced tables
+# they are even near 370
+_KERNEL_MIN = 512
 
 
 def write_csv(path: str, header: str, columns: list):
-    """Write ``header`` and one row per index of the equal-length text ``columns``."""
-    rows = map(",".join, zip(*columns, strict=True))
-    body = "\n".join([SCHEMA_LINE, header, *rows]) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(body)
+    """Write ``header`` and one row per index of the equal-length typed ``columns``.
+
+    A column is a float array, an int array, or a list of text holding no
+    ``,``, line break or NUL.  ``_g17`` formats the float columns together
+    and ``str`` writes the ints.  Below ``_KERNEL_MIN`` distinct doubles
+    each cell is a str and each row a ``",".join``.  From it on, the body is
+    one uint8 grid: the cells of a row side by side, each padded with NUL
+    and followed by its ``,`` or line feed, and one masked copy drops the
+    padding.
+    """
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError("columns differ in length")
+    kinds = [col.dtype.kind if isinstance(col, np.ndarray) else "U" for col in columns]
+    floats = _g17(*(col for col, kind in zip(columns, kinds) if kind == "f"))
+    if not (floats and isinstance(floats[0], np.ndarray)):     # below _KERNEL_MIN
+        float_text = iter(floats)
+        cells = [next(float_text) if kind == "f" else
+                 list(map(str, col.tolist())) if kind in "iu" else col
+                 for col, kind in zip(columns, kinds)]
+        rows = map(",".join, zip(*cells))
+        data = ("\n".join([SCHEMA_LINE, header, *rows]) + "\n").encode()
+    else:
+        float_cells = iter(floats)
+        cells = [next(float_cells) if kind == "f" else
+                 _int_cells(col) if kind in "iu" else
+                 np.array([text.encode() for text in col], dtype="S").view(
+                     np.uint8).reshape(len(col), -1)
+                 for col, kind in zip(columns, kinds)]
+        ends = np.cumsum([cell.shape[1] + 1 for cell in cells])
+        grid = np.empty((len(columns[0]), ends[-1]), dtype=np.uint8)
+        for cell, end in zip(cells, ends):
+            grid[:, end - 1 - cell.shape[1]:end - 1] = cell
+        grid[:, ends - 1] = ord(",")
+        grid[:, -1] = ord("\n")
+        data = f"{SCHEMA_LINE}\n{header}\n".encode() + grid[grid != 0].tobytes()
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _int_cells(col: np.ndarray) -> np.ndarray:
+    """The ``str`` text of ints as rows of ASCII cells padded with NUL.
+
+    The sign takes the first byte and the digits are right-aligned, so the
+    padding between them is dropped with the rest.
+    """
+    negative = col < 0
+    rest = np.abs(col).astype(np.uint64)     # abs(-2**63) wraps, and casts to 2**63
+    width = len(str(rest.max()))
+    cells = np.empty((col.size, width + 1), dtype=np.uint8)
+    cells[:, 0] = negative * ord("-")
+    for j in range(width, 0, -1):
+        # // by a scalar is numpy's fast integer path; divmod and % are not
+        shown = (rest > 0) | (j == width)
+        quotient = rest // 10
+        cells[:, j] = (rest - 10 * quotient + ord("0")) * shown
+        rest = quotient
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +382,7 @@ def cmd_check_ellipticity(cfg: ExperimentConfig) -> tuple:
                 records.append((point_id, name, "-", 0.0, "false"))
     point_ids, names, orders, dets, verdicts = zip(*records)
     return ("point_id,system,total_order,min_abs_det,elliptic",
-            [point_ids, names, list(map(str, orders)), *_g17(dets), verdicts])
+            [point_ids, names, list(map(str, orders)), np.array(dets), verdicts])
 
 
 _SL_CASES = (
@@ -346,11 +414,10 @@ def cmd_check_sl(cfg: ExperimentConfig) -> tuple:
     # the row takes xi1 itself from the config
     reps = [report(*case, math.copysign(1.0, xi1))
             for case in _SL_CASES for xi1 in cfg.xi1_list]
-    xi1_text, det_text = _g17(cfg.xi1_list * len(_SL_CASES),
-                              [abs(rep.sl_determinant) for rep in reps])
     return ("point_id,xi1,m,abs_det,satisfied",
-            [[rep.point_id for rep in reps], xi1_text,
-             [str(rep.half_order) for rep in reps], det_text,
+            [[rep.point_id for rep in reps], np.array(cfg.xi1_list * len(_SL_CASES)),
+             np.array([rep.half_order for rep in reps]),
+             np.array([abs(rep.sl_determinant) for rep in reps]),
              [str(rep.satisfied).lower() for rep in reps]])
 
 
@@ -378,7 +445,7 @@ def cmd_layer_modes(cfg: ExperimentConfig) -> tuple:
         values.append((xi1, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag,
                        theta, zeta))
     return ("xi1,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,theta,zeta",
-            _g17(*zip(*values)))
+            list(np.array(values).T))
 
 
 def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
@@ -404,8 +471,7 @@ def cmd_solve_reduced(cfg: ExperimentConfig) -> tuple:
     v = reduced.solve(op, load)
     re, im = v.coeffs.real, v.coeffs.imag
     return ("k,f_re,v_re,v_im,v_abs",
-            [list(map(str, v.wavenumbers.tolist())),
-             *_g17(load.coeffs.real, re, im, np.hypot(re, im))])
+            [v.wavenumbers, load.coeffs.real, re, im, np.hypot(re, im)])
 
 
 def cmd_sweep_epsilon(cfg: ExperimentConfig) -> tuple:
@@ -426,9 +492,9 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig) -> tuple:
         values.append((op.eps, k_star, np.abs(v.coeffs).max(), va.va_distance,
                        reduced.coercivity_constant(op),
                        reduced.sensitivity_probe(op, cfg.k_probe)))
-    eps_text, k_star_text, *rest = _g17(*zip(*values))
+    eps, k_star, *rest = np.array(values).T
     return ("eps,k_star,argmax_k,max_abs_v,va_distance,coercivity,amplification",
-            [eps_text, k_star_text, list(map(str, argmax)), *rest])
+            [eps, k_star, np.array(argmax), *rest])
 
 
 def cmd_sensitivity(cfg: ExperimentConfig) -> tuple:
@@ -437,8 +503,7 @@ def cmd_sensitivity(cfg: ExperimentConfig) -> tuple:
     k = np.arange(cfg.n_modes + 1)
     amp0 = reduced.sensitivity_probe(op.with_eps(0.0), k)
     amp = reduced.sensitivity_probe(op, k)
-    return ("k,amplification_eps0,amplification_eps",
-            [list(map(str, k.tolist())), *_g17(amp0, amp)])
+    return ("k,amplification_eps0,amplification_eps", [k, amp0, amp])
 
 
 def cmd_rescale_demo(cfg: ExperimentConfig) -> tuple:
@@ -448,8 +513,8 @@ def cmd_rescale_demo(cfg: ExperimentConfig) -> tuple:
     load = _load(cfg)
     _, rows_data = reduced.noninhibited_rescale(op, load, cfg.epsilon_list)
     return ("eps,kernel_error,off_kernel_max",
-            _g17([r.eps for r in rows_data], [r.kernel_error for r in rows_data],
-                 [r.off_kernel_max for r in rows_data]))
+            list(np.array([(r.eps, r.kernel_error, r.off_kernel_max)
+                           for r in rows_data]).T))
 
 
 _DISPATCH = {

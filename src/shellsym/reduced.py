@@ -21,8 +21,11 @@ transmission decay rate; :func:`build_default_operator` takes all three,
 with ``N`` and ``eps``, as required arguments, and ``Q_FLOOR = 1e-2``.  A
 :class:`ReducedOperator` is these parameters and three read-only samples on
 ``k = -N..N``, taken once: ``s``, ``q`` and ``total = s + eps^2 q``, which
-every solve divides by.  The order-3 weights ``(1 + k^2)^(+-3/2)`` are
-formed where they are read.  The crossover ``s(k) = eps^2 q(k)`` is found
+every solve divides by; a sample of ``s`` that is not a finite double (a
+``theta`` so large that ``theta (1 + k^2)^(1/2)`` overflows) raises
+:class:`SymbolRangeError`.  The order-3 weights ``(1 + k^2)^(+-3/2)`` are
+formed where they are read, ``(1 + k^2)^(3/2)`` once per ``N`` for a sweep
+over ``eps``.  The crossover ``s(k) = eps^2 q(k)`` is found
 from the closed-form log gap, so it resolves at every ``eps > 0``.  The
 module exposes the phenomena that make the limit problem sensitive: the
 balance window ``|k| ~ log(1/eps)``, strong convergence in the ``A``-norm
@@ -35,6 +38,7 @@ polynomially weighted norm, and the rescaled limit in the non-inhibited
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -65,6 +69,10 @@ class KernelModeError(NumericalError):
 
 class WindowResolutionError(NumericalError):
     """No symbol crossover below the mode cutoff."""
+
+
+class SymbolRangeError(NumericalError):
+    """A sample of the smoothing symbol is not a finite double."""
 
 
 class AliasingError(ValueError):
@@ -161,8 +169,9 @@ class ReducedOperator:
     all meet it: integral modes within the cutoff ``N``, kept as their
     sorted distinct ``|k|``.  ``theta``, ``zeta`` and ``d`` must be positive
     and finite.  Construction samples ``s``, ``q`` and ``total = s + eps^2 q``
-    once, read-only.  :meth:`with_eps` shares ``s`` and ``q`` and forms
-    ``total``; :func:`with_kernel` shares ``q`` and resamples the other two.
+    once, read-only, and refuses an ``s`` that is not finite.
+    :meth:`with_eps` shares ``s`` and ``q`` and forms ``total``;
+    :func:`with_kernel` shares ``q`` and resamples the other two.
     """
 
     theta: float
@@ -192,10 +201,25 @@ class ReducedOperator:
                              f"N = {self.n_modes}")
         if kernel != self.kernel or "s" not in vars(self):
             vars(self)["kernel"] = kernel     # s_symbol reads it
-            vars(self)["s"] = self.s_symbol(self.wavenumbers)
+            vars(self)["s"] = self._sample_s()
         vars(self).update(eps=eps, total=self.s + eps ** 2 * self.q)
         _read_only(self.s, self.q, self.total)
         return self
+
+    def _sample_s(self) -> np.ndarray:
+        """``s`` on the modes; :class:`SymbolRangeError` if a sample is not finite."""
+        # theta (1 + k^2)^(1/2), the same double as in s_symbol, is largest at
+        # |k| = N; where it overflows, s is inf, or nan where exp underflows
+        if math.isfinite(self.theta * math.sqrt(1.0 + self.n_modes ** 2)):
+            return self.s_symbol(self.wavenumbers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = self.s_symbol(self.wavenumbers)
+        k = np.abs(self.wavenumbers[~np.isfinite(s)])
+        if k.size:
+            raise SymbolRangeError(
+                f"smoothing symbol is not finite on {k.size} modes with |k| in "
+                f"[{k.min()}, {k.max()}]: theta = {self.theta!r} is too large")
+        return s
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -281,7 +305,14 @@ def coercivity_constant(op: ReducedOperator) -> float:
     order-3 lower bound; it is the discrete coercivity constant of the
     quadratic form.
     """
-    return float((op.total / (1.0 + op.wavenumbers.astype(float) ** 2) ** 1.5).min())
+    return float((op.total / _order3(op.n_modes)).min())
+
+
+@functools.lru_cache(maxsize=1)
+def _order3(n_modes: int) -> np.ndarray:
+    """``(1 + k^2)^(3/2)`` on ``k = -N..N``, read-only: a sweep reads it once per eps."""
+    weight = (1.0 + np.arange(-n_modes, n_modes + 1).astype(float) ** 2) ** 1.5
+    return _read_only(weight)[0]
 
 
 def frequency_window(op: ReducedOperator) -> float:

@@ -70,7 +70,7 @@ PUBLIC_CALLABLES = {
                "sublayer_scaling_check"},
     "reduced": {"AliasingError", "ConvergenceRow", "GrowthTable", "KernelModeError",
                 "ReducedOperator", "RescaleRow", "SpectralField", "SpectralField.delta",
-                "SpectralField.from_symbol", "SpectralField.zeros",
+                "SpectralField.from_symbol", "SpectralField.zeros", "SymbolRangeError",
                 "WindowResolutionError", "apply_variable_symbol", "build_default_operator",
                 "coercivity_constant", "flat_load", "frequency_window",
                 "no_distribution_limit_probe", "noninhibited_rescale", "sensitivity_probe",

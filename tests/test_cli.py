@@ -131,8 +131,18 @@ def test_failed_command_writes_no_file(tmp_path):
     assert not out.exists()
 
 
-def test_commands_return_text_columns(tmp_path, cfg_path):
-    # each command only computes; main writes its columns, one row per index
+def _cell_text(column) -> list:
+    """The text of a typed column as the renderer must write it."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return [format(x, ".17g") for x in column.tolist()]
+    if isinstance(column, np.ndarray):
+        return list(map(str, column.tolist()))
+    return list(column)
+
+
+def test_commands_return_typed_columns(tmp_path, cfg_path):
+    # each command only computes; main writes its columns, one row per index:
+    # float and int arrays, and lists of text
     from shellsym.cli import _DISPATCH
     for command, run in _DISPATCH.items():
         cfg = parse_config(BASE_CFG)
@@ -141,10 +151,14 @@ def test_commands_return_text_columns(tmp_path, cfg_path):
         header, columns = run(cfg)
         assert len(columns) == header.count(",") + 1, command
         assert len({len(col) for col in columns}) == 1, command
-        assert all(type(x) is str for col in columns for x in col), command
+        for col in columns:
+            if isinstance(col, np.ndarray):
+                assert col.ndim == 1 and col.dtype.kind in "fi", command
+            else:
+                assert all(type(x) is str for x in col), command
         out = tmp_path / f"{command}.csv"
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
-        rows = ["# schema=1", header, *map(",".join, zip(*columns))]
+        rows = ["# schema=1", header, *map(",".join, zip(*map(_cell_text, columns)))]
         assert read(out).decode() == "\n".join(rows) + "\n", command
 
 
@@ -781,19 +795,123 @@ def test_g17_kernel_matches_per_value_formatting():
     # tables from _KERNEL_MIN distinct doubles on take the kernel: random bit
     # patterns, powers of ten and their neighbours, every power of two,
     # integers to 2**53, half- and quarter-integers and the special doubles
+    # give per column one (rows, width) array of ASCII cells padded with NUL,
+    # as wide as the column's longest text
     columns = _kernel_columns()
     assert min(col.size for col in columns) >= 2000
     for col in columns:
         assert np.unique(col.view(np.uint64)).size >= cli._KERNEL_MIN
-        assert _g17(col) == [["%.17g" % x for x in col.tolist()]]
+        [cells] = _g17(col)
+        assert cells.dtype == np.uint8 and cells.ndim == 2 and len(cells) == col.size
+        text = [cell.tobytes().rstrip(b"\0") for cell in cells]
+        assert not any(b"\0" in t for t in text)
+        assert cells.shape[1] == max(map(len, text))
+        assert [t.decode() for t in text] == ["%.17g" % x for x in col.tolist()]
     # the kernel proves the digits of almost every double in its range
     # itself, so this cannot pass by handing everything to format(); true
     # ties go to format() by design
     values = np.concatenate(columns[:-1])
     inside = values[(np.abs(values) >= 1e-250) & (np.abs(values) <= 1e250)]
-    _, handed = _g17kernel.kernel(inside)
+    text, length, handed = _g17kernel.kernel(inside)
+    sure = [(cell.tobytes().rstrip(b"\0"), n) for cell, n, h
+            in zip(text, length.tolist(), handed.tolist()) if not h]
+    assert all(len(t) == n and b"\0" not in t for t, n in sure)
     assert inside.size > 4000
     assert np.count_nonzero(handed) <= 0.01 * inside.size
+
+
+# a rigidity-roots table of 128 rows and an SL table of 6 x 510 rows: each
+# holds just over _KERNEL_MIN distinct doubles (514 and 519)
+WIDE_XI1 = ",".join(f"{(-1) ** j * (0.05 + 0.173 * j):.6g}" for j in range(510))
+WIDE_CFG = "b_coeffs = 1.3,0.4,0.8\nelasticity = isotropic\nepsilon_list = 1e-2\n"
+
+
+@pytest.mark.parametrize("command, n_xi1, digest", [
+    ("layer-modes", 128, "1b9cbee612fa20312a8319e040948cc3e703ca2f87411794e40b57b3feca065f"),
+    ("check-sl", 510, "5833b6fca471147a08f01c8ea24547947aa078e4eccd4ecc19d586334412c79d"),
+])
+def test_wide_xi1_tables_take_the_byte_grid(tmp_path, monkeypatch, command, n_xi1, digest):
+    # these tables cross _KERNEL_MIN, so the byte grid also writes their
+    # text and int columns; sha256 of the bytes that str cells and row joins
+    # wrote for them
+    calls = []
+    kernel = _g17kernel.kernel
+    monkeypatch.setattr(_g17kernel, "kernel", lambda x: calls.append(x.size) or kernel(x))
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(WIDE_CFG + "xi1_list = " + ",".join(WIDE_XI1.split(",")[:n_xi1]) + "\n")
+    out = tmp_path / "wide.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(calls) == 1 and calls[0] >= cli._KERNEL_MIN
+    assert hashlib.sha256(read(out)).hexdigest() == digest
+
+
+_TEXT_POOL = st.lists(st.text(st.sampled_from("abz09_-+.()=:/ éθ"), max_size=12),
+                      min_size=1, max_size=6)
+# near-ties of the 17th digit, powers of ten and their neighbours
+_NEAR_TIES = (0.1 + 0.2, 1e23, 9.999999999999999e22, 5e-324, 1e-5, 9.5367431640625e-07,
+              2.0 ** 52 + 0.5, 2.0 ** 50 + 0.25, 123456789012345.67, 0.30000000000000004)
+
+
+@st.composite
+def _typed_tables(draw):
+    """Whether the table reaches _KERNEL_MIN distinct doubles, its header and
+    its typed columns of 0-700 rows."""
+    bulk = draw(st.booleans())
+    n = draw(st.integers(cli._KERNEL_MIN if bulk else 0, 700))
+    kinds = draw(st.lists(st.sampled_from("fit"), min_size=1, max_size=6))
+    if bulk and "f" not in kinds:
+        kinds.append("f")
+    pool = np.array(draw(st.lists(st.one_of(st.floats(), st.sampled_from(
+        _SPECIAL_DOUBLES + _NEAR_TIES)), min_size=1, max_size=8)))
+    texts = draw(_TEXT_POOL)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # fresh doubles: random bit patterns, exact ties of the 17th digit
+    # above 1e15, and decimal fractions at every scale
+    fresh = np.concatenate([
+        rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64),
+        rng.integers(2**49, 2**51, size=n) + rng.choice([0.25, 0.75], size=n),
+        rng.integers(-10**9, 10**9, size=n) / 10.0 ** rng.integers(0, 17, size=n)
+        * 10.0 ** rng.integers(-290, 290, size=n)])
+    fresh = np.unique(fresh.view(np.uint64)).view(np.float64)
+    fresh = fresh[rng.permutation(fresh.size)]
+    # below the threshold the fresh doubles and the pool stay under it
+    fresh = fresh[:n if bulk else rng.integers(0, cli._KERNEL_MIN - pool.size)]
+    first, columns = True, []
+    for kind in kinds:
+        if kind == "f" and bulk and first:
+            # n distinct fresh doubles, so that the table crosses the threshold
+            columns.append(fresh.copy())
+            first = False
+        elif kind == "f":
+            # half the columns from the pool alone, where a special double
+            # handed to format() may be the longest text
+            choices = pool if rng.integers(2) else np.concatenate([pool, fresh])
+            columns.append(choices[rng.integers(0, choices.size, size=n)])
+        elif kind == "i":
+            edges = np.array([0, -1, 1, 9, 10, -10, 2**63 - 1, -2**63, 10**18, -10**18])
+            ints = rng.integers(-2**63, 2**63 - 1, size=n, endpoint=True)
+            small = rng.integers(-5000, 5000, size=n)
+            pick = rng.integers(0, 3, size=n)
+            columns.append(np.where(pick == 0, edges[rng.integers(0, edges.size, size=n)],
+                                    np.where(pick == 1, small, ints)))
+        else:
+            columns.append([texts[i] for i in rng.integers(0, len(texts), size=n)])
+    return bulk, ",".join(f"c{j}" for j in range(len(columns))), columns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(table=_typed_tables())
+def test_write_csv_matches_per_cell_formatting(tmp_path_factory, table):
+    # the renderer writes every typed table as the rows of format(x, ".17g"),
+    # str and the text, below and from _KERNEL_MIN distinct doubles on
+    bulk, header, columns = table
+    floats = [col for col in columns if isinstance(col, np.ndarray) and col.dtype.kind == "f"]
+    distinct = np.unique(np.array(floats).view(np.uint64)).size
+    assert (distinct >= cli._KERNEL_MIN) == bulk
+    out = tmp_path_factory.mktemp("render") / "table.csv"
+    cli.write_csv(str(out), header, columns)
+    rows = ["# schema=1", header, *map(",".join, zip(*map(_cell_text, columns)))]
+    assert read(out) == ("\n".join(rows) + "\n").encode()
 
 
 def test_g17_tables_are_built_on_first_large_table():
@@ -825,7 +943,7 @@ def test_g17_tables_are_built_on_first_large_table():
 
 def test_main_maps_every_numerical_error_to_exit_3(tmp_path, monkeypatch, capsys,
                                                    cfg_path):
-    # the NumericalError subclasses the layer modules define are exactly these six
+    # the NumericalError subclasses the layer modules define are exactly these seven
     defined = {obj for module in (symbols, layers, geometry, reduced)
                for obj in vars(module).values()
                if isinstance(obj, type) and issubclass(obj, NumericalError)
@@ -833,7 +951,8 @@ def test_main_maps_every_numerical_error_to_exit_3(tmp_path, monkeypatch, capsys
     assert defined == {
         symbols.EllipticityError, layers.StructureError,
         geometry.SurfaceEllipticityError, geometry.InvariantError,
-        reduced.KernelModeError, reduced.WindowResolutionError}
+        reduced.KernelModeError, reduced.WindowResolutionError,
+        reduced.SymbolRangeError}
     out = tmp_path / "x.csv"
     for cls in defined:
         exc = cls([3, -3]) if cls is reduced.KernelModeError else cls("no answer")
@@ -890,6 +1009,24 @@ def test_non_finite_layer_coefficients_are_numerical_failures(tmp_path, capsys, 
     out = tmp_path / "x.csv"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err.splitlines() == [f"numerical failure: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve-reduced", "sweep-epsilon", "sensitivity",
+                                     "rescale-demo"])
+def test_huge_theta_is_a_numerical_failure(tmp_path, capsys, command):
+    # theta (1 + k^2)^(1/2) overflows for |k| >= 2, and exp(-2 d |k|)
+    # underflows to 0 from |k| = 373 on: s is inf there, or nan
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("theta = 1e308\nzeta = 1\nN = 1024\nd = 1\nepsilon_list = 0.01\n")
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert not caught
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: smoothing symbol is not finite on 2046 modes with |k| in "
+        "[2, 1024]: theta = 1e+308 is too large"]
     assert not out.exists()
 
 
