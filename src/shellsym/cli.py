@@ -33,10 +33,11 @@ the last bit.
 
 A command imports only the modules it reads, so a one-shot run compiles no
 other: ``check-ellipticity`` and ``check-sl`` load ``geometry``,
-``symbols`` and ``polymat``; ``layer-modes`` adds ``layers``.  A reduced
-command loads ``reduced``, ``_g17kernel`` for a large table, and ``layers``
-(with ``symbols``, ``polymat`` and ``geometry``) only for an unset
-``theta`` or ``zeta``.  ``main`` maps every
+``symbols`` and ``polymat``; ``layer-modes`` loads ``geometry`` and
+``layers`` alone.  A reduced command loads ``reduced``, ``_g17kernel`` for a
+large table, and ``layers`` (with ``geometry``) only for an unset ``theta``
+or ``zeta``.  ``check-sl`` takes the verdicts of all of a system's boundary
+sets in one stacked call per sign of ``xi1``.  ``main`` maps every
 :class:`shellsym.NumericalError` to exit 3, whichever module raised it.
 
 Only ``check-ellipticity`` reads ``chart`` and ``chart_params``; the other
@@ -298,7 +299,7 @@ def write_csv(path: str, header: str, columns: list):
     each cell is a str and each row a ``",".join``.  From it on, the body is
     one uint8 grid: the cells of a row side by side, each padded with NUL
     and followed by its ``,`` or line feed, and one masked copy drops the
-    padding.
+    padding.  That copy goes to the file after the header, with no join.
     """
     if len({len(col) for col in columns}) > 1:
         raise ValueError("columns differ in length")
@@ -310,7 +311,7 @@ def write_csv(path: str, header: str, columns: list):
                  list(map(str, col.tolist())) if kind in "iu" else col
                  for col, kind in zip(columns, kinds)]
         rows = map(",".join, zip(*cells))
-        data = ("\n".join([SCHEMA_LINE, header, *rows]) + "\n").encode()
+        chunks = [("\n".join([SCHEMA_LINE, header, *rows]) + "\n").encode()]
     else:
         float_cells = iter(floats)
         cells = [next(float_cells) if kind == "f" else
@@ -324,9 +325,10 @@ def write_csv(path: str, header: str, columns: list):
             grid[:, end - 1 - cell.shape[1]:end - 1] = cell
         grid[:, ends - 1] = ord(",")
         grid[:, -1] = ord("\n")
-        data = f"{SCHEMA_LINE}\n{header}\n".encode() + grid[grid != 0].tobytes()
+        # the compacted grid is written through the buffer protocol, uncopied
+        chunks = [f"{SCHEMA_LINE}\n{header}\n".encode(), grid[grid != 0]]
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.writelines(chunks)
 
 
 def _int_cells(col: np.ndarray) -> np.ndarray:
@@ -399,21 +401,22 @@ def cmd_check_sl(cfg: ExperimentConfig) -> tuple:
     from . import geometry, symbols
     elastic = cfg.elasticity_tensor()
     point = geometry.frozen_point(*cfg.b_coeffs)
-
-    @functools.cache
-    def decaying(sys_name, s):
+    sets = {}
+    for sys_name, bc_name in _SL_CASES:
+        sets.setdefault(sys_name, []).append(bc_name)
+    signs = [math.copysign(1.0, xi1) for xi1 in cfg.xi1_list]
+    # one basis per system and sign of xi1, and one stacked verdict for all
+    # of the system's boundary sets
+    verdicts = {}
+    for sys_name, bc_names in sets.items():
         system = symbols.builtin_system(sys_name, point, elastic, cfg.epsilon_list[0])
-        return symbols.decaying_solution_basis(system, point, s)
-
-    @functools.cache
-    def report(sys_name, bc_name, s):
-        bc = symbols.builtin_boundary_conditions(bc_name, elastic)
-        return symbols.sl_verdict(decaying(sys_name, s), bc, s, f"{sys_name}+{bc_name}")
-
-    # one basis per system and sign of xi1, one verdict per case and sign;
+        bcs = [symbols.builtin_boundary_conditions(name, elastic) for name in bc_names]
+        for s in dict.fromkeys(signs):
+            verdicts[sys_name, s] = dict(zip(bc_names, symbols._sl_verdicts(
+                symbols.decaying_solution_basis(system, point, s), bcs, s,
+                [f"{sys_name}+{name}" for name in bc_names])))
     # the row takes xi1 itself from the config
-    reps = [report(*case, math.copysign(1.0, xi1))
-            for case in _SL_CASES for xi1 in cfg.xi1_list]
+    reps = [verdicts[sys_name, s][bc_name] for sys_name, bc_name in _SL_CASES for s in signs]
     return ("point_id,xi1,m,abs_det,satisfied",
             [[rep.point_id for rep in reps], np.array(cfg.xi1_list * len(_SL_CASES)),
              np.array([rep.half_order for rep in reps]),

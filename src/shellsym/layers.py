@@ -49,7 +49,6 @@ import numpy as np
 
 from . import NumericalError
 from .geometry import frozen_point, surface_elliptic_triple
-from .symbols import _coefficients_at, _gram, builtin_system
 
 
 class DegenerateModeError(ValueError):
@@ -107,6 +106,9 @@ def fourth_order_symbol(b, a_membrane: np.ndarray, xi1: float) -> np.ndarray:
     stack in ``xi2``; ``xi2 = -i*lam`` multiplies its ``m``-th coefficient by
     ``(-i)^m``.
     """
+    # the one reader of symbols in this module: a command that needs only
+    # theta, zeta or the modes does not load it
+    from .symbols import _coefficients_at, _gram, builtin_system
     point = frozen_point(*surface_elliptic_triple(b))
     strain = _coefficients_at(builtin_system("rigidity", point), point, -xi1)
     membrane = _gram(strain, np.asarray(a_membrane, dtype=float), strain)

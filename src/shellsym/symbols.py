@@ -531,39 +531,60 @@ def sl_verdict(decaying: DecayingBasis, bc: BoundaryConditionSet, xi1: float,
     on the choice of the orthonormal basis, and nothing but the roots and
     the witness depends on ``|xi1|``.  The witness is the Cauchy data,
     rescaled to ``xi1``, of a decaying solution that every boundary
-    operator annihilates.
+    operator annihilates.  This is the one-set case of :func:`_sl_verdicts`.
+    """
+    return _sl_verdicts(decaying, (bc,), xi1, (point_id,))[0]
+
+
+def _sl_verdicts(decaying: DecayingBasis, bcs, xi1: float, point_ids) -> list:
+    """The :func:`sl_verdict` of each boundary set in ``bcs`` on one basis.
+
+    Each set is checked as :func:`sl_verdict` checks it (count, ``t_indices``,
+    the sign of ``xi1``, order ``< deg``), and its normalised Cauchy rows go
+    in one ``(k, m, n deg)`` stack.  One matmul, one SVD, one norm SVD and
+    one ``det`` then serve every set: numpy runs the same LAPACK routine on
+    each matrix of a stack, so each report is bit-equal to a one-set call.
+    ``point_ids`` names the reports; an empty name reads ``b=(b11, b12, b22)``.
     """
     system, point, s = decaying.system, decaying.point, decaying.sign
     m, n, deg = system.half_order, system.n_unknowns, system.max_entry_degree
-    if bc.count != m:
-        raise ValueError(
-            f"{bc.name}: {bc.count} boundary conditions, system needs {m}")
-    if tuple(bc.t_indices) != tuple(system.t_indices):
-        raise ValueError(f"{bc.name}: unknowns of indices {bc.t_indices}, not {system.t_indices}")
+    for bc in bcs:
+        if bc.count != m:
+            raise ValueError(
+                f"{bc.name}: {bc.count} boundary conditions, system needs {m}")
+        if tuple(bc.t_indices) != tuple(system.t_indices):
+            raise ValueError(f"{bc.name}: unknowns of indices {bc.t_indices}, "
+                             f"not {system.t_indices}")
     if np.sign(xi1) != s:
         raise ValueError(f"xi1={xi1} does not have the sign of the basis ({s:+g})")
 
-    bcoeffs = _coefficients_at(bc, point, s)
-    if np.abs(bcoeffs[deg:]).max(initial=0.0) > 1e-12 * np.abs(bcoeffs).max():
-        raise ValueError(f"{bc.name}: boundary operators must have order < {deg}")
-    cauchy = np.zeros((m, deg, n), dtype=complex)
-    cauchy[:, :len(bcoeffs)] = bcoeffs[:deg].transpose(1, 0, 2)
-    cauchy = cauchy.reshape(m, n * deg)
+    cauchy = np.zeros((len(bcs), m, deg, n), dtype=complex)
+    for i, bc in enumerate(bcs):
+        bcoeffs = _coefficients_at(bc, point, s)
+        if len(bcoeffs) > deg and np.abs(bcoeffs[deg:]).max() > 1e-12 * np.abs(bcoeffs).max():
+            raise ValueError(f"{bc.name}: boundary operators must have order < {deg}")
+        cauchy[i, :, :len(bcoeffs)] = bcoeffs[:deg].transpose(1, 0, 2)
+    cauchy = cauchy.reshape(len(bcs), m, n * deg)
     # the row norms and |C|_2 as np.linalg.norm computes them
-    cauchy /= np.sqrt((cauchy.conj() * cauchy).real.sum(axis=1, keepdims=True))
+    cauchy /= np.sqrt((cauchy.conj() * cauchy).real.sum(axis=2, keepdims=True))
 
-    sl_matrix = cauchy @ decaying.basis
-    _, sv, vh = np.linalg.svd(sl_matrix)
-    margin = float(sv[-1] / np.linalg.svd(cauchy, compute_uv=False)[0])
-    satisfied = margin > DET_RTOL
-    witness = None
-    if not satisfied:
-        # u(x2) at xi1 is diag(|xi1|^-t_j) times the unit-frequency u(|xi1| x2)
-        powers = np.arange(deg)[:, None] - np.asarray(system.t_indices)
-        witness = (decaying.basis @ vh[-1].conj()) * (abs(float(xi1)) ** powers).ravel()
-    return SLReport(point_id or f"b={point.b_triple}", float(xi1), m,
-                    abs(xi1) * decaying.roots[:m], complex(np.linalg.det(sl_matrix)),
-                    margin, bool(satisfied), witness)
+    sl_matrices = cauchy @ decaying.basis
+    _, sv, vh = np.linalg.svd(sl_matrices)
+    margins = sv[:, -1] / np.linalg.svd(cauchy, compute_uv=False)[:, 0]
+    dets = np.linalg.det(sl_matrices)
+    reports = []
+    for i, (point_id, margin, det) in enumerate(zip(point_ids, margins.tolist(),
+                                                    dets.tolist())):
+        satisfied = margin > DET_RTOL
+        witness = None
+        if not satisfied:
+            # u(x2) at xi1 is diag(|xi1|^-t_j) times the unit-frequency u(|xi1| x2)
+            powers = np.arange(deg)[:, None] - np.asarray(system.t_indices)
+            witness = (decaying.basis @ vh[i, -1].conj()) * (abs(float(xi1)) ** powers).ravel()
+        reports.append(SLReport(point_id or f"b={point.b_triple}", float(xi1), m,
+                                abs(xi1) * decaying.roots[:m], det, margin, satisfied,
+                                witness))
+    return reports
 
 
 def sl_check(system: DNSystem, bc: BoundaryConditionSet, point: MetricData,

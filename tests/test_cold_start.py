@@ -51,15 +51,16 @@ def _package_modules(tmp_path, command, cfg_text) -> set:
     ("check-ellipticity", "", SYMBOL_LEVEL),
     ("check-ellipticity", "chart = sphere-cap\nchart_params = 2\n", SYMBOL_LEVEL),
     ("check-sl", "", SYMBOL_LEVEL),
-    ("layer-modes", "", SYMBOL_LEVEL | {"shellsym.layers"}),
+    # the layer modes and theta, zeta read geometry alone, not symbols
+    ("layer-modes", "", {"shellsym", "shellsym.geometry", "shellsym.layers"}),
     # theta and zeta set: the reduced layer alone
     ("solve-reduced", "N = 16\n" + EXPLICIT, {"shellsym", "shellsym.reduced"}),
     ("sensitivity", "N = 16\n" + EXPLICIT, {"shellsym", "shellsym.reduced"}),
     ("sweep-epsilon", "N = 16\n" + EXPLICIT, {"shellsym", "shellsym.reduced"}),
     ("rescale-demo", "N = 16\n" + EXPLICIT, {"shellsym", "shellsym.reduced"}),
-    # theta unset: layers computes it, from symbols and geometry
+    # theta unset: layers computes it, from geometry
     ("solve-reduced", "N = 16\nzeta = 2\n",
-     SYMBOL_LEVEL | {"shellsym.layers", "shellsym.reduced"}),
+     {"shellsym", "shellsym.geometry", "shellsym.layers", "shellsym.reduced"}),
     # a table of at least _KERNEL_MIN distinct doubles loads the kernel, and
     # the kernel does not compile the front end a second time
     ("sensitivity", "N = 512\nd = 0.05\n" + EXPLICIT,

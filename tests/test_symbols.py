@@ -21,6 +21,7 @@ from shellsym.symbols import (
     principal_determinant,
     rigidity_strain_residual,
     sl_check,
+    sl_verdict,
 )
 
 from conftest import (
@@ -708,6 +709,73 @@ def test_sl_wrong_bc_count():
     tension = builtin_system("membrane_tension", pt)
     with pytest.raises(ValueError, match="unknowns of indices"):
         sl_check(tension, builtin_boundary_conditions("u1"), pt, 1.0)
+
+
+# the boundary sets of each built-in system
+SL_SETS = {"rigidity": ("u1", "u2", "u3"),
+           "membrane": ("membrane_dirichlet", "membrane_traction"),
+           "koiter": ("koiter_clamped",)}
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+def test_stacked_sl_verdicts_are_bit_equal_to_one_set_calls(rng):
+    # numpy runs the same LAPACK routine on each matrix of a stack, so one
+    # call for all of a basis's boundary sets reports what one call per set does
+    witnesses = 0
+    for b in random_elliptic_b(rng, 4):
+        pt = frozen_point(*b)
+        for rigidity in (IDENTITY, ElasticityTensor.frobenius_identity(),
+                         ElasticityTensor.isotropic()):
+            for eps in (1e-4, 1e-2, 0.3):
+                for sys_name, bc_names in SL_SETS.items():
+                    system = builtin_system(sys_name, pt, rigidity, eps)
+                    bcs = [builtin_boundary_conditions(name, rigidity) for name in bc_names]
+                    for xi1 in (-2.5, 1.0, 7.0):
+                        basis = decaying_solution_basis(system, pt, xi1)
+                        stacked = symbols._sl_verdicts(basis, bcs, xi1, bc_names)
+                        assert len(stacked) == len(bcs)
+                        for bc, name, rep in zip(bcs, bc_names, stacked):
+                            one = sl_verdict(basis, bc, xi1, name)
+                            assert rep.point_id == one.point_id == name
+                            assert rep.satisfied is one.satisfied
+                            assert _bits(rep.margin) == _bits(one.margin)
+                            assert _bits(rep.sl_determinant) == _bits(one.sl_determinant)
+                            assert _bits(rep.decaying_roots) == _bits(one.decaying_roots)
+                            assert (rep.witness is None) == (one.witness is None)
+                            if rep.witness is not None:
+                                assert _bits(rep.witness) == _bits(one.witness)
+                                witnesses += name == "membrane_traction"
+    assert witnesses > 0
+
+
+def test_sl_verdict_refuses_a_mismatched_boundary_set():
+    # the same message whether the set is checked alone or second in a stack
+    pt = frozen_point(1.0, 0.0, 1.0)
+    u1 = builtin_boundary_conditions("u1")
+    # C_1 != 0 gives an operator of order 1, not below the rigidity's deg = 1
+    high = BoundaryConditionSet("high", (0,), (1, 1, 0),
+                                lambda p: np.array([[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]]))
+    membrane = decaying_solution_basis(builtin_system("membrane", pt, IDENTITY), pt, 1.0)
+    tension = decaying_solution_basis(builtin_system("membrane_tension", pt), pt, 1.0)
+    rigidity = decaying_solution_basis(builtin_system("rigidity", pt), pt, 1.0)
+    dirichlet = builtin_boundary_conditions("membrane_dirichlet")
+    cases = ((membrane, u1, dirichlet, "u1: 1 boundary conditions, system needs 2"),
+             (tension, u1, None, "u1: unknowns of indices (1, 1, 0), not (0, 0, 0)"),
+             (rigidity, high, u1, "high: boundary operators must have order < 1"))
+    for basis, bad, good, message in cases:
+        with pytest.raises(ValueError) as one:
+            sl_verdict(basis, bad, 1.0)
+        assert str(one.value) == message
+        if good is not None:
+            with pytest.raises(ValueError) as stacked:
+                symbols._sl_verdicts(basis, (good, bad), 1.0, ("good", "bad"))
+            assert str(stacked.value) == message
+    with pytest.raises(ValueError) as sign:
+        sl_verdict(rigidity, u1, -2.0)
+    assert str(sign.value) == "xi1=-2.0 does not have the sign of the basis (+1)"
 
 
 def test_cached_constants_are_read_only_and_few(rng):
