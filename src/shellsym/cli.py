@@ -18,18 +18,20 @@ path (default ``out.csv``) through ``write_csv``, the one renderer.  It
 formats all float columns of a table together through ``_g17``, which
 formats each bit-distinct double once, with the same rounding as
 ``format(x, ".17g")``; a spectrum writes the same values many times
-(``f(k) = f(-k)``, ``v(k) = v(-k)``, ``v_abs = |v_re|``).  A table below
-``_KERNEL_MIN`` (512) distinct doubles, such as a ``check-ellipticity``
+(``f(k) = f(-k)``, ``v(k) = v(-k)``, ``v_abs = |v_re|``).  The dedupe is a
+stable sort of the bits, fast on the large tables the commands write:
+spectra ordered by ``k``, whose columns are two monotone runs each.  A table
+below ``_KERNEL_MIN`` (512) distinct doubles, such as a ``check-ellipticity``
 table or a ``check-sl`` or ``layer-modes`` table of at most 100 ``xi1``
-values, is written as str cells,
-``format`` per double and ``str`` per int, and a ``",".join`` per row.  From
-``_KERNEL_MIN`` on, as a reduced command's table at ``N >= 256``, the bulk
-kernel of :mod:`shellsym._g17kernel`, imported on the first such table,
-writes the doubles as fixed-width bytes, and the whole body is one byte
-grid, written in binary.  In ``solve-reduced``, ``v_abs`` is
-``np.hypot(re, im)``, which matches the ``abs`` of a numpy complex scalar
-bit for bit, where the array ``np.abs`` of a complex array may differ in
-the last bit.
+values, is written as str cells, ``format`` per double and ``str`` per int,
+and a ``",".join`` per row.  From ``_KERNEL_MIN`` on, as a reduced command's
+table at ``N >= 256``, the bulk kernel of :mod:`shellsym._g17kernel`,
+imported on the first such table, writes each distinct double once as
+fixed-width bytes; each cell is gathered from them whole, as one ``V`` item,
+into one byte grid, the whole body, written in binary.  In
+``solve-reduced``, ``v_abs`` is ``np.hypot(re, im)``, which matches the
+``abs`` of a numpy complex scalar bit for bit, where the array ``np.abs``
+of a complex array may differ in the last bit.
 
 A command imports only the modules it reads, so a one-shot run compiles no
 other: ``check-ellipticity`` and ``check-sl`` load ``geometry``,
@@ -254,26 +256,33 @@ def _g17(*columns):
     """The ``format(x, ".17g")`` text of equal-length float columns, one entry each.
 
     Each bit-distinct double is formatted once, so ``-0.0`` keeps its
-    ``-0`` and every NaN and infinity its own text.  Below ``_KERNEL_MIN``
-    distinct doubles an entry is a list of str, from ``format`` per value.
-    From it on, it is a ``(rows, width)`` uint8 array of ASCII cells padded
-    with NUL, as wide as the column's longest text: the bulk kernel writes
-    every value whose digits it proves, ``format`` the rest.
+    ``-0`` and every NaN and infinity its own text.  The dedupe is a stable
+    argsort of the bits, which merges runs (a spectrum ordered by ``k`` is
+    two a column), a not-equal flag, a ``cumsum`` and one scatter.  Below
+    ``_KERNEL_MIN`` distinct doubles an entry is a list of str, from
+    ``format`` per value.  From it on, it is ``(cells, index)``, the rows
+    ``cells[index]``: ``cells`` is a ``(distinct, width)`` uint8 array of
+    ASCII text padded with NUL, as wide as the column's longest text, from
+    the bulk kernel and, for what it cannot prove, ``format``.
     """
     bits = np.array(columns, dtype=np.float64).view(np.uint64)
-    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
-    inverse = inverse.reshape(bits.shape)
-    values = distinct.view(np.float64)
+    order = bits.ravel().argsort(kind="stable")
+    ranked = bits.ravel()[order]
+    first = np.ones(ranked.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    index = np.empty(bits.shape, dtype=np.intp)
+    index.ravel()[order] = np.cumsum(first) - 1
+    values = ranked[first].view(np.float64)
     if values.size < _KERNEL_MIN:
         text = np.array(_format(values), dtype=object)
-        return text[inverse].tolist()
+        return text[index].tolist()
     from ._g17kernel import kernel
     text, length, handed = kernel(values)
     formatted = _format(values[handed])
     width = text.shape[1]
     text[handed] = np.array(formatted, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     length[handed] = list(map(len, formatted))
-    return [text[row, :length[row].max()] for row in inverse]
+    return [(text[:, :length[row].max()], row) for row in index]
 
 
 def _format(values: np.ndarray) -> list:
@@ -284,9 +293,8 @@ def _format(values: np.ndarray) -> list:
 
 # From this many distinct doubles on, the byte grid writes a table faster
 # than str cells and row joins (2-vCPU Xeon VM, write_csv with the file
-# write): on sensitivity tables the two are even near 500, str cells 1.3x
-# faster at 258 and the grid 1.3x faster at 802; on solve-reduced tables
-# they are even near 370
+# write): even near 600-650 on sensitivity tables (str cells 1.4x faster at
+# 258, the grid 1.2x at 802) and near 350-400 on solve-reduced tables
 _KERNEL_MIN = 512
 
 
@@ -298,14 +306,15 @@ def write_csv(path: str, header: str, columns: list):
     and ``str`` writes the ints.  Below ``_KERNEL_MIN`` distinct doubles
     each cell is a str and each row a ``",".join``.  From it on, the body is
     one uint8 grid: the cells of a row side by side, each padded with NUL
-    and followed by its ``,`` or line feed, and one masked copy drops the
-    padding.  That copy goes to the file after the header, with no join.
+    and followed by its ``,`` or line feed.  A float column is gathered from
+    ``_g17``'s distinct cells into it, one ``V<width>`` item a cell, and one
+    masked copy drops the padding and goes to the file after the header.
     """
     if len({len(col) for col in columns}) > 1:
         raise ValueError("columns differ in length")
     kinds = [col.dtype.kind if isinstance(col, np.ndarray) else "U" for col in columns]
     floats = _g17(*(col for col, kind in zip(columns, kinds) if kind == "f"))
-    if not (floats and isinstance(floats[0], np.ndarray)):     # below _KERNEL_MIN
+    if not (floats and isinstance(floats[0], tuple)):     # below _KERNEL_MIN
         float_text = iter(floats)
         cells = [next(float_text) if kind == "f" else
                  list(map(str, col.tolist())) if kind in "iu" else col
@@ -313,16 +322,17 @@ def write_csv(path: str, header: str, columns: list):
         rows = map(",".join, zip(*cells))
         chunks = [("\n".join([SCHEMA_LINE, header, *rows]) + "\n").encode()]
     else:
-        float_cells = iter(floats)
-        cells = [next(float_cells) if kind == "f" else
-                 _int_cells(col) if kind in "iu" else
-                 np.array([text.encode() for text in col], dtype="S").view(
-                     np.uint8).reshape(len(col), -1)
+        float_cells, whole = iter(floats), slice(None)
+        parts = [next(float_cells) if kind == "f" else
+                 (_int_cells(col), whole) if kind in "iu" else
+                 (np.array([text.encode() for text in col], dtype="S").view(
+                     np.uint8).reshape(len(col), -1), whole)
                  for col, kind in zip(columns, kinds)]
-        ends = np.cumsum([cell.shape[1] + 1 for cell in cells])
+        ends = np.cumsum([cells.shape[1] + 1 for cells, _ in parts])
         grid = np.empty((len(columns[0]), ends[-1]), dtype=np.uint8)
-        for cell, end in zip(cells, ends):
-            grid[:, end - 1 - cell.shape[1]:end - 1] = cell
+        for (cells, index), end in zip(parts, ends):
+            cell = f"V{cells.shape[1]}"     # take(out=) would copy this strided block twice
+            grid[:, end - 1 - cells.shape[1]:end - 1].view(cell)[...] = cells.view(cell)[index]
         grid[:, ends - 1] = ord(",")
         grid[:, -1] = ord("\n")
         # the compacted grid is written through the buffer protocol, uncopied
@@ -442,13 +452,11 @@ def cmd_layer_modes(cfg: ExperimentConfig) -> tuple:
     from . import layers
     # theta and zeta are constants of (b, A): one value for every row
     theta, zeta = _coefficients(cfg)
-    values = []
-    for xi1 in cfg.xi1_list:
-        lam_p, lam_m = layers.rigidity_roots(*cfg.b_coeffs, xi1)
-        values.append((xi1, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag,
-                       theta, zeta))
+    lam_p, lam_m = np.array([layers.rigidity_roots(*cfg.b_coeffs, xi1)
+                             for xi1 in cfg.xi1_list]).T
     return ("xi1,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,theta,zeta",
-            list(np.array(values).T))
+            [np.array(cfg.xi1_list), lam_p.real, lam_p.imag, lam_m.real, lam_m.imag,
+             np.full(lam_p.shape, theta), np.full(lam_p.shape, zeta)])
 
 
 def _operator(cfg: ExperimentConfig, eps: float) -> reduced.ReducedOperator:
@@ -482,17 +490,18 @@ def cmd_sweep_epsilon(cfg: ExperimentConfig) -> tuple:
     load = _load(cfg)
     flat = reduced.flat_load(cfg.n_modes)
     base = _operator(cfg, cfg.epsilon_list[0])
-    ops = [base.with_eps(eps) for eps in cfg.epsilon_list]
+    # one operator per eps, read by the A-norm table, window, solve and probes
+    ops = [base, *map(base.with_eps, cfg.epsilon_list[1:])]
     # the window search at the first eps precedes the kernel check of the
     # A-norm table, so a config that fails both reports the window
-    k_stars = [reduced.frequency_window(ops[0])]
-    va_rows = reduced.va_norm_convergence(base, cfg.epsilon_list, load)
+    k_stars = [reduced.frequency_window(base)]
+    va_rows = reduced._va_rows(base, ops, load)
     k_stars += [reduced.frequency_window(op) for op in ops[1:]]
     argmax, values = [], []
     for op, k_star, va in zip(ops, k_stars, va_rows):
-        v = reduced.solve(op, flat)
-        argmax.append(reduced.solution_argmax(v))
-        values.append((op.eps, k_star, np.abs(v.coeffs).max(), va.va_distance,
+        mags = np.abs(reduced.solve(op, flat).coeffs)
+        argmax.append(reduced._argmax(mags, base.wavenumbers))
+        values.append((op.eps, k_star, mags.max(), va.va_distance,
                        reduced.coercivity_constant(op),
                        reduced.sensitivity_probe(op, cfg.k_probe)))
     eps, k_star, *rest = np.array(values).T

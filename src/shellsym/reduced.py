@@ -24,9 +24,10 @@ with ``N`` and ``eps``, as required arguments, and ``Q_FLOOR = 1e-2``.  A
 every solve divides by; a sample of ``s`` that is not a finite double (a
 ``theta`` so large that ``theta (1 + k^2)^(1/2)`` overflows) raises
 :class:`SymbolRangeError`.  The order-3 weights ``(1 + k^2)^(+-3/2)`` are
-formed where they are read, ``(1 + k^2)^(3/2)`` once per ``N`` for a sweep
-over ``eps``.  The crossover ``s(k) = eps^2 q(k)`` is found
-from the closed-form log gap, so it resolves at every ``eps > 0``.  The
+formed where they are read: ``(1 + k^2)^(3/2)`` once per ``N``, and
+``(1 + k^2)^(-3/2)`` once per ``A``-norm table, whose rows in a sweep read
+the operator built for each ``eps``.  The crossover ``s(k) = eps^2 q(k)`` is
+found from the closed-form log gap, so it resolves at every ``eps > 0``.  The
 module exposes the phenomena that make the limit problem sensitive: the
 balance window ``|k| ~ log(1/eps)``, strong convergence in the ``A``-norm
 for every load, exponential amplification of single-mode load perturbations
@@ -359,8 +360,12 @@ def solution_argmax(v: SpectralField) -> int:
 
     Of the modes with the largest ``|v_k|`` the smallest ``|k|`` is returned.
     """
-    mags = np.abs(v.coeffs)
-    return int(np.abs(v.wavenumbers[mags == mags.max()]).min())
+    return _argmax(np.abs(v.coeffs), v.wavenumbers)
+
+
+def _argmax(mags: np.ndarray, k: np.ndarray) -> int:
+    """The rule of :func:`solution_argmax` on the magnitudes ``mags`` of the modes ``k``."""
+    return int(np.abs(k[mags == mags.max()]).min())
 
 
 @dataclass(frozen=True)
@@ -381,14 +386,19 @@ def va_norm_convergence(op: ReducedOperator, eps_list: Sequence[float],
     Requires a strictly positive smoothing symbol (inhibited case): the
     limit ``v_0`` is the eps = 0 diagonal solve.
     """
+    return _va_rows(op, map(op.with_eps, eps_list), load)
+
+
+def _va_rows(op: ReducedOperator, ops, load: SpectralField) -> list:
+    """The rows of :func:`va_norm_convergence` for ``ops``, ``op`` at each ``eps``."""
     _same_modes(op, load)
     _positive(op.s, op.wavenumbers)
     weight = (1.0 + op.wavenumbers.astype(float) ** 2) ** -1.5
     rows = []
-    for eps in eps_list:
-        b_part = eps ** 2 * op.q * load.coeffs / op.with_eps(eps).total   # eps^2 q v_eps
+    for each in ops:
+        b_part = each.eps ** 2 * op.q * load.coeffs / each.total   # eps^2 q v_eps
         norm = float(np.sqrt(np.sum(weight * np.abs(b_part) ** 2)))
-        rows.append(ConvergenceRow(float(eps), norm, norm))
+        rows.append(ConvergenceRow(float(each.eps), norm, norm))
     return rows
 
 

@@ -472,6 +472,50 @@ def test_sweep_underflowing_eps_reports_only_the_failure(tmp_path, capsys):
     assert err and all(line.startswith("numerical failure:") for line in err)
 
 
+@pytest.mark.parametrize("eps_list, message", [
+    ("1e-200", "no crossover below N=400; increase the cutoff"),
+    ("1e-3,1e-200", "smoothing symbol vanishes on 56 modes with |k| in [373, 400]: "
+                    "[-400, -399, -398, -397, ..., 397, 398, 399, 400]; "
+                    "use the non-inhibited rescaling"),
+])
+def test_sweep_reports_the_window_before_the_kernel_check(tmp_path, capsys, eps_list,
+                                                          message):
+    # at d = 1 the smoothing symbol underflows to 0 from |k| = 373 on, and at
+    # eps = 1e-200 the crossover lies beyond N = 400: the window at the first
+    # eps is searched before the A-norm table checks the symbol, and the
+    # windows at the other eps after it
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text(f"N = 400\nd = 1\ntheta = 1\nzeta = 1\nepsilon_list = {eps_list}\n")
+    assert main(["sweep-epsilon", "--config", str(cfg), "--out",
+                 str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
+@pytest.mark.parametrize("n, d", [(64, 1.0), (1024, 0.15)])
+def test_sweep_rows_are_the_public_functions_at_each_eps(tmp_path, n, d):
+    # the command builds one operator per eps and shares it between the
+    # A-norm table, the window, the solve and the probes; each row is what
+    # the public functions give for that eps alone
+    eps_list = (1e-2, 1e-3, 1e-5, 1e-9)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"N = {n}\nd = {d}\ntheta = 0.7\nzeta = 1.3\nk_probe = 10\n"
+                   f"epsilon_list = {','.join(map(repr, eps_list))}\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-epsilon", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = []
+    for eps in eps_list:
+        op = reduced.build_default_operator(0.7, 1.3, d, n, eps)
+        v = reduced.solve(op, reduced.flat_load(n))
+        [va] = reduced.va_norm_convergence(op, [eps], reduced.smooth_load(n, decay=2.0))
+        rows.append(",".join([
+            format(eps, ".17g"), format(reduced.frequency_window(op), ".17g"),
+            str(reduced.solution_argmax(v)),
+            *(format(x, ".17g") for x in (
+                np.abs(v.coeffs).max(), va.va_distance, reduced.coercivity_constant(op),
+                reduced.sensitivity_probe(op, 10)))]))
+    assert read(out).decode().splitlines()[2:] == rows
+
+
 def test_cli_solve_and_remaining_commands(tmp_path, cfg_path):
     for command in ("solve-reduced", "sensitivity", "rescale-demo",
                     "check-ellipticity"):
@@ -795,14 +839,16 @@ def test_g17_kernel_matches_per_value_formatting():
     # tables from _KERNEL_MIN distinct doubles on take the kernel: random bit
     # patterns, powers of ten and their neighbours, every power of two,
     # integers to 2**53, half- and quarter-integers and the special doubles
-    # give per column one (rows, width) array of ASCII cells padded with NUL,
-    # as wide as the column's longest text
+    # give per column one (distinct, width) array of ASCII cells padded with
+    # NUL, as wide as the column's longest text, and each row's index into it
     columns = _kernel_columns()
     assert min(col.size for col in columns) >= 2000
     for col in columns:
         assert np.unique(col.view(np.uint64)).size >= cli._KERNEL_MIN
-        [cells] = _g17(col)
-        assert cells.dtype == np.uint8 and cells.ndim == 2 and len(cells) == col.size
+        [(distinct, index)] = _g17(col)
+        assert distinct.dtype == np.uint8 and distinct.ndim == 2
+        assert index.shape == col.shape
+        cells = distinct[index]
         text = [cell.tobytes().rstrip(b"\0") for cell in cells]
         assert not any(b"\0" in t for t in text)
         assert cells.shape[1] == max(map(len, text))
@@ -909,6 +955,51 @@ def test_write_csv_matches_per_cell_formatting(tmp_path_factory, table):
     distinct = np.unique(np.array(floats).view(np.uint64)).size
     assert (distinct >= cli._KERNEL_MIN) == bulk
     out = tmp_path_factory.mktemp("render") / "table.csv"
+    cli.write_csv(str(out), header, columns)
+    rows = ["# schema=1", header, *map(",".join, zip(*map(_cell_text, columns)))]
+    assert read(out) == ("\n".join(rows) + "\n").encode()
+
+
+def _traffic_tables():
+    """The shapes of the reduced commands' tables, ordered by k, at a cutoff
+    below and one above _KERNEL_MIN distinct doubles."""
+    nans = [math.nan, _bits(0x7FF8000000000001), _bits(0xFFF8000000000000),
+            _bits(0x7FF0000000000001), _bits(0xFFF00000DEADBEEF), math.inf, -math.inf]
+    for n in (100, 1500):
+        k = np.arange(-n, n + 1)
+        # mirrored, as f(k) = f(-k) of a real load and its solution
+        spectrum = (1.0 + k ** 2.0) ** -2.0 / (0.3 * np.exp(-0.1 * np.abs(k))
+                                               + 1e-6 * np.abs(k) ** 3)
+        v_re = np.where(k % 2 == 1, -spectrum, spectrum)
+        spike = np.where(k == 7, 2.5, 0.0)
+        signed_zeros = np.where(k % 2 == 1, -0.0, 0.0)
+        # NaNs of several payloads and infinities inside a monotone run
+        special = np.linspace(-3.0, 3.0, k.size)
+        special[5::53] = np.resize(nans, special[5::53].size)
+        yield f"spectrum-{n}", [k, spectrum, v_re, np.zeros(k.size), np.abs(v_re)]
+        yield f"flat-{n}", [k, np.ones(k.size), spectrum, np.zeros(k.size), spectrum]
+        yield f"delta-{n}", [k, spike, spike / 3.0, np.zeros(k.size), spectrum]
+        # with no positive double, 0.0 and -0.0 are neighbours in the sorted bits
+        yield f"signed-zeros-{n}", [k, signed_zeros, -signed_zeros, -spectrum]
+        yield f"nan-and-inf-{n}", [k, special, spectrum, special[::-1]]
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["ordered", "shuffled"])
+@pytest.mark.parametrize("columns", [pytest.param(cols, id=name)
+                                     for name, cols in _traffic_tables()])
+def test_write_csv_writes_traffic_shaped_tables(tmp_path, columns, shuffled):
+    # the dedupe sorts the bits with a stable sort, chosen for spectra
+    # ordered by k (two monotone runs a column); those tables and the same
+    # rows shuffled are written as format(x, ".17g") per cell, by str cells
+    # below _KERNEL_MIN distinct doubles and by the byte grid from it on
+    if shuffled:
+        order = np.random.default_rng(20261020).permutation(len(columns[0]))
+        columns = [col[order] for col in columns]
+    floats = np.array([col for col in columns if col.dtype.kind == "f"])
+    bulk = np.unique(floats.view(np.uint64)).size >= cli._KERNEL_MIN
+    assert bulk == (len(columns[0]) > 2 * cli._KERNEL_MIN)
+    header = ",".join(f"c{j}" for j in range(len(columns)))
+    out = tmp_path / "table.csv"
     cli.write_csv(str(out), header, columns)
     rows = ["# schema=1", header, *map(",".join, zip(*map(_cell_text, columns)))]
     assert read(out) == ("\n".join(rows) + "\n").encode()
