@@ -39,7 +39,9 @@ other: ``check-ellipticity`` and ``check-sl`` load ``geometry``,
 ``layers`` alone.  A reduced command loads ``reduced``, ``_g17kernel`` for a
 large table, and ``layers`` (with ``geometry``) only for an unset ``theta``
 or ``zeta``.  ``check-sl`` takes the verdicts of all of a system's boundary
-sets in one stacked call per sign of ``xi1``.  ``main`` maps every
+sets in one stacked call per sign of ``xi1``.  ``sweep-epsilon`` takes
+``max_abs_v``, ``argmax_k`` and ``amplification`` from one probe array per
+``eps``, ``1 / (s + eps^2 q)`` on every mode.  ``main`` maps every
 :class:`shellsym.NumericalError` to exit 3, whichever module raised it.
 
 Only ``check-ellipticity`` reads ``chart`` and ``chart_params``; the other
@@ -488,22 +490,22 @@ def cmd_solve_reduced(cfg: ExperimentConfig) -> tuple:
 def cmd_sweep_epsilon(cfg: ExperimentConfig) -> tuple:
     from . import reduced
     load = _load(cfg)
-    flat = reduced.flat_load(cfg.n_modes)
     base = _operator(cfg, cfg.epsilon_list[0])
-    # one operator per eps, read by the A-norm table, window, solve and probes
+    # one operator per eps, read by the A-norm table, window and probe; the
+    # probe 1 / (s + eps^2 q) on every mode is |v| of a flat load
     ops = [base, *map(base.with_eps, cfg.epsilon_list[1:])]
     # the window search at the first eps precedes the kernel check of the
     # A-norm table, so a config that fails both reports the window
     k_stars = [reduced.frequency_window(base)]
     va_rows = reduced._va_rows(base, ops, load)
     k_stars += [reduced.frequency_window(op) for op in ops[1:]]
+    k = base.wavenumbers
     argmax, values = [], []
     for op, k_star, va in zip(ops, k_stars, va_rows):
-        mags = np.abs(reduced.solve(op, flat).coeffs)
-        argmax.append(reduced._argmax(mags, base.wavenumbers))
-        values.append((op.eps, k_star, mags.max(), va.va_distance,
-                       reduced.coercivity_constant(op),
-                       reduced.sensitivity_probe(op, cfg.k_probe)))
+        amp = reduced.sensitivity_probe(op, k)
+        argmax.append(reduced._argmax(amp, k))
+        values.append((op.eps, k_star, amp.max(), va.va_distance,
+                       reduced.coercivity_constant(op), amp[cfg.k_probe + cfg.n_modes]))
     eps, k_star, *rest = np.array(values).T
     return ("eps,k_star,argmax_k,max_abs_v,va_distance,coercivity,amplification",
             [eps, k_star, np.array(argmax), *rest])

@@ -21,12 +21,13 @@ transmission decay rate; :func:`build_default_operator` takes all three,
 with ``N`` and ``eps``, as required arguments, and ``Q_FLOOR = 1e-2``.  A
 :class:`ReducedOperator` is these parameters and three read-only samples on
 ``k = -N..N``, taken once: ``s``, ``q`` and ``total = s + eps^2 q``, which
-every solve divides by; a sample of ``s`` that is not a finite double (a
-``theta`` so large that ``theta (1 + k^2)^(1/2)`` overflows) raises
-:class:`SymbolRangeError`.  The order-3 weights ``(1 + k^2)^(+-3/2)`` are
-formed where they are read: ``(1 + k^2)^(3/2)`` once per ``N``, and
-``(1 + k^2)^(-3/2)`` once per ``A``-norm table, whose rows in a sweep read
-the operator built for each ``eps``.  The crossover ``s(k) = eps^2 q(k)`` is
+every solve divides by.  ``s`` and ``q`` share one range rule: a sample that
+is not a finite double (``theta (1 + k^2)^(1/2)`` or ``zeta |k|^3``
+overflows) raises :class:`SymbolRangeError`.  The order-3 weights
+``(1 + k^2)^(+-3/2)`` are formed where they are read: ``(1 + k^2)^(3/2)``
+once per ``N``, and ``(1 + k^2)^(-3/2)`` once per ``A``-norm table.  A sweep
+reads one operator and one :func:`sensitivity_probe` array per ``eps``, the
+array being ``|v|`` of a flat load.  The crossover ``s(k) = eps^2 q(k)`` is
 found from the closed-form log gap, so it resolves at every ``eps > 0``.  The
 module exposes the phenomena that make the limit problem sensitive: the
 balance window ``|k| ~ log(1/eps)``, strong convergence in the ``A``-norm
@@ -73,7 +74,7 @@ class WindowResolutionError(NumericalError):
 
 
 class SymbolRangeError(NumericalError):
-    """A sample of the smoothing symbol is not a finite double."""
+    """A sample of the smoothing or bending symbol is not finite, or a divisor is subnormal."""
 
 
 class AliasingError(ValueError):
@@ -170,7 +171,7 @@ class ReducedOperator:
     all meet it: integral modes within the cutoff ``N``, kept as their
     sorted distinct ``|k|``.  ``theta``, ``zeta`` and ``d`` must be positive
     and finite.  Construction samples ``s``, ``q`` and ``total = s + eps^2 q``
-    once, read-only, and refuses an ``s`` that is not finite.
+    once, read-only, and refuses an ``s`` or ``q`` that is not finite.
     :meth:`with_eps` shares ``s`` and ``q`` and forms ``total``;
     :func:`with_kernel` shares ``q`` and resamples the other two.
     """
@@ -187,7 +188,7 @@ class ReducedOperator:
             raise ValueError("transmission decay rate d must be positive and finite")
         if not (0 < self.theta < math.inf and 0 < self.zeta < math.inf):
             raise ValueError("theta and zeta must be positive and finite")
-        vars(self)["q"] = self.q_symbol(self.wavenumbers)
+        vars(self)["q"] = self._sample(self.q_symbol, "bending", "zeta")
         self._settle(self.eps, self.kernel)
 
     def _settle(self, eps: float, kernel) -> "ReducedOperator":
@@ -202,25 +203,21 @@ class ReducedOperator:
                              f"N = {self.n_modes}")
         if kernel != self.kernel or "s" not in vars(self):
             vars(self)["kernel"] = kernel     # s_symbol reads it
-            vars(self)["s"] = self._sample_s()
+            vars(self)["s"] = self._sample(self.s_symbol, "smoothing", "theta")
         vars(self).update(eps=eps, total=self.s + eps ** 2 * self.q)
         _read_only(self.s, self.q, self.total)
         return self
 
-    def _sample_s(self) -> np.ndarray:
-        """``s`` on the modes; :class:`SymbolRangeError` if a sample is not finite."""
-        # theta (1 + k^2)^(1/2), the same double as in s_symbol, is largest at
-        # |k| = N; where it overflows, s is inf, or nan where exp underflows
-        if math.isfinite(self.theta * math.sqrt(1.0 + self.n_modes ** 2)):
-            return self.s_symbol(self.wavenumbers)
+    def _sample(self, symbol: Callable, name: str, param: str) -> np.ndarray:
+        """``symbol`` on the modes; :class:`SymbolRangeError` if a sample is not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            s = self.s_symbol(self.wavenumbers)
-        k = np.abs(self.wavenumbers[~np.isfinite(s)])
+            values = symbol(self.wavenumbers)
+        k = np.abs(self.wavenumbers[~np.isfinite(values)])
         if k.size:
             raise SymbolRangeError(
-                f"smoothing symbol is not finite on {k.size} modes with |k| in "
-                f"[{k.min()}, {k.max()}]: theta = {self.theta!r} is too large")
-        return s
+                f"{name} symbol is not finite on {k.size} modes with |k| in "
+                f"[{k.min()}, {k.max()}]: {param} = {getattr(self, param)!r} is too large")
+        return values
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -499,6 +496,9 @@ def noninhibited_rescale(op: ReducedOperator, load: SpectralField,
     rescaled solution equals ``F(k)/q(k)`` for every ``eps``; off the kernel
     it decays like ``eps^2 / s(k)`` mode-wise.  The limit field (``F/q`` on
     the kernel, zero off it) is returned along with one row per ``eps``.
+    After the check for off-kernel zeros of ``s``, an ``eps`` at which
+    ``s + eps^2 q`` is subnormal on some mode (on the kernel, from about
+    ``eps = 1e-154`` on) raises :class:`SymbolRangeError`.
     """
     if not op.kernel:
         raise ValueError("kernel set is empty; use va_norm_convergence")
@@ -512,7 +512,10 @@ def noninhibited_rescale(op: ReducedOperator, load: SpectralField,
     for eps in eps_list:
         if eps <= 0:
             raise ValueError("eps values must be positive")
-        w = eps ** 2 * load.coeffs / op.with_eps(eps).total
+        total = op.with_eps(eps).total
+        if total.min() < np.finfo(float).tiny:     # w would overflow
+            raise SymbolRangeError(f"s + eps^2 q is subnormal at eps = {eps!r}: eps is too small")
+        w = eps ** 2 * load.coeffs / total
         kernel_err = float(np.abs(w[on_kernel] - limit[on_kernel]).max())
         off = np.abs(w[~on_kernel])
         rows.append(RescaleRow(float(eps), kernel_err,

@@ -491,7 +491,7 @@ def test_sweep_reports_the_window_before_the_kernel_check(tmp_path, capsys, eps_
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
-@pytest.mark.parametrize("n, d", [(64, 1.0), (1024, 0.15)])
+@pytest.mark.parametrize("n, d", [(64, 1.0), (1024, 0.15), (4096, 0.05)])
 def test_sweep_rows_are_the_public_functions_at_each_eps(tmp_path, n, d):
     # the command builds one operator per eps and shares it between the
     # A-norm table, the window, the solve and the probes; each row is what
@@ -1119,6 +1119,46 @@ def test_huge_theta_is_a_numerical_failure(tmp_path, capsys, command):
         "numerical failure: smoothing symbol is not finite on 2046 modes with |k| in "
         "[2, 1024]: theta = 1e+308 is too large"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve-reduced", "sweep-epsilon", "sensitivity",
+                                     "rescale-demo"])
+def test_huge_zeta_is_a_numerical_failure(tmp_path, capsys, command):
+    # zeta |k|^3 overflows for |k| >= 2: q passes the range rule of s
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("theta = 1\nzeta = 1e308\nN = 1024\nd = 1\nepsilon_list = 0.01\n")
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert not caught
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: bending symbol is not finite on 2046 modes with |k| in "
+        "[2, 1024]: zeta = 1e+308 is too large"]
+    assert not out.exists()
+
+
+def test_rescale_below_the_normal_divisor_is_a_numerical_failure(tmp_path, capsys):
+    # on the kernel mode |k| = 3 the divisor is eps^2 q = 27 eps^2, subnormal
+    # from eps = 1e-155 on, where the complex division overflowed to inf
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("N = 64\nd = 0.5\ntheta = 1\nzeta = 1\nkernel_modes = 3\n"
+                   "epsilon_list = 1e-2,1e-150,1e-155,1e-160,1e-163\n")
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["rescale-demo", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not caught
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: s + eps^2 q is subnormal at eps = 1e-155: eps is too small"]
+    assert not out.exists()
+    # the rows above the floor keep their bytes
+    cfg.write_text("N = 64\nd = 0.5\ntheta = 1\nzeta = 1\nkernel_modes = 3\n"
+                   "epsilon_list = 1e-2,1e-150\n")
+    assert main(["rescale-demo", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read(out).decode().splitlines()[2:] == [
+        "0.01,5.4210108624275222e-20,9.9999900000100015e-05",
+        "1e-150,5.4210108624275222e-20,5.8033923368661785e-282"]
 
 
 @pytest.mark.parametrize("b_coeffs", ["1e-160,0,1e-160", "1e-161,2e-162,3e-161"])

@@ -12,6 +12,7 @@ from shellsym.reduced import (
     KernelModeError,
     ReducedOperator,
     SpectralField,
+    SymbolRangeError,
     WindowResolutionError,
     apply_variable_symbol,
     build_default_operator,
@@ -187,6 +188,21 @@ def test_operator_parameters_must_be_positive_and_finite():
             ReducedOperator(1.0, bad, 1.0, 8, 0.1)
         with pytest.raises(ValueError, match="d must be positive and finite"):
             ReducedOperator(1.0, 1.0, bad, 8, 0.1)
+
+
+def test_operator_samples_share_one_range_rule():
+    with pytest.raises(SymbolRangeError, match="bending symbol is not finite"):
+        ReducedOperator(1.0, 1e308, 1.0, 64, 0.1)
+    with pytest.raises(SymbolRangeError, match="smoothing symbol is not finite"):
+        ReducedOperator(1e308, 1.0, 1.0, 64, 0.1)
+    # a zeta at which zeta |k|^3 overflows at |k| = N alone
+    for n in (8, 64, 4096):
+        zeta = np.finfo(float).max / (n - 0.5) ** 3
+        with pytest.raises(SymbolRangeError) as exc:
+            ReducedOperator(1.0, zeta, 1.0, n, 0.1)
+        assert str(exc.value) == (f"bending symbol is not finite on 2 modes with |k| in "
+                                  f"[{n}, {n}]: zeta = {zeta!r} is too large")
+        assert np.isfinite(ReducedOperator(1.0, zeta, 1.0, n - 1, 0.1).q).all()
 
 
 def test_operator_total_is_the_total_symbol():
@@ -637,6 +653,17 @@ def test_load_modes_must_match_operator(run):
         with pytest.raises(ValueError, match=f"load has N={n_load} modes, "
                                              "the operator N=32"):
             run(default_op(1e-2, n=32), flat_load(n_load))
+
+
+def test_rescale_refuses_a_subnormal_divisor():
+    # the kernel divisor eps^2 q(3) = 27 eps^2 is normal at eps = 1e-154 and
+    # subnormal at 1e-155, where w = eps^2 F / (eps^2 q) overflowed to inf
+    op = with_kernel(default_op(1e-2, n=64, d=0.5), [3])
+    _, rows = noninhibited_rescale(op, flat_load(64), [1e-2, 1e-154])
+    assert all(np.isfinite(row.solution.coeffs).all() for row in rows)
+    for eps in (1e-155, 1e-160, 1e-163):
+        with pytest.raises(SymbolRangeError, match=f"subnormal at eps = {eps!r}"):
+            noninhibited_rescale(op, flat_load(64), [1e-2, eps])
 
 
 def test_rescale_requires_kernel():
