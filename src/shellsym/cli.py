@@ -33,13 +33,22 @@ into one byte grid, the whole body, written in binary.  In
 ``abs`` of a numpy complex scalar bit for bit, where the array ``np.abs``
 of a complex array may differ in the last bit.
 
+``main`` reads the canonical command line, ``<command> --config P [--out
+P]`` with the flags in either order, itself; argparse is imported and its
+parser built only for any other argv (``-h``, ``--config=P``, an
+abbreviated or repeated flag, a missing one, a value starting with ``-``),
+so its usage text, messages and exits stay argparse's, and a canonical
+one-shot run never imports it.
+
 A command imports only the modules it reads, so a one-shot run compiles no
 other: ``check-ellipticity`` and ``check-sl`` load ``geometry``,
 ``symbols`` and ``polymat``; ``layer-modes`` loads ``geometry`` and
 ``layers`` alone.  A reduced command loads ``reduced``, ``_g17kernel`` for a
 large table, and ``layers`` (with ``geometry``) only for an unset ``theta``
-or ``zeta``.  ``check-sl`` takes the verdicts of all of a system's boundary
-sets in one stacked call per sign of ``xi1``.  ``sweep-epsilon`` takes
+or ``zeta``.  ``check-ellipticity`` makes one determinant call per point,
+on the stacked samples of the point's built systems.  ``check-sl`` takes
+the verdicts of all of a system's boundary sets in one stacked call per
+sign of ``xi1``.  ``sweep-epsilon`` takes
 ``max_abs_v``, ``argmax_k`` and ``amplification`` from one probe array per
 ``eps``, ``1 / (s + eps^2 q)`` on every mode.  ``main`` maps every
 :class:`shellsym.NumericalError` to exit 3, whichever module raised it.
@@ -65,12 +74,11 @@ Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
@@ -111,11 +119,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.chart not in ("frozen", "sphere-cap"):
             raise ConfigError(f"unknown chart {self.chart!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in (value if isinstance(value, tuple) else (value,))):
-                raise ConfigError(f"{f.name} must be finite")
+        for name, value in vars(self).items():     # the fields, in their order
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{name} must be finite")
         if self.command != "check-ellipticity" and (
                 self.chart != "frozen" or self.chart_params):
             raise ConfigError(f"{self.command} works at the frozen point of "
@@ -386,14 +393,22 @@ def cmd_check_ellipticity(cfg: ExperimentConfig) -> tuple:
     eps = cfg.epsilon_list[0]
     records = []
     for point_id, point in _chart_points(cfg):
+        systems = {}
         for name in ("rigidity", "membrane_tension", "membrane", "koiter"):
             try:
-                system = symbols.builtin_system(name, point, elastic, eps)
-                rep = symbols.ellipticity_check(system, point)
+                systems[name] = symbols.builtin_system(name, point, elastic, eps)
+            except geometry.SurfaceEllipticityError:
+                systems[name] = None
+        # one determinant call for the point's built systems
+        reps = iter(symbols._ellipticity_checks(
+            [system for system in systems.values() if system is not None], point))
+        for name, system in systems.items():
+            if system is None:
+                records.append((point_id, name, "-", 0.0, "false"))
+            else:
+                rep = next(reps)
                 records.append((point_id, name, system.total_order,
                                 rep.min_abs_det, str(rep.elliptic).lower()))
-            except geometry.SurfaceEllipticityError:
-                records.append((point_id, name, "-", 0.0, "false"))
     point_ids, names, orders, dets, verdicts = zip(*records)
     return ("point_id,system,total_order,min_abs_det,elliptic",
             [point_ids, names, list(map(str, orders)), np.array(dets), verdicts])
@@ -543,29 +558,51 @@ _DISPATCH = {
 COMMANDS = tuple(_DISPATCH)
 
 
-_PARSER = argparse.ArgumentParser(
-    prog="shellsym",
-    description="Ellipticity/SL checks, layer modes and the reduced "
-                "boundary solver for sensitive elliptic shells.")
-_PARSER.add_argument("command", choices=COMMANDS)
-_PARSER.add_argument("--config", required=True, help="flat key=value file")
-_PARSER.add_argument("--out", default="out.csv", help="output CSV path")
+@functools.cache
+def _parser():
+    """The argparse parser of the command line, built on first use."""
+    import argparse
+    parser = argparse.ArgumentParser(
+        prog="shellsym",
+        description="Ellipticity/SL checks, layer modes and the reduced "
+                    "boundary solver for sensitive elliptic shells.")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="flat key=value file")
+    parser.add_argument("--out", default="out.csv", help="output CSV path")
+    return parser
+
+
+def _parse_argv(argv: list) -> tuple:
+    """``(command, config, out)`` of the command line ``argv``.
+
+    The canonical form, ``<command> --config P [--out P]`` with the flags in
+    either order and each value neither empty nor starting with ``-``, is
+    read here, as argparse reads it.  Any other ``argv`` goes to argparse,
+    so its usage text, messages and exits stay argparse's.
+    """
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    if (len(argv) in (3, 5) and argv[0] in _DISPATCH and len(flags) == len(argv) // 2
+            and "--config" in flags and flags.keys() <= {"--config", "--out"}
+            and all(value[:1] not in ("", "-") for value in flags.values())):
+        return argv[0], flags["--config"], flags.get("--out", "out.csv")
+    args = _parser().parse_args(argv)
+    return args.command, args.config, args.out
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        command, config, out = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        with open(args.config) as fh:
+        with open(config) as fh:
             cfg = parse_config(fh.read())
-        cfg.command = args.command
+        cfg.command = command
         cfg.validate()
         header, columns = _DISPATCH[cfg.command](cfg)
         # a failed command writes nothing; an unwritable --out is a usage error
-        write_csv(args.out, header, columns)
+        write_csv(out, header, columns)
     except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

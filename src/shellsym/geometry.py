@@ -63,6 +63,11 @@ class MetricData:
 
     ``b_mixed[i, j]`` stores the mixed tensor with the upper index first,
     ``b^i_j = a^{is} b_{sj}``.  ``christoffel[l, a, b]`` is ``Gamma^l_ab``.
+    The forms and the symbols must be symmetric, and ``a`` positive
+    definite: a 2x2 ``a`` is proved so in closed form, ``a11 > 0`` and
+    ``a11 a22 - a21^2`` above its rounding error on the entries divided by
+    the largest (:func:`_proves_positive_definite`), and where that proof
+    fails, ``eigvalsh`` decides, so every verdict is the eigenvalue one.
     """
 
     a_cov: np.ndarray
@@ -79,10 +84,10 @@ class MetricData:
         object.__setattr__(self, "b_cov", b)
         object.__setattr__(self, "b_mixed", bm)
         object.__setattr__(self, "christoffel", g)
-        scale = max(np.abs(a).max(), 1.0)
-        if np.abs(a - a.T).max() > _SYM_TOL * scale:
+        top = np.abs(a).max()
+        if np.abs(a - a.T).max() > _SYM_TOL * max(top, 1.0):
             raise InvariantError("first fundamental form must be symmetric")
-        if np.linalg.eigvalsh(a).min() <= 0:
+        if not _proves_positive_definite(a, top) and np.linalg.eigvalsh(a).min() <= 0:
             raise InvariantError("first fundamental form must be positive definite")
         if np.abs(b - b.T).max() > _SYM_TOL * max(np.abs(b).max(), 1.0):
             raise InvariantError("second fundamental form must be symmetric")
@@ -97,6 +102,27 @@ class MetricData:
 
     def require_surface_elliptic(self):
         surface_elliptic_triple(self.b_triple)
+
+
+# On the entries divided by max |a_ij|, each within eps_mach / 2 of exact,
+# a11 a22 - a21^2 is computed within 4 eps_mach.  Above 64 eps_mach, the
+# smaller eigenvalue of that matrix (norm at most 2) exceeds 30 eps_mach,
+# beyond the backward error of LAPACK's symmetric eigensolver on a 2x2
+# matrix, so eigvalsh reads it positive too.
+_PD_MARGIN = 64 * np.finfo(float).eps
+
+
+def _proves_positive_definite(a: np.ndarray, top) -> bool:
+    """Whether the 2x2 ``a``, with ``top = max |a_ij|``, is positive definite
+    beyond doubt: ``a11 > 0`` and ``a11 a22 - a21^2 > _PD_MARGIN`` on the
+    entries divided by ``top``.  It reads the lower triangle, as
+    ``eigvalsh`` does; ``False`` leaves the verdict to ``eigvalsh``.
+    """
+    top = float(top)
+    if a.shape != (2, 2) or not 0.0 < top < np.inf:
+        return False
+    a11, _, a21, a22 = (x / top for x in a.ravel().tolist())
+    return a11 > 0.0 and a11 * a22 - a21 * a21 > _PD_MARGIN
 
 
 def surface_elliptic_triple(b) -> tuple:

@@ -1,9 +1,10 @@
 """Polynomial coefficients of a matrix function of one complex variable.
 
 :func:`poly_coefficients` recovers the entry polynomials exactly from one
-call on the roots of unity.  ``symbols`` reads the coefficients of
-``det L'(+-1, z)`` this way; the symbols themselves are built from their
-coefficients and are never sampled.  The roots of unity and the inverse-DFT
+call on the roots of unity, through the inverse DFT :func:`_inverse_dft`.
+``symbols`` reads the coefficients of ``det L'(+-1, z)`` from the
+determinants at the roots of unity with that inverse DFT; the symbols
+themselves are built from their coefficients and are never sampled.  The roots of unity and the inverse-DFT
 matrix of each sample count are built once, on first use, and kept as
 read-only constants.
 
@@ -36,8 +37,12 @@ def poly_coefficients(evaluate, degree: int) -> np.ndarray:
     sample points, and must return the stacked matrices
     ``(degree + 1, n_rows, n_cols)``.
     """
-    n_samp = degree + 1
-    zs, phases = _dft(n_samp)
-    samples = np.asarray(evaluate(zs), dtype=complex)
+    return _inverse_dft(np.asarray(evaluate(_dft(degree + 1)[0]), dtype=complex))
+
+
+def _inverse_dft(samples: np.ndarray) -> np.ndarray:
+    """The coefficients of a polynomial (matrix) from its ``samples`` at the
+    ``len(samples)`` roots of unity."""
+    n_samp = len(samples)
     # c_j = (1 / n) sum_s f(z_s) w^{-js}
-    return np.einsum("js,s...->j...", phases, samples) / n_samp
+    return np.einsum("js,s...->j...", _dft(n_samp)[1], samples) / n_samp

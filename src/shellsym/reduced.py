@@ -23,7 +23,10 @@ with ``N`` and ``eps``, as required arguments, and ``Q_FLOOR = 1e-2``.  A
 ``k = -N..N``, taken once: ``s``, ``q`` and ``total = s + eps^2 q``, which
 every solve divides by.  ``s`` and ``q`` share one range rule: a sample that
 is not a finite double (``theta (1 + k^2)^(1/2)`` or ``zeta |k|^3``
-overflows) raises :class:`SymbolRangeError`.  The order-3 weights
+overflows) raises :class:`SymbolRangeError`, and so does a quotient of a
+:func:`solve` or a :func:`sensitivity_probe` that is not finite (a divisor
+that is subnormal but not zero), after the check for vanishing divisors
+that raises :class:`KernelModeError`.  The order-3 weights
 ``(1 + k^2)^(+-3/2)`` are formed where they are read: ``(1 + k^2)^(3/2)``
 once per ``N``, and ``(1 + k^2)^(-3/2)`` once per ``A``-norm table.  A sweep
 reads one operator and one :func:`sensitivity_probe` array per ``eps``, the
@@ -58,15 +61,17 @@ class KernelModeError(NumericalError):
 
     def __init__(self, modes):
         self.modes = list(modes)
-        mags = [abs(int(k)) for k in self.modes]
-        shown = self.modes if len(self.modes) <= 8 else \
-            self.modes[:4] + ["..."] + self.modes[-4:]
-        listed = ", ".join(str(k) for k in shown)
-        noun = "mode" if len(self.modes) == 1 else "modes"
-        super().__init__(
-            f"smoothing symbol vanishes on {len(self.modes)} {noun} with "
-            f"|k| in [{min(mags)}, {max(mags)}]: [{listed}]; "
-            "use the non-inhibited rescaling")
+        super().__init__(f"smoothing symbol vanishes on {_mode_list(self.modes)}; "
+                         "use the non-inhibited rescaling")
+
+
+def _mode_list(modes: list) -> str:
+    """``n modes with |k| in [lo, hi]: [k, ...]``, with at most eight modes listed."""
+    mags = [abs(int(k)) for k in modes]
+    shown = modes if len(modes) <= 8 else modes[:4] + ["..."] + modes[-4:]
+    noun = "mode" if len(modes) == 1 else "modes"
+    return (f"{len(modes)} {noun} with |k| in [{min(mags)}, {max(mags)}]: "
+            f"[{', '.join(map(str, shown))}]")
 
 
 class WindowResolutionError(NumericalError):
@@ -286,14 +291,29 @@ def _positive(values: np.ndarray, k) -> np.ndarray:
     return values
 
 
+def _finite(quotient: np.ndarray, k, name: str, eps: float) -> np.ndarray:
+    """``quotient``; :class:`SymbolRangeError` listing the modes ``k`` where it is not finite."""
+    bad = k[~np.isfinite(quotient)]
+    if bad.size:
+        raise SymbolRangeError(f"{name} is not finite on {_mode_list(bad.tolist())}; "
+                               f"s + eps^2 q is too small there at eps = {eps!r}")
+    return quotient
+
+
 def solve(op: ReducedOperator, load: SpectralField) -> SpectralField:
     """Diagonal solve ``v_k = F_k / (s(k) + eps^2 q(k))``.
 
     Exact for the frozen-coefficient model.  At ``eps = 0`` a vanishing
-    symbol value raises :class:`KernelModeError` listing the dead modes.
+    symbol value raises :class:`KernelModeError` listing the dead modes;
+    after that check, a ``v_k`` that is not finite (a subnormal divisor)
+    raises :class:`SymbolRangeError` listing its modes.
     """
     _same_modes(op, load)
-    return SpectralField(load.coeffs / _positive(op.total, op.wavenumbers))
+    k = op.wavenumbers
+    total = _positive(op.total, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = load.coeffs / total
+    return SpectralField(_finite(v, k, "solution F / (s + eps^2 q)", op.eps))
 
 
 def coercivity_constant(op: ReducedOperator) -> float:
@@ -407,14 +427,17 @@ def sensitivity_probe(op: ReducedOperator, k_probe):
     modes (an array is returned).  The symbol is inverted directly, so the
     value is finite wherever ``1 / (s + eps^2 q)`` is, including the top
     modes at ``eps = 0`` where the L2 ratio of a solved delta load squared
-    past the double range.  Raises :class:`KernelModeError` only for probed
-    modes whose symbol vanishes.
+    past the double range.  Raises :class:`KernelModeError` for probed
+    modes whose symbol vanishes and, after that check,
+    :class:`SymbolRangeError` for those where the amplification overflows.
     """
     k = np.asarray(k_probe)
     if np.any(np.abs(k) > op.n_modes):
         raise ValueError("probe mode beyond cutoff")
-    i = k + op.n_modes
-    amp = 1.0 / _positive(op.total[i], k)
+    total = _positive(op.total[k + op.n_modes], k)
+    with np.errstate(over="ignore"):
+        amp = 1.0 / total
+    amp = _finite(amp, k, "amplification 1 / (s + eps^2 q)", op.eps)
     return float(amp) if amp.ndim == 0 else amp
 
 

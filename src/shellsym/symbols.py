@@ -20,11 +20,15 @@ found from ``T + 1`` small determinants.  Ellipticity has one verdict,
 read from those coefficients alone (:func:`_elliptic`): ``|det L'|`` on a
 fixed sample of ``N_ANGLES`` angles, and at the angles of the roots of the
 determinant polynomial where the sample cannot prove it.
-:func:`ellipticity_check` and :func:`decaying_solution_basis` both take it.
+:func:`ellipticity_check` and :func:`decaying_solution_basis` both take it;
+the reports of several systems at one point come from one ``np.linalg.det``
+call on their stacked samples (:func:`_ellipticity_checks`), bit-equal to
+one call per system.
 
 Constants are built once, on first use, and kept read-only: the Vandermonde
 per sample count and stack length, the powers of ``sign cos`` on the
-``N_ANGLES`` sample per ``(T, sign)`` and the exponents of ``xi1`` per index set.
+``N_ANGLES`` sample per ``(T, sign)``, cast to complex once, and the
+exponents of ``xi1`` per index set.
 
 The boundary frame convention is the usual one: ``x1`` tangential, ``x2``
 the inward normal, symbols written in ``D = -i d/dx`` so that solutions of
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,7 +53,7 @@ import numpy as np
 
 from . import NumericalError, _read_only
 from .geometry import ElasticityTensor, MetricData
-from .polymat import _dft, poly_coefficients
+from .polymat import _dft, _inverse_dft
 
 DET_RTOL = 1e-8       # relative threshold for "determinant is nonzero"
 
@@ -334,6 +339,9 @@ class EllipticityReport:
 N_ANGLES = 360
 _THETAS = np.linspace(0.0, 2.0 * np.pi, N_ANGLES, endpoint=False)
 _CIRCLE = _read_only(np.cos(_THETAS), np.sin(_THETAS))
+# sin on the sample as complex: numpy casts a real operand of a complex
+# product to ``x + 0j``, so a product with it rounds as one with the real sin
+_COMPLEX_SIN = _read_only(_CIRCLE[1].astype(complex))[0]
 
 
 def _powers(x, order: int):
@@ -343,21 +351,28 @@ def _powers(x, order: int):
 
 @functools.cache
 def _circle_powers(order: int, sign: float) -> tuple:
-    """:func:`_powers` of ``sign cos`` on the ``N_ANGLES`` sample, read-only."""
-    return _read_only(*_powers(sign * _CIRCLE[0], order))
+    """:func:`_powers` of ``sign cos`` on the ``N_ANGLES`` sample, cast to
+    complex as :data:`_COMPLEX_SIN` is, read-only."""
+    return _read_only(*(power.astype(complex) for power in _powers(sign * _CIRCLE[0], order)))
 
 
 def _abs_det(d, sign, cos, sin) -> np.ndarray:
     """``|D(cos, sin)|`` from the coefficients ``d_j`` of ``D(sign, z)``.
 
     By homogeneity ``D(xi1, xi2) = sum_j d_j xi2^j (sign xi1)^(T - j)``,
-    evaluated by Horner in ``xi2``.
+    evaluated by Horner in ``xi2``, in place: each step's operations are
+    those of ``values * sin + d_j * power``.
     """
     order = len(d) - 1
-    powers = _circle_powers(order, sign) if cos is _CIRCLE[0] else _powers(sign * cos, order)
+    if cos is _CIRCLE[0]:
+        powers, sin = _circle_powers(order, sign), _COMPLEX_SIN
+    else:
+        powers = _powers(sign * cos, order)
     values = np.full(np.shape(cos), d[-1])
+    term = np.empty_like(values)
     for d_j, power in zip(d[-2::-1], powers):
-        values = values * sin + d_j * power
+        values *= sin
+        values += np.multiply(d_j, power, out=term)
     return np.abs(values)
 
 
@@ -376,14 +391,28 @@ def _determinant_scan(coeffs, order, sign, cos, sin):
     from the determinants at the ``order + 1`` roots of unity; the values,
     read from them by :func:`_abs_det`, carry rounding errors of a few
     ``eps_mach`` times the largest product of row norms of those matrices.
+    This is the one-stack case of :func:`_determinant_scans`.
     """
-    def dets(zs):
-        vander = _vandermonde(len(zs), len(coeffs))
-        mats = (vander @ coeffs.reshape(len(coeffs), -1)).reshape(-1, *coeffs.shape[1:])
-        return np.linalg.det(mats)
+    return _determinant_scans([(coeffs, order)], sign, cos, sin)[0]
 
-    d = poly_coefficients(dets, order)
-    return d, _abs_det(d, sign, cos, sin)
+
+def _determinant_scans(stacks, sign, cos, sin) -> list:
+    """:func:`_determinant_scan` of each ``(coeffs, order)`` of ``stacks``.
+
+    The matrices of every stack, all of one shape, at their ``order + 1``
+    roots of unity go to one ``np.linalg.det`` call, which runs the same
+    LAPACK factorisation on each matrix of the concatenation, so each
+    determinant is bit-equal to that of a call on its stack alone.
+    """
+    samples = [(_vandermonde(order + 1, len(coeffs)) @ coeffs.reshape(len(coeffs), -1)
+                ).reshape(-1, *coeffs.shape[1:]) for coeffs, order in stacks]
+    dets = np.linalg.det(np.concatenate(samples))
+    scans, start = [], 0
+    for mats in samples:
+        d = _inverse_dft(dets[start:start + len(mats)])
+        scans.append((d, _abs_det(d, sign, cos, sin)))
+        start += len(mats)
+    return scans
 
 
 def _elliptic(d, sign, lo, hi) -> bool:
@@ -404,7 +433,7 @@ def _elliptic(d, sign, lo, hi) -> bool:
     """
     size = np.abs(d)
     top = size.max()
-    if not (0.0 < top < np.inf and np.isfinite(lo) and np.isfinite(hi)):
+    if not (0.0 < top < np.inf and math.isfinite(lo) and math.isfinite(hi)):
         return False
     w = (len(d) - 1) * np.pi / N_ANGLES
     if lo > (DET_RTOL + w) / (1.0 - w) * hi:
@@ -424,12 +453,25 @@ def ellipticity_check(system: DNSystem, point: MetricData) -> EllipticityReport:
     holds the extremes of ``|D|`` over ``N_ANGLES`` equally spaced angles,
     read from the determinant polynomial (:func:`_determinant_scan`) with
     no symbol evaluation, and the verdict of :func:`_elliptic` on the whole
-    circle.
+    circle.  This is the one-system case of :func:`_ellipticity_checks`.
     """
-    d, values = _determinant_scan(system.coefficients(point), system.total_order,
-                                  1.0, *_CIRCLE)
-    lo, hi = float(values.min()), float(values.max())
-    return EllipticityReport(_elliptic(d, 1.0, lo, hi), lo, hi)
+    return _ellipticity_checks((system,), point)[0]
+
+
+def _ellipticity_checks(systems, point: MetricData) -> list:
+    """The :func:`ellipticity_check` report of each of ``systems`` at ``point``.
+
+    The systems share one ``np.linalg.det`` call (:func:`_determinant_scans`),
+    so they must have one number of unknowns; each report is bit-equal to
+    that of a call on its system alone.
+    """
+    scans = _determinant_scans([(system.coefficients(point), system.total_order)
+                                for system in systems], 1.0, *_CIRCLE)
+    reports = []
+    for d, values in scans:
+        lo, hi = float(values.min()), float(values.max())
+        reports.append(EllipticityReport(_elliptic(d, 1.0, lo, hi), lo, hi))
+    return reports
 
 
 # ---------------------------------------------------------------------------

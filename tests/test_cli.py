@@ -1195,3 +1195,130 @@ def test_one_process_runs_many_configs_to_their_goldens(tmp_path):
         cfg.write_text(config)
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
         assert hashlib.sha256(read(out)).hexdigest() == golden[config, command], command
+
+
+# ---------------------------------------------------------------------------
+# the command line: the canonical argv is read without argparse
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["check-ellipticity", "--config", "a.cfg"],
+    ["check-sl", "--config", "a.cfg", "--out", "b.csv"],
+    ["layer-modes", "--out", "b.csv", "--config", "a.cfg"],
+    ["sensitivity", "--config", "-", "--out", "b.csv"],
+    ["solve-reduced", "--config", "a=b.cfg", "--out", "out.csv"],
+])
+def test_canonical_argv_reads_as_argparse_reads_it(argv):
+    args = cli._parser().parse_args(argv)
+    assert cli._parse_argv(argv) == (args.command, args.config, args.out)
+
+
+NON_CANONICAL_ARGV = [
+    ["-h"], ["--help"], ["check-sl", "-h"], ["check-sl", "--config", "{cfg}", "--help"],
+    ["check-sl", "--config={cfg}"], ["check-sl", "--config={cfg}", "--out={out}"],
+    ["check-sl", "--conf", "{cfg}"], ["check-sl", "--con", "{cfg}", "--o", "{out}"],
+    ["check-sl", "--config", "{cfg}", "--config", "{cfg}"],
+    ["check-sl", "--config", "{cfg}", "--out", "{out}", "--out", "{out}"],
+    ["check-sl"], ["check-sl", "--out", "{out}"], ["bogus", "--config", "{cfg}"], [],
+    ["check-sl", "--config", "-x"], ["check-sl", "--config", "{cfg}", "--out", "-x"],
+    ["check-sl", "--config", ""], ["check-sl", "--config", "-1"],
+    ["--config", "{cfg}", "check-sl"], ["--out", "{out}", "check-sl", "--config", "{cfg}"],
+    ["check-sl", "--config", "{cfg}", "extra"], ["check-sl", "--config"],
+    ["check-sl", "-c", "{cfg}"], ["check-sl", "--config", "{cfg}", "--", "x"],
+]
+
+
+@pytest.mark.parametrize("form", NON_CANONICAL_ARGV, ids=" ".join)
+def test_other_argv_forms_keep_argparse_exits_and_text(tmp_path, monkeypatch, capsys, form):
+    monkeypatch.chdir(tmp_path)     # the default --out is out.csv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG)
+    argv = [arg.format(cfg=cfg, out=tmp_path / "run.csv") for arg in form]
+    # what argparse itself makes of argv, then what main makes of it
+    try:
+        args = cli._parser().parse_args(argv)
+        want_code = None
+    except SystemExit as exc:
+        want_code = 2 if exc.code not in (0, None) else 0
+    want = capsys.readouterr()
+    code = main(argv)
+    got = capsys.readouterr()
+    if want_code is None:     # argparse accepts it: main runs the command
+        assert code == (2 if not os.path.isfile(args.config) else 0)
+        assert got.out == ""
+        assert os.path.exists(args.out) == (code == 0)
+    else:
+        assert (code, got.out, got.err) == (want_code, want.out, want.err)
+        assert (want.out if code == 0 else want.err).startswith("usage: shellsym")
+
+
+def test_check_ellipticity_makes_one_determinant_call_per_point(tmp_path, monkeypatch):
+    calls = Counter()
+    det = np.linalg.det
+
+    def counted(a):
+        calls[np.shape(a)] += 1
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    cfg, out = tmp_path / "run.cfg", str(tmp_path / "run.csv")
+    # frozen: four systems of orders 2, 2, 4, 8, one stack of 3 + 3 + 5 + 9 matrices
+    cfg.write_text(BASE_CFG)
+    assert main(["check-ellipticity", "--config", str(cfg), "--out", out]) == 0
+    assert calls == {(20, 3, 3): 1}
+    # the three points of the cap, one call each; a hyperbolic point builds
+    # the rigidity system alone
+    for text, want in ((SPHERE_CAP_CFG, {(20, 3, 3): 3}),
+                       ("b_coeffs = 1,1.7,1\n", {(3, 3, 3): 1})):
+        calls.clear()
+        cfg.write_text(text)
+        assert main(["check-ellipticity", "--config", str(cfg), "--out", out]) == 0
+        assert calls == want
+
+
+# ---------------------------------------------------------------------------
+# non-finite quotients of the reduced solve and probe
+# ---------------------------------------------------------------------------
+
+SUBNORMAL_S_CFG = "N = 360\nd = 1\ntheta = 1\nzeta = 1\nepsilon_list = 1e-3,1e-5\n"
+
+
+@pytest.mark.parametrize("command, cfg_text, message", [
+    # s(k) = sqrt(1 + k^2) exp(-2k) is subnormal but not zero for k = 358..360:
+    # 1 / s overflows at eps = 0
+    ("sensitivity", SUBNORMAL_S_CFG,
+     "amplification 1 / (s + eps^2 q) is not finite on 3 modes with |k| in [358, 360]: "
+     "[358, 359, 360]; s + eps^2 q is too small there at eps = 0.0"),
+    # eps^2 underflows to 0 and s is subnormal from |k| = 78 on: the complex
+    # division by it reads inf or nan
+    ("solve-reduced", "N = 128\nd = 0.15\ntheta = 1e-300\nzeta = 1\n"
+                      "epsilon_list = 1e-200\nf_profile = delta:3\n",
+     "solution F / (s + eps^2 q) is not finite on 102 modes with |k| in [78, 128]: "
+     "[-128, -127, -126, -125, ..., 125, 126, 127, 128]; s + eps^2 q is too small "
+     "there at eps = 1e-200"),
+])
+def test_non_finite_quotients_are_numerical_failures(tmp_path, capsys, command, cfg_text,
+                                                     message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert not caught
+    assert capsys.readouterr().err.splitlines() == [f"numerical failure: {message}"]
+    assert not out.exists()
+
+
+def test_sweep_reads_no_quotient_at_eps_zero(tmp_path):
+    # the sweep's eps > 0 keeps s + eps^2 q normal where the sensitivity
+    # command's eps = 0 probe overflows: exit 0, with its bytes before the
+    # non-finite check and no warning
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SUBNORMAL_S_CFG)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep-epsilon", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == \
+        "5cd75b46f20fde9e08b02a3cd99808a44479ecb03209bb8574aa2a3cded28c6e"

@@ -89,6 +89,41 @@ def test_numerical_failure_of_a_lazily_loaded_module_exits_3(tmp_path, command,
     assert not (tmp_path / "out.csv").exists()
 
 
+ARGPARSE_MODULES = ("argparse", "gettext", "locale")
+ARGPARSE_SITECUSTOMIZE = f"""import atexit, sys
+atexit.register(lambda: print(*(m for m in {ARGPARSE_MODULES!r} if m in sys.modules)))
+"""
+
+
+def _argparse_modules(tmp_path, argv, cfg_text) -> set:
+    """Which of argparse and its imports are in ``sys.modules`` when ``argv`` exits."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(ARGPARSE_SITECUSTOMIZE)
+    env = dict(ENV, PYTHONPATH=os.pathsep.join([str(site), ENV["PYTHONPATH"]]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shellsym.cli", *(a.format(cfg=cfg) for a in argv)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (tmp_path / "out.csv").exists()
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("argv, cfg_text", [
+    (["check-sl", "--config", "{cfg}"], ""),
+    (["check-ellipticity", "--out", "out.csv", "--config", "{cfg}"], ""),
+    (["solve-reduced", "--config", "{cfg}", "--out", "out.csv"], "N = 16\n" + EXPLICIT),
+], ids=["check-sl", "check-ellipticity", "solve-reduced"])
+def test_canonical_command_line_imports_no_argparse(tmp_path, argv, cfg_text):
+    assert _argparse_modules(tmp_path, argv, cfg_text) == set()
+
+
+def test_other_command_lines_go_through_argparse(tmp_path):
+    assert "argparse" in _argparse_modules(tmp_path, ["check-sl", "--config={cfg}"], "")
+
+
 def test_package_exports_resolve_lazily_to_their_submodule_objects():
     code = """
 import importlib, sys

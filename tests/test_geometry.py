@@ -552,3 +552,37 @@ def test_strain_cache_pins_no_chart(rng):
         assert chart() is None
     finally:
         gc.enable()
+
+
+def _metric_verdict(a) -> bool:
+    try:
+        MetricData(a, np.eye(2), np.eye(2), np.zeros((2, 2, 2)))
+    except InvariantError as exc:
+        assert str(exc) == "first fundamental form must be positive definite"
+        return False
+    return True
+
+
+@pytest.mark.parametrize("a", [
+    np.diag([1e-200, 1e-200]), np.diag([1e200, 1e200]), np.diag([5e-324, 5e-324]),
+    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]),
+    np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2)), -np.eye(2),
+    np.diag([1.0, 0.0]), np.diag([1e-300, 1.0]), np.array([[4.0, 1.0], [1.0, 3.0]]),
+], ids=["tiny", "huge", "subnormal", "rank-one-1e-15", "rank-one-1e-13", "indefinite",
+        "zero", "negative", "singular", "1e-300-scale", "generic"])
+def test_metric_positivity_is_the_eigenvalue_verdict(a):
+    # the closed-form proof on the max-normalised entries decides only where
+    # it proves positive definiteness; eigvalsh decides the rest
+    assert _metric_verdict(a) == (np.linalg.eigvalsh(a).min() > 0)
+
+
+def test_metric_proof_never_accepts_what_eigvalsh_rejects(rng):
+    # 2x2 metrics at every scale, within a few rounding errors of singular
+    # (a11 a22 - a12^2 near 0 relative to the entries) and well inside
+    for _ in range(3000):
+        a11, a22 = rng.uniform(0.1, 10.0, 2)
+        a12 = rng.choice((-1.0, 1.0)) * np.sqrt(a11 * a22) * (1.0 - 10.0 ** rng.uniform(-17, 0))
+        a = 10.0 ** rng.uniform(-300, 300) * np.array([[a11, a12], [a12, a22]])
+        if geometry._proves_positive_definite(a, np.abs(a).max()):
+            assert np.linalg.eigvalsh(a).min() > 0, a
+        assert _metric_verdict(a) == (np.linalg.eigvalsh(a).min() > 0), a

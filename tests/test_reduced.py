@@ -489,6 +489,31 @@ def test_sensitivity_formula_and_size():
         amps, np.exp(2.0 * 0.05 * k) / (0.7 * np.sqrt(1.0 + k ** 2.0)), rtol=1e-12)
 
 
+def test_non_finite_quotients_raise_symbol_range_error():
+    # at d = 1, N = 360 and eps = 0, s(k) is subnormal but not zero for
+    # |k| = 358..360: 1 / s overflows there, and nowhere below
+    op0 = build_default_operator(theta=1.0, zeta=1.0, d=1.0, n_modes=360, eps=0.0)
+    assert sensitivity_probe(op0, 357) < np.inf
+    for probe, modes in ((359, "1 mode with |k| in [359, 359]: [359]"),
+                         (np.arange(-360, 361), "6 modes with |k| in [358, 360]: "
+                                                "[-360, -359, -358, 358, 359, 360]")):
+        with pytest.raises(SymbolRangeError) as err:
+            sensitivity_probe(op0, probe)
+        assert str(err.value) == ("amplification 1 / (s + eps^2 q) is not finite on "
+                                  f"{modes}; s + eps^2 q is too small there at eps = 0.0")
+    with pytest.raises(SymbolRangeError, match=r"^solution F / \(s \+ eps\^2 q\) is not "
+                                               r"finite on 6 modes with \|k\| in \[358, 360\]"):
+        solve(op0, flat_load(360))
+    # eps > 0 keeps the divisor normal: the quotients are finite
+    op = op0.with_eps(1e-3)
+    np.testing.assert_array_equal(solve(op, flat_load(360)).coeffs, 1.0 / op.total)
+    # where s vanishes, the kernel check comes first and names the dead modes
+    with pytest.raises(KernelModeError):
+        sensitivity_probe(default_op(0.0, n=400), np.arange(401))
+    with pytest.raises(KernelModeError):
+        solve(default_op(0.0, n=400), flat_load(400))
+
+
 def test_sensitivity_bounded_by_bending_part():
     op = default_op(1e-2)
     k_star = frequency_window(op)

@@ -328,6 +328,55 @@ def test_ellipticity_check_equals_direct_scan(rng):
     assert verdicts == {True, False}
 
 
+def separate_scan(system, pt) -> tuple:
+    """``(min |D|, max |D|, verdict)`` with one ``np.linalg.det`` call for
+    ``system`` alone and Horner's rule on new arrays, each step
+    ``values * sin + d_j * cos^(T - j)`` on the real circle sample."""
+    coeffs, order = system.coefficients(pt), system.total_order
+
+    def dets(zs):
+        vander = zs[:, None] ** np.arange(len(coeffs))
+        return np.linalg.det((vander @ coeffs.reshape(len(coeffs), -1)).reshape(-1, 3, 3))
+
+    d = poly_coefficients(dets, order)
+    cos, sin = symbols._CIRCLE
+    values, power = np.full(cos.shape, d[-1]), cos
+    for d_j in d[-2::-1]:
+        values = values * sin + d_j * power
+        power = power * cos
+    values = np.abs(values)
+    lo, hi = float(values.min()), float(values.max())
+    return lo, hi, symbols._elliptic(d, 1.0, lo, hi)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # the radius 1e150 overflows
+def test_per_point_checks_are_bit_equal_to_separate_scans(rng):
+    # one determinant call on the stacked samples of a point's systems and
+    # the in-place Horner give each system's extremes and verdict of a
+    # determinant call on its own samples, bit for bit: seeded frozen points
+    # of every curvature kind (hyperbolic and near-parabolic included, the
+    # rigidity system alone where the surface is hyperbolic), the three
+    # rigidities and random explicit ones, and the three sphere-cap sample
+    # points at several radii
+    cases = list(swept_frozen_points(rng, 12))
+    for radius in (0.8, 1.7, 3.0, 1e-100, 1e150):
+        chart = sphere_cap_chart(radius=radius)
+        cases += [(chart.point(i, i), e, 0.02) for i in (0, 12, 23) for e in ELASTICITIES]
+    verdicts = set()
+    for pt, e, eps in cases:
+        systems = [system for _, system in built_systems(pt, e, eps)]
+        stacked = symbols._ellipticity_checks(systems, pt)
+        for system, rep in zip(systems, stacked, strict=True):
+            alone = ellipticity_check(system, pt)
+            lo, hi, elliptic = separate_scan(system, pt)
+            bits = np.array([[rep.min_abs_det, rep.max_abs_det],
+                             [alone.min_abs_det, alone.max_abs_det], [lo, hi]]).view(np.uint64)
+            assert (bits == bits[2]).all(), (system.name, pt.b_triple)
+            assert rep.elliptic == alone.elliptic == elliptic, (system.name, pt.b_triple)
+            verdicts.add(rep.elliptic)
+    assert verdicts == {True, False}
+
+
 def test_determinant_scan_is_within_a_few_rounding_errors(rng):
     # |D| from the T + 1 determinant coefficients of L'(sign, z), at every
     # angle of an odd grid (no angle is the mirror image of another), lies
