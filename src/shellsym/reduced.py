@@ -494,8 +494,8 @@ def no_distribution_limit_probe(op: ReducedOperator, load: SpectralField,
     order = np.argsort(np.abs(k), kind="stable")
     running = np.logaddexp.accumulate(terms[order])
     counts = np.searchsorted(np.abs(k)[order], truncations, side="right")
-    rows = [(int(n), -np.inf if c == 0 else 0.5 * float(running[c - 1]))
-            for n, c in zip(truncations, counts)]
+    logs = np.where(counts > 0, 0.5 * running[counts - 1], -np.inf)
+    rows = [(int(n), log) for n, log in zip(truncations, logs.tolist())]
     return GrowthTable(rows, weight_order, not band_limited)
 
 
@@ -528,19 +528,21 @@ def noninhibited_rescale(op: ReducedOperator, load: SpectralField,
     _same_modes(op, load)
     k = op.wavenumbers
     on_kernel = np.isin(np.abs(k), op.kernel)
-    _positive(op.s[~on_kernel], k[~on_kernel])
+    off_kernel = ~on_kernel
+    _positive(op.s[off_kernel], k[off_kernel])
 
     limit = np.where(on_kernel, load.coeffs / op.q, 0.0)
+    kernel_limit = limit[on_kernel]
     rows = []
     for eps in eps_list:
         if eps <= 0:
             raise ValueError("eps values must be positive")
-        total = op.with_eps(eps).total
+        total = op.s + eps ** 2 * op.q       # the total of op.with_eps(eps)
         if total.min() < np.finfo(float).tiny:     # w would overflow
             raise SymbolRangeError(f"s + eps^2 q is subnormal at eps = {eps!r}: eps is too small")
         w = eps ** 2 * load.coeffs / total
-        kernel_err = float(np.abs(w[on_kernel] - limit[on_kernel]).max())
-        off = np.abs(w[~on_kernel])
+        kernel_err = float(np.abs(w[on_kernel] - kernel_limit).max())
+        off = np.abs(w[off_kernel])
         rows.append(RescaleRow(float(eps), kernel_err,
                                float(off.max()) if off.size else 0.0,
                                SpectralField(w)))

@@ -382,22 +382,15 @@ def _vandermonde(n_samp: int, length: int) -> np.ndarray:
     return _read_only(_dft(n_samp)[0][:, None] ** np.arange(length))[0]
 
 
-def _determinant_scan(coeffs, order, sign, cos, sin):
+def _determinant_scans(stacks, sign, cos, sin) -> list:
     """The coefficients ``d_j`` of ``D(sign, z) = det L'(sign, z)`` and
-    ``|det L'(cos, sin)|``.
+    ``|det L'(cos, sin)|``, for each ``(coeffs, order)`` of ``stacks``.
 
     ``coeffs`` are the matrix coefficients of ``L'(sign, z)`` in ``z``.  Its
     determinant has degree at most ``order`` in ``z``, so the ``d_j`` follow
     from the determinants at the ``order + 1`` roots of unity; the values,
     read from them by :func:`_abs_det`, carry rounding errors of a few
     ``eps_mach`` times the largest product of row norms of those matrices.
-    This is the one-stack case of :func:`_determinant_scans`.
-    """
-    return _determinant_scans([(coeffs, order)], sign, cos, sin)[0]
-
-
-def _determinant_scans(stacks, sign, cos, sin) -> list:
-    """:func:`_determinant_scan` of each ``(coeffs, order)`` of ``stacks``.
 
     The matrices of every stack, all of one shape, at their ``order + 1``
     roots of unity go to one ``np.linalg.det`` call, which runs the same
@@ -451,7 +444,7 @@ def ellipticity_check(system: DNSystem, point: MetricData) -> EllipticityReport:
 
     Homogeneity reduces real ``xi != 0`` to the unit circle.  The report
     holds the extremes of ``|D|`` over ``N_ANGLES`` equally spaced angles,
-    read from the determinant polynomial (:func:`_determinant_scan`) with
+    read from the determinant polynomial (:func:`_determinant_scans`) with
     no symbol evaluation, and the verdict of :func:`_elliptic` on the whole
     circle.  This is the one-system case of :func:`_ellipticity_checks`.
     """
@@ -496,7 +489,7 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
 
     The symbols are homogeneous, so only ``s = sign(xi1)`` matters.  The
     matrix coefficients of ``L'(s, xi2) = sum_i A_i xi2^i`` also give the
-    determinant polynomial (:func:`_determinant_scan`) and the ellipticity
+    determinant polynomial (:func:`_determinant_scans`) and the ellipticity
     verdict (:func:`_elliptic`) that :func:`ellipticity_check` reports.
     ``L'(s, D)`` is then linearised as the block-companion pencil on the
     Cauchy data
@@ -513,7 +506,7 @@ def decaying_solution_basis(system: DNSystem, point: MetricData,
     m, n, deg = system.half_order, system.n_unknowns, system.max_entry_degree
     s = float(np.sign(xi1))
     coeffs = _coefficients_at(system, point, s)
-    d, values = _determinant_scan(coeffs, system.total_order, s, *_CIRCLE)
+    d, values = _determinant_scans([(coeffs, system.total_order)], s, *_CIRCLE)[0]
     if not _elliptic(d, s, values.min(), values.max()):
         raise EllipticityError(
             f"{system.name}: not elliptic at this point "

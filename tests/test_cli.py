@@ -667,18 +667,18 @@ def test_check_sl_builds_one_basis_per_system_and_sign(tmp_path, monkeypatch):
     # scan sees the total order, not the system: 2 rigidity, 4 membrane,
     # 8 koiter
     bases, scans = Counter(), Counter()
-    build, scan = symbols.decaying_solution_basis, symbols._determinant_scan
+    build, scan = symbols.decaying_solution_basis, symbols._determinant_scans
 
     def build_counted(system, point, xi1):
         bases[system.name, float(np.sign(xi1))] += 1
         return build(system, point, xi1)
 
-    def scan_counted(coeffs, order, sign, *args):
-        scans[order, sign] += 1
-        return scan(coeffs, order, sign, *args)
+    def scan_counted(stacks, sign, *args):
+        scans.update((order, sign) for _, order in stacks)
+        return scan(stacks, sign, *args)
 
     monkeypatch.setattr(symbols, "decaying_solution_basis", build_counted)
-    monkeypatch.setattr(symbols, "_determinant_scan", scan_counted)
+    monkeypatch.setattr(symbols, "_determinant_scans", scan_counted)
     cfg = tmp_path / "sl.cfg"
     cfg.write_text(CRITERION_12_CFG.replace("xi1_list = 1,3", "xi1_list = 1,-3,3,-1"))
     out = str(tmp_path / "sl.csv")

@@ -622,6 +622,43 @@ def test_growth_table_band_limited_load_is_flat():
     assert np.allclose(norms, norms[0], atol=1e-12)
 
 
+def _per_truncation_rows(op, load, truncations, weight_order):
+    # the running log-sum of the probe, read one truncation at a time
+    k = load.wavenumbers
+    with np.errstate(divide="ignore"):
+        terms = (2.0 * (np.log(np.abs(load.coeffs)) - np.log(op.s))
+                 - weight_order * np.log1p(k.astype(float) ** 2))
+    terms[~np.isfinite(terms)] = -np.inf
+    order = np.argsort(np.abs(k), kind="stable")
+    running = np.logaddexp.accumulate(terms[order])
+    rows = []
+    for n in truncations:
+        c = np.count_nonzero(np.abs(k) <= n)
+        rows.append((int(n), -np.inf if c == 0 else 0.5 * float(running[c - 1])))
+    return rows
+
+
+@pytest.mark.parametrize("weight_order", [0.0, 10.0])
+@pytest.mark.parametrize("band", [False, True])
+def test_growth_rows_equal_the_per_truncation_formula(band, weight_order):
+    # the rows, read from one array, are the per-truncation floats bit for
+    # bit, for the default truncations and for unsorted, repeated, 0 and > N
+    n = 300
+    op = build_default_operator(theta=0.8, zeta=1.0, d=0.3, n_modes=n, eps=0.0)
+    load = (SpectralField.from_symbol(n, lambda k: np.where(np.abs(k) <= 7, 1.0, 0.0))
+            if band else smooth_load(n))
+    for truncations in (None, [40, 3, 0, 40, 299, 300, 1000, 7, 6, 2, 2, 150]):
+        table = no_distribution_limit_probe(op, load, truncations, weight_order)
+        want = _per_truncation_rows(op, load, truncations or range(5, n + 1, 5),
+                                    weight_order)
+        assert [(type(n), type(log)) for n, log in table.rows] == [(int, float)] * len(want)
+        got_bits = np.array([log for _, log in table.rows]).view(np.uint64)
+        want_bits = np.array([log for _, log in want]).view(np.uint64)
+        assert [n for n, _ in table.rows] == [n for n, _ in want]
+        assert np.array_equal(got_bits, want_bits)
+    assert table.diverges != band
+
+
 # ---------------------------------------------------------------------------
 # non-inhibited rescaling
 # ---------------------------------------------------------------------------
@@ -689,6 +726,46 @@ def test_rescale_refuses_a_subnormal_divisor():
     for eps in (1e-155, 1e-160, 1e-163):
         with pytest.raises(SymbolRangeError, match=f"subnormal at eps = {eps!r}"):
             noninhibited_rescale(op, flat_load(64), [1e-2, eps])
+
+
+RESCALE_EPS = [1e-2, 1e-3, 1e-5, 1e-7, 1e-9, 1e-12, 1e-15, 1e-19, 1e-24, 1e-30, 1e-40, 1e-50]
+
+
+def test_rescale_forms_no_operator_per_eps(monkeypatch):
+    # the totals s + eps^2 q are formed from the operator's samples, without
+    # settling a copy of the operator at each eps
+    op = with_kernel(default_op(1e-2, n=256, d=0.3), [3, 8])
+    settle, calls = ReducedOperator._settle, []
+
+    def settle_counted(self, eps, kernel):
+        calls.append(eps)
+        return settle(self, eps, kernel)
+
+    monkeypatch.setattr(ReducedOperator, "_settle", settle_counted)
+    _, rows = noninhibited_rescale(op, smooth_load(256), RESCALE_EPS)
+    assert len(rows) == 12
+    assert calls == []
+
+
+def test_rescale_rows_equal_a_per_eps_operator_reference():
+    # every row is bit-equal to one read from op.with_eps(eps), and an eps
+    # at which the kernel divisor is subnormal keeps its message
+    op = with_kernel(build_default_operator(theta=1.0, zeta=1.0, d=0.05,
+                                            n_modes=4096, eps=1e-2), [3, 8])
+    load = smooth_load(4096)
+    limit, rows = noninhibited_rescale(op, load, RESCALE_EPS)
+    on = np.isin(np.abs(op.wavenumbers), op.kernel)
+    want_limit = np.where(on, load.coeffs / op.q, 0.0)
+    assert limit.coeffs.tobytes() == want_limit.tobytes()
+    for eps, row in zip(RESCALE_EPS, rows):
+        w = eps ** 2 * load.coeffs / op.with_eps(eps).total
+        assert row.eps == eps
+        assert row.solution.coeffs.tobytes() == w.tobytes()
+        assert row.kernel_error == float(np.abs(w[on] - want_limit[on]).max())
+        assert row.off_kernel_max == float(np.abs(w[~on]).max())
+    with pytest.raises(SymbolRangeError) as err:
+        noninhibited_rescale(op, load, [1e-2, 1e-160])
+    assert str(err.value) == "s + eps^2 q is subnormal at eps = 1e-160: eps is too small"
 
 
 def test_rescale_requires_kernel():

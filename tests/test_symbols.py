@@ -387,8 +387,8 @@ def test_determinant_scan_is_within_a_few_rounding_errors(rng):
         dets = np.linalg.det(system.symbol_gen(pt, (cos, sin)))
         for sign in (1.0, -1.0):
             coeffs = symbols._coefficients_at(system, pt, sign)
-            _, approx = symbols._determinant_scan(coeffs, system.total_order,
-                                                  sign, cos, sin)
+            [(_, approx)] = symbols._determinant_scans([(coeffs, system.total_order)],
+                                                       sign, cos, sin)
             gap = np.abs(approx - np.abs(dets)).max()
             scale = interpolation_scale(coeffs, system.total_order)
             assert gap <= 10 * np.finfo(float).eps * scale, (system.name, sign)
