@@ -2,9 +2,10 @@
 
 The shell model lives on a single chart.  A :class:`MetricField` carries the
 first and second fundamental forms, the mixed curvature tensor and the
-Christoffel symbols sampled on a rectangular grid; a :class:`MetricData` is
-the same data frozen at one point, which is what the symbol machinery
-consumes.  Displacements are triples ``(u1, u2, u3)`` of covariant tangential
+Christoffel symbols sampled on a rectangular grid, and checks its own metric
+at five sample points.  A :class:`MetricData` is one frozen point: its
+curvature ``b_ij`` and ``b^i_j``, which is all the principal symbols read.
+Displacements are triples ``(u1, u2, u3)`` of covariant tangential
 components plus the normal component on the same grid.
 
 Chart arrays store components first, ``(2, 2, n1, n2)``, so every
@@ -57,42 +58,35 @@ _SYM_TOL = 1e-12
 # point data and charts
 # ---------------------------------------------------------------------------
 
+def _asymmetric(x: np.ndarray, axis1: int = 0, axis2: int = 1) -> bool:
+    """Whether ``x`` departs from symmetry in two axes at some sample (its last
+    axis) by more than ``_SYM_TOL`` times that sample's largest entry, or 1."""
+    top = np.abs(x).reshape(-1, x.shape[-1]).max(axis=0)
+    gap = np.abs(x - np.swapaxes(x, axis1, axis2)).reshape(-1, x.shape[-1]).max(axis=0)
+    return bool((gap > _SYM_TOL * np.maximum(top, 1.0)).any())
+
+
 @dataclass(frozen=True)
 class MetricData:
-    """First/second fundamental forms and Christoffel symbols at a point.
+    """The curvature of one frozen point: ``b_cov`` is ``b_ij`` and
+    ``b_mixed[i, j]`` the mixed tensor ``b^i_j``, upper index first.
 
-    ``b_mixed[i, j]`` stores the mixed tensor with the upper index first,
-    ``b^i_j = a^{is} b_{sj}``.  ``christoffel[l, a, b]`` is ``Gamma^l_ab``.
-    The forms and the symbols must be symmetric, and ``a`` positive
-    definite: a 2x2 ``a`` is proved so in closed form, ``a11 > 0`` and
-    ``a11 a22 - a21^2`` above its rounding error on the entries divided by
-    the largest (:func:`_proves_positive_definite`), and where that proof
-    fails, ``eigvalsh`` decides, so every verdict is the eigenvalue one.
+    The principal symbols read only these.  A frozen point lies in the
+    orthonormal boundary frame, where ``a = I`` and ``b^i_j = b_ij``.  A
+    sphere-cap point carries ``b_ij`` and ``b^i_j`` in chart coordinates,
+    which the symbols read as a boundary-frame point (ROADMAP item 25).
+    ``b_cov`` must be symmetric.
     """
 
-    a_cov: np.ndarray
     b_cov: np.ndarray
     b_mixed: np.ndarray
-    christoffel: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a_cov, dtype=float)
         b = np.asarray(self.b_cov, dtype=float)
-        g = np.asarray(self.christoffel, dtype=float)
-        bm = np.asarray(self.b_mixed, dtype=float)
-        object.__setattr__(self, "a_cov", a)
         object.__setattr__(self, "b_cov", b)
-        object.__setattr__(self, "b_mixed", bm)
-        object.__setattr__(self, "christoffel", g)
-        top = np.abs(a).max()
-        if np.abs(a - a.T).max() > _SYM_TOL * max(top, 1.0):
-            raise InvariantError("first fundamental form must be symmetric")
-        if not _proves_positive_definite(a, top) and np.linalg.eigvalsh(a).min() <= 0:
-            raise InvariantError("first fundamental form must be positive definite")
-        if np.abs(b - b.T).max() > _SYM_TOL * max(np.abs(b).max(), 1.0):
+        object.__setattr__(self, "b_mixed", np.asarray(self.b_mixed, dtype=float))
+        if _asymmetric(b[:, :, None]):
             raise InvariantError("second fundamental form must be symmetric")
-        if np.abs(g - np.swapaxes(g, 1, 2)).max() > _SYM_TOL * max(np.abs(g).max(), 1.0):
-            raise InvariantError("Christoffel symbols must be symmetric in the lower indices")
 
     @property
     def b_triple(self) -> tuple:
@@ -102,27 +96,6 @@ class MetricData:
 
     def require_surface_elliptic(self):
         surface_elliptic_triple(self.b_triple)
-
-
-# On the entries divided by max |a_ij|, each within eps_mach / 2 of exact,
-# a11 a22 - a21^2 is computed within 4 eps_mach.  Above 64 eps_mach, the
-# smaller eigenvalue of that matrix (norm at most 2) exceeds 30 eps_mach,
-# beyond the backward error of LAPACK's symmetric eigensolver on a 2x2
-# matrix, so eigvalsh reads it positive too.
-_PD_MARGIN = 64 * np.finfo(float).eps
-
-
-def _proves_positive_definite(a: np.ndarray, top) -> bool:
-    """Whether the 2x2 ``a``, with ``top = max |a_ij|``, is positive definite
-    beyond doubt: ``a11 > 0`` and ``a11 a22 - a21^2 > _PD_MARGIN`` on the
-    entries divided by ``top``.  It reads the lower triangle, as
-    ``eigvalsh`` does; ``False`` leaves the verdict to ``eigvalsh``.
-    """
-    top = float(top)
-    if a.shape != (2, 2) or not 0.0 < top < np.inf:
-        return False
-    a11, _, a21, a22 = (x / top for x in a.ravel().tolist())
-    return a11 > 0.0 and a11 * a22 - a21 * a21 > _PD_MARGIN
 
 
 def surface_elliptic_triple(b) -> tuple:
@@ -140,9 +113,9 @@ def surface_elliptic_triple(b) -> tuple:
 
 
 def frozen_point(b11: float, b12: float, b22: float) -> MetricData:
-    """Constant-coefficient boundary-frame point: a = I, Gamma = 0."""
+    """Constant-coefficient boundary-frame point: with ``a = I``, ``b^i_j = b_ij``."""
     b = np.array([[b11, b12], [b12, b22]], dtype=float)
-    return MetricData(np.eye(2), b, b.copy(), np.zeros((2, 2, 2)))
+    return MetricData(b, b.copy())
 
 
 class ChartTerms(NamedTuple):
@@ -160,6 +133,10 @@ class MetricField:
     Components come first: ``a_cov[a, b]`` is the ``(n1, n2)`` grid of
     ``a_ab``, and ``christoffel[l, a, b]`` that of ``Gamma^l_ab``.  The
     chart-only strain terms are built once, in :attr:`chart_terms`.
+
+    The chart checks, at its four corners and centre in one pass, that ``a``
+    and ``b`` are symmetric, ``a`` positive definite (one ``eigvalsh`` call)
+    and the Christoffel symbols symmetric in their lower indices.
     """
 
     a_cov: np.ndarray          # (2, 2, n1, n2)
@@ -175,19 +152,27 @@ class MetricField:
         if (len(grid) != 4 or self.christoffel.shape != (2,) + grid
                 or any(x.shape != grid for x in (self.a_cov, self.b_cov, self.b_mixed))):
             raise GridMismatchError("metric components must share one (n1, n2) grid")
-        # validate invariants on a sample of points (corners + center)
+        # the corners and the centre, one sample per entry of the last axis
         n1, n2 = self.shape
-        for i, j in {(0, 0), (0, n2 - 1), (n1 - 1, 0), (n1 - 1, n2 - 1),
-                     (n1 // 2, n2 // 2)}:
-            self.point(i, j)
+        rows, cols = [0, 0, n1 - 1, n1 - 1, n1 // 2], [0, n2 - 1, 0, n2 - 1, n2 // 2]
+        a, b, gamma = (x[..., rows, cols] for x in (self.a_cov, self.b_cov, self.christoffel))
+        if _asymmetric(a):
+            raise InvariantError("first fundamental form must be symmetric")
+        if np.linalg.eigvalsh(np.moveaxis(a, -1, 0)).min() <= 0:
+            raise InvariantError("first fundamental form must be positive definite")
+        if _asymmetric(b):
+            raise InvariantError("second fundamental form must be symmetric")
+        if _asymmetric(gamma, 1, 2):
+            raise InvariantError("Christoffel symbols must be symmetric in the lower indices")
 
     @property
     def shape(self) -> tuple:
         return self.a_cov.shape[2:]
 
     def point(self, i: int, j: int) -> MetricData:
-        return MetricData(*(np.ascontiguousarray(x[..., i, j]) for x in (
-            self.a_cov, self.b_cov, self.b_mixed, self.christoffel)))
+        """``b_ij`` and ``b^i_j`` at node ``(i, j)``, in chart coordinates; no metric check."""
+        return MetricData(np.ascontiguousarray(self.b_cov[..., i, j]),
+                          np.ascontiguousarray(self.b_mixed[..., i, j]))
 
     @cached_property
     def chart_terms(self) -> ChartTerms:

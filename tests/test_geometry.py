@@ -83,6 +83,13 @@ def test_curvature_strain_normal_displacement():
     assert np.allclose(r[..., 0, 1], 0.0, atol=1e-12)
 
 
+def constant_chart(a, shape=(1, 1)):
+    """A chart with metric ``a``, ``b = b^i_j = I`` and ``Gamma = 0`` at every node."""
+    grid = lambda x: np.asarray(x, dtype=float)[..., None, None] * np.ones(shape)
+    return MetricField(grid(a), grid(np.eye(2)), grid(np.eye(2)),
+                       grid(np.zeros((2, 2, 2))), H)
+
+
 def test_strains_symmetric_and_linear(rng):
     m = sphere_cap_chart(radius=1.5, shape=SHAPE, h=0.02)
     u = DisplacementField(rng.normal(size=SHAPE), rng.normal(size=SHAPE),
@@ -229,11 +236,9 @@ def test_grid_mismatch_and_invariant_errors(rng):
     with pytest.raises(GridMismatchError):
         DisplacementField(np.zeros((8, 8)), np.zeros((8, 9)), np.zeros((8, 8)), H)
     with pytest.raises(InvariantError):
-        MetricData(np.eye(2), np.array([[1.0, 0.2], [0.3, 1.0]]),
-                   np.eye(2), np.zeros((2, 2, 2)))
+        MetricData(np.array([[1.0, 0.2], [0.3, 1.0]]), np.eye(2))
     with pytest.raises(InvariantError):
-        MetricData(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2),
-                   np.eye(2), np.zeros((2, 2, 2)))
+        constant_chart(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(InvariantError):
         ElasticityTensor(np.diag([1.0, 1.0, -0.1]), np.eye(3))
 
@@ -556,7 +561,7 @@ def test_strain_cache_pins_no_chart(rng):
 
 def _metric_verdict(a) -> bool:
     try:
-        MetricData(a, np.eye(2), np.eye(2), np.zeros((2, 2, 2)))
+        constant_chart(a)
     except InvariantError as exc:
         assert str(exc) == "first fundamental form must be positive definite"
         return False
@@ -571,18 +576,68 @@ def _metric_verdict(a) -> bool:
 ], ids=["tiny", "huge", "subnormal", "rank-one-1e-15", "rank-one-1e-13", "indefinite",
         "zero", "negative", "singular", "1e-300-scale", "generic"])
 def test_metric_positivity_is_the_eigenvalue_verdict(a):
-    # the closed-form proof on the max-normalised entries decides only where
-    # it proves positive definiteness; eigvalsh decides the rest
+    # the chart reads its metric positive definite by eigvalsh alone
     assert _metric_verdict(a) == (np.linalg.eigvalsh(a).min() > 0)
 
 
-def test_metric_proof_never_accepts_what_eigvalsh_rejects(rng):
+def test_near_singular_metric_verdicts_are_the_eigenvalue_ones(rng):
     # 2x2 metrics at every scale, within a few rounding errors of singular
     # (a11 a22 - a12^2 near 0 relative to the entries) and well inside
     for _ in range(3000):
         a11, a22 = rng.uniform(0.1, 10.0, 2)
         a12 = rng.choice((-1.0, 1.0)) * np.sqrt(a11 * a22) * (1.0 - 10.0 ** rng.uniform(-17, 0))
         a = 10.0 ** rng.uniform(-300, 300) * np.array([[a11, a12], [a12, a22]])
-        if geometry._proves_positive_definite(a, np.abs(a).max()):
-            assert np.linalg.eigvalsh(a).min() > 0, a
         assert _metric_verdict(a) == (np.linalg.eigvalsh(a).min() > 0), a
+
+
+def _break_symmetry(x, i, j):
+    x[0, 1, i, j] += 0.5
+
+
+def _break_symmetry_lower(x, i, j):
+    x[0, 0, 1, i, j] += 0.5
+
+
+def _make_indefinite(x, i, j):
+    x[:, :, i, j] = [[1.0, 2.0], [2.0, 1.0]]
+
+
+@pytest.mark.parametrize("field_index,fault,message", [
+    (0, _break_symmetry, "first fundamental form must be symmetric"),
+    (0, _make_indefinite, "first fundamental form must be positive definite"),
+    (1, _break_symmetry, "second fundamental form must be symmetric"),
+    (3, _break_symmetry_lower, "Christoffel symbols must be symmetric in the lower indices"),
+], ids=["a-symmetric", "a-positive-definite", "b-symmetric", "christoffel-symmetric"])
+@pytest.mark.parametrize("node", [(4, 0), (2, 2)], ids=["corner", "centre"])
+def test_chart_checks_each_invariant_at_its_sample_points(field_index, fault, message, node):
+    m = frozen_chart(1.0, 0.0, 1.0, (5, 5), H)
+
+    def chart_with_fault_at(i, j):
+        fields = [np.array(x) for x in (m.a_cov, m.b_cov, m.b_mixed, m.christoffel)]
+        fault(fields[field_index], i, j)
+        return MetricField(*fields, H)
+
+    with pytest.raises(InvariantError) as exc:
+        chart_with_fault_at(*node)
+    assert str(exc.value) == message
+    chart_with_fault_at(1, 3)    # a node off the corners and the centre is not checked
+
+
+def test_check_ellipticity_builds_one_metric_data_per_point(monkeypatch, tmp_path):
+    # a frozen config has one point and a sphere-cap config three; the chart's
+    # own metric check builds none
+    from shellsym.cli import main
+    built, post_init = [], MetricData.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MetricData, "__post_init__", counting)
+    cfg, out = tmp_path / "exp.cfg", str(tmp_path / "out.csv")
+    for config, points in (("b_coeffs = 1.3,0.4,0.8\nelasticity = isotropic\n", 1),
+                           ("chart = sphere-cap\nchart_params = 1.7\nelasticity = isotropic\n", 3)):
+        built.clear()
+        cfg.write_text(config)
+        assert main(["check-ellipticity", "--config", str(cfg), "--out", out]) == 0
+        assert len(built) == points, config
