@@ -27,11 +27,12 @@ values, is written as str cells, ``format`` per double and ``str`` per int,
 and a ``",".join`` per row.  From ``_KERNEL_MIN`` on, as a reduced command's
 table at ``N >= 256``, the bulk kernel of :mod:`shellsym._g17kernel`,
 imported on the first such table, writes each distinct double once as
-fixed-width bytes; each cell is gathered from them whole, as one ``V`` item,
-into one byte grid, the whole body, written in binary.  In
-``solve-reduced``, ``v_abs`` is ``np.hypot(re, im)``, which matches the
-``abs`` of a numpy complex scalar bit for bit, where the array ``np.abs``
-of a complex array may differ in the last bit.
+fixed-width bytes, most of them with no per-byte gather; each cell is
+gathered from them whole, as one ``V`` item, into one byte grid, the whole
+body, written in binary, with the ints written four digits at a time from a
+table.  In ``solve-reduced``, ``v_abs`` is ``np.hypot(re, im)``, which
+matches the ``abs`` of a numpy complex scalar bit for bit, where the array
+``np.abs`` of a complex array may differ in the last bit.
 
 ``main`` reads the canonical command line, ``<command> --config P [--out
 P]`` with the flags in either order, itself; argparse is imported and its
@@ -83,7 +84,7 @@ from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
-from . import NumericalError
+from . import NumericalError, _read_only
 
 if TYPE_CHECKING:
     from . import geometry, reduced
@@ -216,7 +217,7 @@ class ExperimentConfig:
 @functools.cache
 def _builtin_elasticity(name: str) -> geometry.ElasticityTensor:
     """The built-in tensor ``name``, validated once, with read-only matrices."""
-    from . import _read_only, geometry
+    from . import geometry
     tensor = {"identity": geometry.ElasticityTensor.identity,
               "frobenius": geometry.ElasticityTensor.frobenius_identity,
               "isotropic": geometry.ElasticityTensor.isotropic}[name]()
@@ -272,7 +273,8 @@ def _g17(*columns):
     ``format`` per value.  From it on, it is ``(cells, index)``, the rows
     ``cells[index]``: ``cells`` is a ``(distinct, width)`` uint8 array of
     ASCII text padded with NUL, as wide as the column's longest text, from
-    the bulk kernel and, for what it cannot prove, ``format``.
+    the bulk kernel and, for what it cannot prove, ``format``.  It is a view
+    into the kernel's 32-byte source rows, where most cells already lie.
     """
     bits = np.array(columns, dtype=np.float64).view(np.uint64)
     order = bits.ravel().argsort(kind="stable")
@@ -311,13 +313,14 @@ def write_csv(path: str, header: str, columns: list):
     """Write ``header`` and one row per index of the equal-length typed ``columns``.
 
     A column is a float array, an int array, or a list of text holding no
-    ``,``, line break or NUL.  ``_g17`` formats the float columns together
-    and ``str`` writes the ints.  Below ``_KERNEL_MIN`` distinct doubles
-    each cell is a str and each row a ``",".join``.  From it on, the body is
-    one uint8 grid: the cells of a row side by side, each padded with NUL
-    and followed by its ``,`` or line feed.  A float column is gathered from
-    ``_g17``'s distinct cells into it, one ``V<width>`` item a cell, and one
-    masked copy drops the padding and goes to the file after the header.
+    ``,``, line break or NUL.  ``_g17`` formats the float columns together.
+    Below ``_KERNEL_MIN`` distinct doubles each cell is a str, ``str`` writes
+    the ints, and each row is a ``",".join``.  From it on, the body is one
+    uint8 grid: the cells of a row side by side, each padded with NUL and
+    followed by its ``,`` or line feed.  ``_int_cells`` writes the ints
+    there, four digits at a time from a table.  A float column is gathered
+    from ``_g17``'s distinct cells into it, one ``V<width>`` item a cell, and
+    one masked copy drops the padding and goes to the file after the header.
     """
     if len({len(col) for col in columns}) > 1:
         raise ValueError("columns differ in length")
@@ -350,22 +353,44 @@ def write_csv(path: str, header: str, columns: list):
         fh.writelines(chunks)
 
 
+@functools.cache
+def _int_groups() -> np.ndarray:
+    """The ASCII of each four-digit group ``g`` as a little-endian uint32, read-only.
+
+    Entry ``g`` writes a group with no digit before it, its leading zeros
+    NUL (0 all NUL); ``10_000 + g`` one after other digits, all four digits;
+    ``20_000 + g`` the last group of a number with no digit before it, as
+    the first kind but with 0 as ``0``.
+    """
+    g = np.arange(10_000)
+    # digit i of a group, and whether it is not a leading zero
+    digits = [(g // 10 ** (3 - i) % 10 + ord("0")).astype(np.uint32) << 8 * i
+              for i in range(4)]
+    stripped = sum(digit * (g >= 10 ** (3 - i)) for i, digit in enumerate(digits))
+    last = stripped.copy()
+    last[0] = ord("0") << 24
+    return _read_only(np.concatenate([stripped, sum(digits), last]))[0]
+
+
 def _int_cells(col: np.ndarray) -> np.ndarray:
     """The ``str`` text of ints as rows of ASCII cells padded with NUL.
 
     The sign takes the first byte and the digits are right-aligned, so the
-    padding between them is dropped with the rest.
+    padding between them is dropped with the rest.  The digits are written
+    four at a time from :func:`_int_groups`, one ``//`` pass a group.
     """
     negative = col < 0
     rest = np.abs(col).astype(np.uint64)     # abs(-2**63) wraps, and casts to 2**63
-    width = len(str(rest.max()))
-    cells = np.empty((col.size, width + 1), dtype=np.uint8)
+    n_groups = -(-len(str(rest.max())) // 4)
+    cells = np.empty((col.size, 4 * n_groups + 1), dtype=np.uint8)
     cells[:, 0] = negative * ord("-")
-    for j in range(width, 0, -1):
+    groups, quads = _int_groups(), cells[:, 1:].view("<u4")
+    for j in range(n_groups - 1, -1, -1):
         # // by a scalar is numpy's fast integer path; divmod and % are not
-        shown = (rest > 0) | (j == width)
-        quotient = rest // 10
-        cells[:, j] = (rest - 10 * quotient + ord("0")) * shown
+        quotient = rest // 10_000
+        index = (rest - 10_000 * quotient).astype(np.intp)
+        index += np.where(quotient > 0, 10_000, 20_000 if j == n_groups - 1 else 0)
+        quads[:, j] = groups[index]
         rest = quotient
     return cells
 

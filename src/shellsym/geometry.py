@@ -30,6 +30,7 @@ on fields and charts being immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -105,7 +106,13 @@ def surface_elliptic_triple(b) -> tuple:
     ``b11*b22 - b12^2 > 0``.
     """
     b11, b12, b22 = (float(x) for x in b)
-    if not (b11 > 0 and b11 * b22 - b12 ** 2 > 0):
+    # a float ** raises past the double range; b12 * b12 would differ from
+    # pow in the last bit on some doubles, and could flip a verdict
+    try:
+        b12_squared = b12 ** 2
+    except OverflowError:
+        b12_squared = math.inf
+    if not (b11 > 0 and b11 * b22 - b12_squared > 0):
         raise SurfaceEllipticityError(
             f"not surface-elliptic: need b11 > 0 and b11*b22 - b12^2 > 0, "
             f"got b=({b11}, {b12}, {b22})")

@@ -128,8 +128,14 @@ def _jordan_chain(lam: complex, w: np.ndarray, a_membrane: np.ndarray,
     u0 /= np.linalg.norm(u0)
     a_inv_u0 = np.linalg.solve(a_membrane, u0)
     denom = complex(u0 @ a_inv_u0)                      # bilinear pairing
+    # u0^H A^-1 u0 > 0 for a positive definite A: it is 0 only where the
+    # norm of u0 overflowed, at extreme curvatures
+    scale = np.vdot(u0, a_inv_u0).real
+    if scale == 0:
+        raise StructureError(
+            f"Jordan chain leaves the double range (b={tuple(b)}, xi1={xi1})")
     # |u0^T A^-1 u0| / u0^H A^-1 u0 lies in [0, 1] whatever the scale of A
-    if abs(denom) < 1e-10 * np.vdot(u0, a_inv_u0).real:
+    if abs(denom) < 1e-10 * scale:
         raise StructureError(
             "double exponent is semisimple for this rigidity tensor; "
             "no Jordan profile exists "
@@ -301,7 +307,10 @@ def bending_symbol_coefficient(b, b_bending: np.ndarray) -> float:
     ``rho_unit`` and ``mu`` taken at ``xi1 = 1``.
     """
     _, mu = rigidity_roots(*b, 1.0)
-    rho_unit = np.array([-1.0, mu ** 2, -2j * mu], dtype=complex)
+    try:
+        rho_unit = np.array([-1.0, mu ** 2, -2j * mu], dtype=complex)
+    except OverflowError as exc:    # a complex ** raises past the double range
+        raise StructureError("bending symbol coefficient must be finite") from exc
     zeta = float(np.vdot(rho_unit, np.asarray(b_bending) @ rho_unit).real) \
         / (2.0 * abs(mu.real))
     if not 0 < zeta < np.inf:

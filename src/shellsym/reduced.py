@@ -217,12 +217,12 @@ class ReducedOperator:
         """``symbol`` on the modes; :class:`SymbolRangeError` if a sample is not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
             values = symbol(self.wavenumbers)
+        if np.isfinite(values).all():
+            return values
         k = np.abs(self.wavenumbers[~np.isfinite(values)])
-        if k.size:
-            raise SymbolRangeError(
-                f"{name} symbol is not finite on {k.size} modes with |k| in "
-                f"[{k.min()}, {k.max()}]: {param} = {getattr(self, param)!r} is too large")
-        return values
+        raise SymbolRangeError(
+            f"{name} symbol is not finite on {k.size} modes with |k| in "
+            f"[{k.min()}, {k.max()}]: {param} = {getattr(self, param)!r} is too large")
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -236,6 +236,8 @@ class ReducedOperator:
         """``theta (1 + k^2)^(1/2) exp(-2 d |k|)``, zero on the kernel set."""
         k = np.abs(np.asarray(k, dtype=float))
         s = self.theta * np.sqrt(1.0 + k ** 2) * np.exp(-2.0 * self.d * k)
+        if not self.kernel:
+            return np.asarray(s)
         return np.where(np.isin(k, self.kernel), 0.0, s)
 
     def q_symbol(self, k) -> np.ndarray:

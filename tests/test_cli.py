@@ -2,6 +2,7 @@ import ast
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -290,6 +291,25 @@ def test_curvature_is_refused_only_where_a_command_reads_it(tmp_path, capsys):
                 (command, unset)
             assert capsys.readouterr().err == ("configuration error: b_coeffs must "
                                                "be surface-elliptic for this command\n")
+
+
+def test_curvature_past_the_double_range_is_refused(tmp_path, capsys):
+    # b12 ** 2 overflows: the symbol commands and a reduced command with
+    # theta unset refuse the curvature as not surface-elliptic, and
+    # check-ellipticity reports it in its rows
+    cfg = tmp_path / "huge_b12.cfg"
+    cfg.write_text("b_coeffs = 2.0,1e+308,0.5\nN = 8\n")
+    out = tmp_path / "x.csv"
+    for command in ("check-sl", "layer-modes", "solve-reduced"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, command
+        assert capsys.readouterr().err == ("configuration error: b_coeffs must "
+                                           "be surface-elliptic for this command\n")
+        assert not out.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # the rigidity det overflows
+        assert main(["check-ellipticity", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [line.rsplit(",", 1)[1] for line in read(out).decode().splitlines()[2:]] \
+        == ["false"] * 4
 
 
 def test_indefinite_explicit_rigidity_is_a_config_error(tmp_path, capsys):
@@ -866,6 +886,69 @@ def test_g17_kernel_matches_per_value_formatting():
     assert np.count_nonzero(handed) <= 0.01 * inside.size
 
 
+def _layout_tables():
+    """Doubles of every sign, digit count and exponent width the kernel lays
+    out, with the edges of scientific notation, and a mostly fixed table."""
+    rng = np.random.default_rng(20261021)
+    exps = np.array([-280, -100, -99, -20, -6, -5, -4, -1, 0, 1, 15, 16, 17, 18, 99, 100, 280])
+    random = (rng.uniform(1.0, 10.0, size=(exps.size, 300)) * 10.0 ** exps[:, None]).ravel()
+    # 1e-5 and 1e17 are the first values in scientific notation on each side
+    edges = np.array([1e-5, 1e17, 1e16, 1e-4, 9.9999999999999995e-06, 99999999999999984.0,
+                      1.0000000000000001e-05, 1.0000000000000002e17, 123456789012345678.0])
+    edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    fixed = np.concatenate([np.arange(-3000, 3000) / 7, np.arange(600) * 0.25,
+                            random[:300]])
+    for name, table in (("spread", random), ("edges", edges), ("mostly-fixed", fixed)):
+        yield name, np.concatenate([table, -table])
+
+
+def test_g17_kernel_plain_rows_match_the_layout_gather(monkeypatch):
+    # unsigned scientific text with all 17 digits lies in the kernel's source
+    # row as one block, and every other row is gathered through its layout;
+    # with no row taken as plain, the gather writes every row, bit for bit
+    # the same text, lengths and hand-backs
+    shapes = set()
+    for _, values in _layout_tables():
+        with monkeypatch.context() as patch:
+            patch.setattr(_g17kernel, "_PLAIN", -1)
+            gathered = _g17kernel.kernel(values)
+        text, length, handed = _g17kernel.kernel(values)
+        assert np.array_equal(text, gathered[0])
+        assert np.array_equal(length, gathered[1])
+        assert np.array_equal(handed, gathered[2])
+        texts = [format(x, ".17g") for x in values.tolist()]
+        for row, n, h, want in zip(text, length.tolist(), handed.tolist(), texts):
+            if not h:
+                assert row[:n].tobytes().decode() == want and not row[n:].any()
+        shapes |= {(t[0] == "-", "e" in t, len(t.split("e")[0].strip("-").replace(".", "")),
+                    len(t.split("e")[1]) - 1 if "e" in t else 0) for t in texts}
+    # every sign, in scientific notation with 16 or 17 digits and 2 or 3
+    # exponent digits, and in fixed notation with 16 or 17 digits
+    for sign in (False, True):
+        assert {(sign, True, digits, width) for digits in (16, 17) for width in (2, 3)} \
+            <= shapes
+        assert {(sign, False, 16, 0), (sign, False, 17, 0)} <= shapes
+
+
+@pytest.mark.parametrize("col", [
+    np.arange(-4096, 4097),
+    np.array([-2**63, 2**63 - 1, 0, -1, 1, 9, -10, 9999, -9999, 10**4, 10**4 + 1, -10**8,
+              10**8 - 1, 10**12, 10**16, -10**18, 10**18 + 7]),
+    np.random.default_rng(20261021).integers(-2**63, 2**63 - 1, size=2000, endpoint=True),
+    # widths from 1 to 19 digits in one column
+    np.concatenate([np.array([0, 5, -7]), (-3) ** np.arange(1, 40)]),
+    np.array([2**64 - 1, 0, 10**19, 10**16 + 1], dtype=np.uint64),
+    np.zeros(3, dtype=np.int64),
+], ids=["k-4096", "int64-edges", "int64-random", "mixed-widths", "uint64", "zeros"])
+def test_int_cells_match_str(col):
+    # the byte grid writes ints four digits at a time: the sign in the first
+    # byte, NUL up to the right-aligned digits, the str text once dropped
+    cells = cli._int_cells(col)
+    rows = [cell.tobytes() for cell in cells]
+    assert all(re.fullmatch(rb"[-\0]\0*(0|[1-9][0-9]*)", row) for row in rows)
+    assert [row.replace(b"\0", b"").decode() for row in rows] == list(map(str, col.tolist()))
+
+
 # a rigidity-roots table of 128 rows and an SL table of 6 x 510 rows: each
 # holds just over _KERNEL_MIN distinct doubles (514 and 519)
 WIDE_XI1 = ",".join(f"{(-1) ** j * (0.05 + 0.173 * j):.6g}" for j in range(510))
@@ -1090,11 +1173,20 @@ def test_check_sl_counts_the_finite_roots_at_a_large_curvature(tmp_path):
     # zeta overflows to nan
     ("solve-reduced", "b_coeffs = 1e155,0,1e155\nN = 16\ntheta = 2\n",
      "bending symbol coefficient must be positive"),
+    # the norm of the adjoint kernel vector overflows, so the Jordan pairing
+    # is exactly 0
+    *((command, "b_coeffs = 1e+308,1e-308,1e-150\nN = 8\n",
+       "Jordan chain leaves the double range (b=(1e+308, 1e-308, 1e-150), xi1=1.0)")
+      for command in ("sensitivity", "layer-modes")),
+    # mu ** 2 overflows as a complex power, which raises
+    ("rescale-demo", "b_coeffs = 5e-324,1e-308,2.0\nN = 257\nd = 2.0\ntheta = 1.0\n",
+     "bending symbol coefficient must be finite"),
 ])
 def test_non_finite_layer_coefficients_are_numerical_failures(tmp_path, capsys, command,
                                                               cfg_text, message):
-    # the layer formulas overflow to nan or inf here: the command reports one
-    # numerical failure and writes no rows (the numpy warnings are ignored)
+    # the layer formulas overflow to nan or inf, or leave the double range,
+    # here: the command reports one numerical failure and writes no rows
+    # (the numpy warnings are ignored)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(cfg_text)
     out = tmp_path / "x.csv"

@@ -257,7 +257,9 @@ def test_surface_ellipticity_flag():
     # one predicate, on triples and through the point
     assert surface_elliptic_triple(np.array([1, 0, 1])) == (1.0, 0.0, 1.0)
     frozen_point(1.0, 0.0, 1.0).require_surface_elliptic()
-    for b in ((1.0, 2.0, 1.0), (-1.0, 0.0, -2.0), (1.0, 1.0, 1.0), (np.nan, 0.0, 1.0)):
+    # b12 ** 2 past the double range, where a float power raises
+    for b in ((1.0, 2.0, 1.0), (-1.0, 0.0, -2.0), (1.0, 1.0, 1.0), (np.nan, 0.0, 1.0),
+              (2.0, 1e308, 0.5), (1e300, -1.4e154, 1e300)):
         with pytest.raises(SurfaceEllipticityError):
             surface_elliptic_triple(b)
         with pytest.raises(SurfaceEllipticityError):
